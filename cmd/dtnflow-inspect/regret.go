@@ -148,7 +148,11 @@ func printRegret(log *telemetry.Log, traceArg string, topK int) {
 		fmt.Println("\nno forwarding decisions in this recording (older export, or ring wrapped)")
 		return
 	}
-	fmt.Printf("\nper-landmark decision quality (%d chosen decisions replayed):\n", rep.Decisions)
+	fmt.Printf("\nper-landmark decision quality (%d chosen decisions replayed", rep.Decisions)
+	if rep.Skipped > 0 {
+		fmt.Printf(", %d skipped", rep.Skipped)
+	}
+	fmt.Println("):")
 	fmt.Println("landmark  decisions     agree      topk     fatal  mean-regret")
 	for _, lr := range rep.Landmarks {
 		fmt.Printf("L%-8d %9d %9d %9d %9d  %11s\n",

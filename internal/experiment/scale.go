@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"time"
 
 	"repro/internal/disrupt"
@@ -219,21 +220,27 @@ type ScaleResult struct {
 	PlanBails     int `json:"plan_bails,omitempty"`
 }
 
-// heapWatermark samples runtime.ReadMemStats on a background ticker and
-// tracks the high-water HeapAlloc. Sampling needs no allocator
-// instrumentation and its 20 Hz cost is negligible next to a scale run;
-// the resolution is coarse, but the materialized-vs-streamed gap it exists
+// heapWatermark samples the live heap on a background ticker and tracks
+// the high-water mark. It reads runtime/metrics'
+// /memory/classes/heap/objects:bytes — HeapAlloc's equivalent — which,
+// unlike runtime.ReadMemStats, does not stop the world. The 20 Hz
+// resolution is coarse, but the materialized-vs-streamed gap it exists
 // to show is orders of magnitude at 32×.
 type heapWatermark struct {
-	stop chan struct{}
-	done chan struct{}
-	peak uint64
+	stop   chan struct{}
+	done   chan struct{}
+	sample []rtmetrics.Sample
+	peak   uint64
 }
 
 func startHeapWatermark() *heapWatermark {
-	w := &heapWatermark{stop: make(chan struct{}), done: make(chan struct{})}
+	w := &heapWatermark{
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		sample: []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}},
+	}
 	runtime.GC() // drop the previous run's garbage from the baseline
-	w.sample()
+	w.read()
 	go func() {
 		defer close(w.done)
 		t := time.NewTicker(50 * time.Millisecond)
@@ -241,21 +248,20 @@ func startHeapWatermark() *heapWatermark {
 		for {
 			select {
 			case <-w.stop:
-				w.sample()
+				w.read()
 				return
 			case <-t.C:
-				w.sample()
+				w.read()
 			}
 		}
 	}()
 	return w
 }
 
-func (w *heapWatermark) sample() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if m.HeapAlloc > w.peak {
-		w.peak = m.HeapAlloc
+func (w *heapWatermark) read() {
+	rtmetrics.Read(w.sample)
+	if v := w.sample[0].Value.Uint64(); v > w.peak {
+		w.peak = v
 	}
 }
 

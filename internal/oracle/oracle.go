@@ -13,8 +13,8 @@
 // between two edges is an implicit wait edge. Two answers are computed
 // per packet (see Solve):
 //
-//   - The relaxed earliest-arrival bound: a per-packet label-setting
-//     search with capacities ignored. This is a true upper bound on every
+//   - The relaxed earliest-arrival bound: a per-packet connection scan
+//     with capacities ignored. This is a true upper bound on every
 //     method — any sequence of engine transfers that delivers a packet
 //     maps, visit by visit, onto a chain of contact edges the search
 //     also considers (see DESIGN.md "Oracle architecture" for the
@@ -32,9 +32,10 @@
 package oracle
 
 import (
+	"cmp"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -65,36 +66,26 @@ type Config struct {
 	SkipCommitted bool
 }
 
-// edgeGroup holds every contact edge from one landmark to one other
-// landmark, columnar and sorted by departure time: depart[i] is the last
-// pickup instant (the departure visit's end), arrive[i] the arrival
-// instant (the arrival visit's start). minArr[i] is the minimum of
-// arrive[i:], so the best reachable arrival from any label t is found
-// with one binary search. depVis/arrVis identify the two visits whose
-// transfer budgets the committed schedule charges.
-type edgeGroup struct {
-	to     int
-	depart []trace.Time
-	arrive []trace.Time
-	minArr []trace.Time
-	depVis []int32
-	arrVis []int32
-}
-
-// Graph is the time-expanded contact graph of one trace.
+// Graph is the time-expanded contact graph of one trace: every transit
+// is one connection, stored columnar and sorted by (depart, arrive,
+// from, to, depVis). depart is the last pickup instant (the departure
+// visit's end), arrive the arrival instant (the arrival visit's start);
+// depVis/arrVis identify the two visits whose transfer budgets the
+// committed schedule charges.
 type Graph struct {
-	L   int           // number of landmarks
-	adj [][]edgeGroup // adj[from], groups sorted by to
+	L              int // number of landmarks
+	from, to       []int32
+	depart, arrive []trace.Time
+	depVis, arrVis []int32
 	// budget[v] is the transfer budget of visit v (global visit index in
 	// node-major, time-ascending order), the engine's contactBudget.
 	budget []int32
-	edges  int
 }
 
 // NumEdges returns the number of contact edges (transits) in the graph.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return len(g.depart) }
 
-// rawEdge is one transit during the build, before grouping.
+// rawEdge is one transit during the build, before the columnar split.
 type rawEdge struct {
 	from, to       int32
 	depart, arrive trace.Time
@@ -104,8 +95,8 @@ type rawEdge struct {
 // Build constructs the contact graph from a trace. The build is
 // parallel over nodes (workers <= 0 = GOMAXPROCS) and deterministic:
 // every worker count yields a bit-identical graph, because each node's
-// edges land in a preassigned slot and the final per-pair ordering is a
-// strict total order (depart, arrive, departure-visit id — visit ids
+// edges land in a preassigned slot and the final ordering is a strict
+// total order (depart, arrive, from, to, departure-visit id — visit ids
 // are globally unique, so ties cannot reorder).
 func Build(tr *trace.Trace, cfg Config, workers int) *Graph {
 	byNode := tr.VisitsByNode()
@@ -129,9 +120,12 @@ func Build(tr *trace.Trace, cfg Config, workers int) *Graph {
 		workers = 1
 	}
 
-	// Each worker fills its nodes' budget entries and collects its
-	// nodes' transits locally; perNode[n] keeps the merge order fixed.
-	perNode := make([][]rawEdge, len(byNode))
+	// Each worker fills its nodes' budget entries and writes its nodes'
+	// transits into their own slots of es: a node with k visits makes at
+	// most k-1 transits, so node n owns es[offsets[n]:offsets[n+1]] and
+	// count[n] says how many it used.
+	es := make([]rawEdge, offsets[len(byNode)])
+	count := make([]int32, len(byNode))
 	var wg sync.WaitGroup
 	next := make(chan int, len(byNode))
 	for n := range byNode {
@@ -148,7 +142,7 @@ func Build(tr *trace.Trace, cfg Config, workers int) *Graph {
 				for i, v := range vs {
 					g.budget[base+int32(i)] = int32(visitBudget(v, cfg))
 				}
-				var out []rawEdge
+				out := es[base:base]
 				for i := 1; i < len(vs); i++ {
 					// Consecutive same-landmark visits produce no edge
 					// (the node never left; a packet at the landmark
@@ -166,70 +160,41 @@ func Build(tr *trace.Trace, cfg Config, workers int) *Graph {
 						arrVis: base + int32(i),
 					})
 				}
-				perNode[n] = out
+				count[n] = int32(len(out))
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Deterministic merge: concatenate in node order, bucket by source
-	// landmark, sort each pair's edges by (to, depart, arrive, depVis).
-	byFrom := make([][]rawEdge, g.L)
-	for _, es := range perNode {
-		for _, e := range es {
-			byFrom[e.from] = append(byFrom[e.from], e)
-			g.edges++
-		}
+	// Deterministic merge: compact in node order, then sort by the
+	// connection order the scan relies on.
+	m := 0
+	for n := range byNode {
+		m += copy(es[m:], es[offsets[n]:offsets[n]+count[n]])
 	}
-	g.adj = make([][]edgeGroup, g.L)
-	for from, es := range byFrom {
-		if len(es) == 0 {
-			continue
+	es = es[:m]
+	slices.SortFunc(es, func(a, b rawEdge) int {
+		if c := cmp.Compare(a.depart, b.depart); c != 0 {
+			return c
 		}
-		sort.Slice(es, func(i, j int) bool {
-			a, b := es[i], es[j]
-			if a.to != b.to {
-				return a.to < b.to
-			}
-			if a.depart != b.depart {
-				return a.depart < b.depart
-			}
-			if a.arrive != b.arrive {
-				return a.arrive < b.arrive
-			}
-			return a.depVis < b.depVis
-		})
-		var groups []edgeGroup
-		for i := 0; i < len(es); {
-			j := i
-			for j < len(es) && es[j].to == es[i].to {
-				j++
-			}
-			grp := edgeGroup{
-				to:     int(es[i].to),
-				depart: make([]trace.Time, 0, j-i),
-				arrive: make([]trace.Time, 0, j-i),
-				depVis: make([]int32, 0, j-i),
-				arrVis: make([]int32, 0, j-i),
-			}
-			for _, e := range es[i:j] {
-				grp.depart = append(grp.depart, e.depart)
-				grp.arrive = append(grp.arrive, e.arrive)
-				grp.depVis = append(grp.depVis, e.depVis)
-				grp.arrVis = append(grp.arrVis, e.arrVis)
-			}
-			grp.minArr = make([]trace.Time, j-i)
-			min := maxTime
-			for k := j - i - 1; k >= 0; k-- {
-				if grp.arrive[k] < min {
-					min = grp.arrive[k]
-				}
-				grp.minArr[k] = min
-			}
-			groups = append(groups, grp)
-			i = j
+		if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
+			return c
 		}
-		g.adj[from] = groups
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.depVis, b.depVis)
+	})
+	g.from, g.to = make([]int32, m), make([]int32, m)
+	g.depart, g.arrive = make([]trace.Time, m), make([]trace.Time, m)
+	g.depVis, g.arrVis = make([]int32, m), make([]int32, m)
+	for i, e := range es {
+		g.from[i], g.to[i] = e.from, e.to
+		g.depart[i], g.arrive[i] = e.depart, e.arrive
+		g.depVis[i], g.arrVis[i] = e.depVis, e.arrVis
 	}
 	return g
 }
@@ -250,10 +215,10 @@ func visitBudget(v trace.Visit, cfg Config) int {
 // maxTime is past every trace timestamp.
 const maxTime = trace.Time(1) << 62
 
-// Fingerprint hashes the graph's full structure (adjacency, edge times,
-// visit ids, budgets). Two builds of the same trace must produce equal
-// fingerprints regardless of worker count — the determinism tests pin
-// this.
+// Fingerprint hashes the graph's full structure (connections, edge
+// times, visit ids, budgets). Two builds of the same trace must produce
+// equal fingerprints regardless of worker count — the determinism tests
+// pin this.
 func (g *Graph) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -267,182 +232,188 @@ func (g *Graph) Fingerprint() uint64 {
 	for _, b := range g.budget {
 		w64(uint64(b))
 	}
-	for from, groups := range g.adj {
-		w64(uint64(from))
-		for _, grp := range groups {
-			w64(uint64(grp.to))
-			for i := range grp.depart {
-				w64(uint64(grp.depart[i]))
-				w64(uint64(grp.arrive[i]))
-				w64(uint64(grp.depVis[i]))
-				w64(uint64(grp.arrVis[i]))
-			}
-		}
+	for i := range g.depart {
+		w64(uint64(g.from[i]))
+		w64(uint64(g.to[i]))
+		w64(uint64(g.depart[i]))
+		w64(uint64(g.arrive[i]))
+		w64(uint64(g.depVis[i]))
+		w64(uint64(g.arrVis[i]))
 	}
 	return h.Sum64()
 }
 
-// searcher runs earliest-arrival label-setting searches over one graph,
-// reusing its label arrays across packets via epoch stamps. One searcher
-// serves one goroutine.
+// searcher runs earliest-arrival connection scans over one graph,
+// reusing its label arrays across packets; dist is maxTime on landmarks
+// the last scan never labelled. One searcher serves one goroutine.
+//
+// Besides the earliest arrival, a scan reproduces the parent tree of a
+// label-setting search that settles landmarks in label order, equal
+// labels lowest id first among those labelled so far, and replaces a
+// label only on strict improvement: a landmark's parent is the
+// in-neighbour settled first among those whose usable connection
+// arrives exactly at its label, and its charged connection is that
+// neighbour's first such connection in scan order. rank holds the
+// settle order among equal labels: the id, unless zero-duration
+// connections chain landmarks at that label, when scanZero replays it.
 type searcher struct {
 	g      *Graph
 	dist   []trace.Time
-	stamp  []uint32
-	epoch  uint32
 	parent []int32 // previous landmark on the best path; -1 at the source
-	pdep   []int32 // departure-visit id of the edge into this landmark
-	parr   []int32 // arrival-visit id of the edge into this landmark
-	heap   []heapItem
+	via    []int32 // connection into this landmark on the best path
+	rank   []int32
 
 	// Committed-mode residual budgets; nil in relaxed searches.
 	residual []int32
-}
-
-type heapItem struct {
-	t  trace.Time
-	lm int32
 }
 
 func newSearcher(g *Graph) *searcher {
 	return &searcher{
 		g:      g,
 		dist:   make([]trace.Time, g.L),
-		stamp:  make([]uint32, g.L),
 		parent: make([]int32, g.L),
-		pdep:   make([]int32, g.L),
-		parr:   make([]int32, g.L),
+		via:    make([]int32, g.L),
+		rank:   make([]int32, g.L),
 	}
 }
 
-func (s *searcher) reset() {
-	s.epoch++
-	s.heap = s.heap[:0]
-}
-
-func (s *searcher) label(lm int) (trace.Time, bool) {
-	if s.stamp[lm] != s.epoch {
-		return maxTime, false
-	}
-	return s.dist[lm], true
-}
-
-func (s *searcher) relax(lm int32, t trace.Time, from int32, dep, arr int32) {
-	if s.stamp[lm] == s.epoch && s.dist[lm] <= t {
-		return
-	}
-	s.stamp[lm] = s.epoch
+func (s *searcher) setLabel(lm int32, t trace.Time, from, via int32) {
 	s.dist[lm] = t
 	s.parent[lm] = from
-	s.pdep[lm] = dep
-	s.parr[lm] = arr
-	s.pushHeap(heapItem{t: t, lm: lm})
+	s.via[lm] = via
+	s.rank[lm] = lm
 }
 
-func (s *searcher) pushHeap(it heapItem) {
-	s.heap = append(s.heap, it)
-	i := len(s.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !heapLess(s.heap[i], s.heap[p]) {
+// settlesBefore reports whether landmark u settles before landmark p.
+// (A tie never reaches the source: anything offered to it arrives after
+// t0, so p is always a landmark.)
+func (s *searcher) settlesBefore(u, p int32) bool {
+	if s.dist[u] != s.dist[p] {
+		return s.dist[u] < s.dist[p]
+	}
+	return s.rank[u] < s.rank[p]
+}
+
+// usable reports whether connection k can carry the packet: its source
+// is labelled by its departure, it arrives before the deadline and, in
+// committed mode, both its visits have residual budget.
+func (s *searcher) usable(k int, deadline trace.Time) bool {
+	g := s.g
+	u := g.from[k]
+	return s.dist[u] <= g.depart[k] && g.arrive[k] < deadline &&
+		(s.residual == nil || s.residual[g.depVis[k]] > 0 && s.residual[g.arrVis[k]] > 0)
+}
+
+// offer relaxes connection k's head with its arrival, keeping the
+// settle-order parent on ties.
+func (s *searcher) offer(k int) {
+	g := s.g
+	u, v, a := g.from[k], g.to[k], g.arrive[k]
+	if a < s.dist[v] {
+		s.setLabel(v, a, u, int32(k))
+	} else if a == s.dist[v] && s.settlesBefore(u, s.parent[v]) {
+		s.parent[v] = u
+		s.via[v] = int32(k)
+	}
+}
+
+// search is the earliest-arrival search every solve runs. It is a
+// variable so the differential test can swap in its label-setting
+// reference.
+var search = (*searcher).scan
+
+func (s *searcher) run(src int, t0 trace.Time, dst int, deadline trace.Time) (trace.Time, bool) {
+	return search(s, src, t0, dst, deadline)
+}
+
+// scan performs the earliest-arrival scan from (src, t0) and returns
+// dst's earliest arrival, or (0, false) when no arrival strictly before
+// deadline exists. The scan starts at the first connection departing
+// at or after t0 and stops at the first connection departing at or
+// after min(EA(dst), deadline) — except the zero-duration connections
+// at EA(dst) itself, which can still supply dst's parent on a tie.
+func (s *searcher) scan(src int, t0 trace.Time, dst int, deadline trace.Time) (trace.Time, bool) {
+	g := s.g
+	for i := range s.dist {
+		s.dist[i] = maxTime
+	}
+	s.setLabel(int32(src), t0, -1, -1)
+	best, limit := maxTime, deadline
+	for k, _ := slices.BinarySearch(g.depart, t0); k < len(g.depart); {
+		d := g.depart[k]
+		if d >= limit && (d != best || g.arrive[k] != d) {
 			break
 		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
-		i = p
+		if g.arrive[k] == d {
+			k = s.scanZero(k, deadline)
+		} else {
+			if s.usable(k, deadline) {
+				s.offer(k)
+			}
+			k++
+		}
+		if s.dist[dst] < best {
+			best = s.dist[dst]
+			limit = min(best, deadline)
+		}
 	}
+	if best == maxTime {
+		return 0, false
+	}
+	return best, true
 }
 
-func (s *searcher) popHeap() heapItem {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s.heap) && heapLess(s.heap[l], s.heap[m]) {
-			m = l
-		}
-		if r < len(s.heap) && heapLess(s.heap[r], s.heap[m]) {
-			m = r
-		}
-		if m == i {
-			return top
-		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
-		i = m
+// scanZero handles the block of zero-duration connections at time T =
+// depart[k] and returns the index past it. Landmarks labelled before T
+// relax the block like any connection. Landmarks labelled exactly T
+// relax each other in settle order, so when any of them can use the
+// block, the settle order is replayed: the lowest-ranked unsettled
+// landmark at T settles next, and its block connections label the
+// landmarks still above T.
+func (s *searcher) scanZero(k int, deadline trace.Time) int {
+	g := s.g
+	t := g.depart[k]
+	end := k
+	for end < len(g.depart) && g.depart[end] == t && g.arrive[end] == t {
+		end++
 	}
-}
-
-// heapLess orders by label time, ties by landmark id so the pop order
-// (and therefore the parent tree on equal labels) is deterministic.
-func heapLess(a, b heapItem) bool {
-	if a.t != b.t {
-		return a.t < b.t
+	for i := k; i < end; i++ {
+		if s.usable(i, deadline) && s.dist[g.from[i]] < t {
+			s.offer(i)
+		}
 	}
-	return a.lm < b.lm
-}
-
-// run performs the earliest-arrival search from (src, t0) and returns
-// dst's earliest arrival, or (0, false) when no arrival strictly before
-// deadline exists. With s.residual set, only edges whose departure and
-// arrival visits both have residual transfer budget qualify (the
-// committed mode); relaxed searches use the suffix-min shortcut.
-func (s *searcher) run(src int, t0 trace.Time, dst int, deadline trace.Time) (trace.Time, bool) {
-	s.reset()
-	s.stamp[src] = s.epoch
-	s.dist[src] = t0
-	s.parent[src] = -1
-	s.pdep[src] = -1
-	s.parr[src] = -1
-	s.pushHeap(heapItem{t: t0, lm: int32(src)})
-	for len(s.heap) > 0 {
-		it := s.popHeap()
-		if s.dist[it.lm] != it.t || s.stamp[it.lm] != s.epoch {
-			continue // stale entry
+	chained := false
+	for i := k; i < end && !chained; i++ {
+		chained = s.usable(i, deadline) && s.dist[g.from[i]] == t
+	}
+	if !chained {
+		return end
+	}
+	var q []int32
+	for lm := range g.L {
+		if s.dist[lm] == t {
+			q = append(q, int32(lm))
 		}
-		if int(it.lm) == dst {
-			return it.t, true
+	}
+	for pos := int32(0); len(q) > 0; pos++ {
+		m := 0
+		for j := range q {
+			if s.rank[q[j]] < s.rank[q[m]] {
+				m = j
+			}
 		}
-		for gi := range s.g.adj[it.lm] {
-			grp := &s.g.adj[it.lm][gi]
-			// First edge still boardable from label it.t: depart >= t.
-			i := sort.Search(len(grp.depart), func(k int) bool { return grp.depart[k] >= it.t })
-			if i == len(grp.depart) {
-				continue
-			}
-			if s.residual == nil {
-				if a := grp.minArr[i]; a < deadline {
-					s.relax(int32(grp.to), a, it.lm, -1, -1)
-				}
-				continue
-			}
-			// Committed mode: the minimum arrival among edges with
-			// residual budget on both endpoint visits. minArr lower-bounds
-			// the remaining suffix, so the scan stops as soon as no
-			// better arrival can follow.
-			best := maxTime
-			bi := -1
-			for k := i; k < len(grp.depart); k++ {
-				if best <= grp.minArr[k] {
-					break
-				}
-				if grp.arrive[k] >= best || grp.arrive[k] >= deadline {
-					continue
-				}
-				if s.residual[grp.depVis[k]] < 1 || s.residual[grp.arrVis[k]] < 1 {
-					continue
-				}
-				best = grp.arrive[k]
-				bi = k
-			}
-			if bi >= 0 {
-				s.relax(int32(grp.to), best, it.lm, grp.depVis[bi], grp.arrVis[bi])
+		u := q[m]
+		q[m] = q[len(q)-1]
+		q = q[:len(q)-1]
+		s.rank[u] = pos
+		for i := k; i < end; i++ {
+			if v := g.to[i]; g.from[i] == u && s.usable(i, deadline) && s.dist[v] > t {
+				s.setLabel(v, t, u, int32(i))
+				q = append(q, v)
 			}
 		}
 	}
-	return 0, false
+	return end
 }
 
 // path reconstructs the landmark path src..dst of the last run (dst must

@@ -13,6 +13,7 @@
 package oracle
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/telemetry"
@@ -85,6 +86,10 @@ type RegretReport struct {
 	Packets   []PacketRegret
 	Landmarks []LandmarkRegret // sorted by landmark id; only landmarks with decisions
 	Decisions int              // total chosen decisions replayed
+	// Skipped counts chosen decisions that could not be replayed: the
+	// packet's generation event was lost to ring wrap, or the decision's
+	// landmark, next hop or destination lies outside the trace.
+	Skipped int
 }
 
 // Regret joins a telemetry recording against the oracle's relaxed bound
@@ -209,6 +214,7 @@ func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[
 		return v
 	}
 
+	inTrace := func(lm int) bool { return lm >= 0 && lm < g.L }
 	perLM := make(map[int]*LandmarkRegret)
 	var cur struct {
 		pr         *PacketRegret
@@ -280,8 +286,9 @@ func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[
 		}
 		flush()
 		pr := byID[int(ev.Pkt)]
-		if pr == nil {
-			continue // generation event lost to ring wrap
+		if pr == nil || !inTrace(int(ev.A)) || !inTrace(int(ev.B)) || !inTrace(pr.Dst) {
+			rep.Skipped++
+			continue
 		}
 		cur.pr = pr
 		cur.lm = int(ev.A)
@@ -302,21 +309,15 @@ func (rep *RegretReport) replayDecisions(log *telemetry.Log, g *Graph, byID map[
 }
 
 // edgeEAT is the earliest arrival at landmark `to` using one direct
-// contact edge from `from` boardable at time t.
+// contact edge from `from` boardable at time t: a scan filtered to the
+// from -> to connections that stops once no later departure can arrive
+// earlier.
 func edgeEAT(g *Graph, from int, t trace.Time, to int) (trace.Time, bool) {
-	if from < 0 || from >= g.L {
-		return 0, false
-	}
-	for gi := range g.adj[from] {
-		grp := &g.adj[from][gi]
-		if grp.to != to {
-			continue
+	best := maxTime
+	for k, _ := slices.BinarySearch(g.depart, t); k < len(g.depart) && g.depart[k] < best; k++ {
+		if int(g.from[k]) == from && int(g.to[k]) == to && g.arrive[k] < best {
+			best = g.arrive[k]
 		}
-		i := sort.Search(len(grp.depart), func(k int) bool { return grp.depart[k] >= t })
-		if i == len(grp.depart) {
-			return 0, false
-		}
-		return grp.minArr[i], true
 	}
-	return 0, false
+	return best, best < maxTime
 }

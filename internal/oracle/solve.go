@@ -1,7 +1,7 @@
 // The two solves. Relaxed: every packet gets an independent
-// earliest-arrival search with capacities ignored — a provable upper
-// bound on any store-and-forward method (used by dominance checks and
-// regret joins). Committed: packets are routed one at a time in
+// earliest-arrival connection scan with capacities ignored — a provable
+// upper bound on any store-and-forward method (used by dominance checks
+// and regret joins). Committed: packets are routed one at a time in
 // generation order, each search restricted to contact edges whose two
 // endpoint visits still have residual transfer budget, and each
 // accepted path charges those budgets and the station-storage intervals
@@ -310,8 +310,9 @@ func commit(g *Graph, cfg Config, pkts []Packet, order []int, res *Result) {
 		}
 		// Charge the transfer budgets along the committed path.
 		for lm := int32(p.Dst); s.parent[lm] >= 0; lm = s.parent[lm] {
-			s.residual[s.pdep[lm]]--
-			s.residual[s.parr[lm]]--
+			k := s.via[lm]
+			s.residual[g.depVis[k]]--
+			s.residual[g.arrVis[k]]--
 		}
 		pr.Committed = true
 		pr.CommitEAT = eat
