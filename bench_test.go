@@ -13,6 +13,7 @@ package dtnflow
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -91,6 +92,25 @@ func BenchmarkSimulateDTNFLOW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
 		res := sim.New(sc.Trace, r, sc.Workload(sc.RateDef), sc.Config(1)).Run()
+		success = res.Summary.SuccessRate
+	}
+	b.ReportMetric(success, "success")
+}
+
+// BenchmarkSimulateLoadBalance measures one full Tiny-DART simulation of
+// the Table VIII configuration — DTN-FLOW with load balancing — at the
+// scenario's default rate, seed 1. Its contact-time scheduling is
+// dominated by station/carrier ping-pong cycles, so this row tracks the
+// scheduler's cycle fast-forward.
+func BenchmarkSimulateLoadBalance(b *testing.B) {
+	sc := experiment.DARTScenario(experiment.Tiny)
+	cfg := core.DefaultConfig()
+	cfg.LoadBalance = true
+	var success float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := sim.New(sc.Trace, core.New(cfg), sc.Workload(sc.RateDef), sc.Config(1)).Run()
 		success = res.Summary.SuccessRate
 	}
 	b.ReportMetric(success, "success")

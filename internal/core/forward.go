@@ -65,9 +65,17 @@ func (r *Router) recordAssignment(ls *landmarkState, p *sim.Packet) {
 // to next overloaded: the incoming rate exceeds Theta times the outgoing
 // rate and there is material traffic (Section IV-E.3).
 func (r *Router) overloaded(ls *landmarkState, next int) bool {
-	in := ls.lbInRate[next] + ls.lbAssigned[next]
-	out := ls.lbOutRate[next] + ls.lbSent[next]
-	return in > 4 && in > r.cfg.Theta*out
+	busy, over := r.overloadAt(ls, next, ls.lbAssigned[next], ls.lbSent[next])
+	return busy && over
+}
+
+// overloadAt evaluates overloaded's two sub-predicates for the link to
+// next at the given per-unit assigned and sent counts: material traffic,
+// and incoming rate above Theta times the outgoing rate.
+func (r *Router) overloadAt(ls *landmarkState, next int, assigned, sent float64) (busy, over bool) {
+	in := ls.lbInRate[next] + assigned
+	out := ls.lbOutRate[next] + sent
+	return in > 4, in > r.cfg.Theta*out
 }
 
 // route decides the forwarding target for packet p held at landmark lm:
@@ -402,6 +410,10 @@ func (r *Router) uploadBatch(ctx *sim.Context, c *sim.Contact) int {
 // count to present carriers (Download reports true only when the packet
 // lands in the carrier's buffer). The presence set cannot change inside
 // the loop — arrivals and departures are events, and events do not nest.
+// Long contacts whose rounds settle into a repeating cycle skip whole
+// cycles at once (cycle.go) unless a probe or checker must observe every
+// transfer, LoopFix reads the grown paths, or NodeRouting delivers on its
+// own path.
 func (r *Router) schedule(ctx *sim.Context, c *sim.Contact) {
 	lm := c.Landmark
 	st := ctx.Stations[lm]
@@ -416,8 +428,12 @@ func (r *Router) schedule(ctx *sim.Context, c *sim.Contact) {
 	for _, n := range ctx.NodesAt(lm) {
 		nn += n.Buffer.Len()
 	}
+	ff := !r.cycle.off && !ctx.Probe.Enabled() && ctx.Check == nil && !r.cfg.LoopFix && !r.cfg.NodeRouting
 	mode := "upload"
-	for c.Budget > 0 {
+	for round := 0; c.Budget > 0; round++ {
+		if ff && round >= cycleWarmRounds {
+			r.fastForward(ctx, c, mode, nn, round)
+		}
 		nl := st.Buffer.Len()
 		switch {
 		case nn == 0 && nl == 0:

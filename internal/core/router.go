@@ -151,6 +151,7 @@ type Router struct {
 	eligScratch   []elig
 	carrierBkt    [][]carrierEnt // per target; valid when reachStamp matches
 	targetScratch []int          // targets stamped by the current pass
+	cycle         cycleState     // schedule's cycle fast-forward (cycle.go)
 
 	// UnitHook, when set, runs after each time-unit boundary is
 	// processed; experiments use it to snapshot tables (Fig. 8).

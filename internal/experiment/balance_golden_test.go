@@ -1,0 +1,78 @@
+package experiment
+
+import (
+	"encoding/json"
+	"os"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// The balance golden corpus pins DTN-FLOW with load balancing (Section
+// IV-E.3, the Table VIII configuration) on both Tiny scenarios at seed 1
+// and the scenario's default rate. Load balancing is the one extension
+// whose contact-time scheduling ping-pongs packets between the station
+// and the contact node, so the entry guards the scheduler's cycle
+// fast-forward as well as the overload decision itself.
+
+// balancedRouter is the Table VIII router: DTN-FLOW with load balancing.
+var balancedRouter = flowRouter(func(c *core.Config) { c.LoadBalance = true })
+
+// TestBalanceGoldenRuns compares the load-balanced run on each Tiny
+// scenario against the checked-in corpus on the classic engine, then
+// replays it through the sharded engine at 1 and 4 workers.
+func TestBalanceGoldenRuns(t *testing.T) {
+	scens := BothScenarios(Tiny)
+	runs := make([]Run, len(scens))
+	for i, sc := range scens {
+		runs[i] = Run{Scenario: sc, Router: balancedRouter, Seed: 1}
+	}
+	sums := Parallel(runs, 0)
+	got := make(map[string]metrics.Summary, len(scens))
+	for i, sc := range scens {
+		got[sc.Name] = sums[i]
+	}
+	path := goldenPath("BALANCE")
+	if *updateGolden {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with scripts/golden.sh)", err)
+	}
+	want := map[string]metrics.Summary{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(scens) {
+		t.Fatalf("corpus has %d scenarios, want %d", len(want), len(scens))
+	}
+	for _, sc := range scens {
+		if got[sc.Name] != want[sc.Name] {
+			t.Errorf("%s: classic run drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, got[sc.Name], want[sc.Name])
+		}
+		for _, workers := range []int{1, 4} {
+			s, err := sim.NewSharded(
+				func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
+				balancedRouter(), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Workers: workers},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := s.Run().Summary; sum != want[sc.Name] {
+				t.Errorf("%s: sharded run (workers %d) drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, workers, sum, want[sc.Name])
+			}
+		}
+	}
+}

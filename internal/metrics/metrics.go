@@ -61,6 +61,10 @@ func (c *Collector) PacketDropped(r DropReason) { c.Dropped[r]++ }
 // Forwarded records one packet forwarding operation.
 func (c *Collector) Forwarded() { c.ForwardingOps++ }
 
+// ForwardedN records n packet forwarding operations at once (a scheduler
+// fast-forwarding repeated transfer cycles).
+func (c *Collector) ForwardedN(n int64) { c.ForwardingOps += n }
+
 // Control records the transfer of a control table with n entries; the
 // paper counts such a transfer as cost n.
 func (c *Collector) Control(n int) { c.ControlEntries += int64(n) }

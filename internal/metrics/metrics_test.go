@@ -16,7 +16,7 @@ func TestCollectorSummarize(t *testing.T) {
 	c.PacketDelivered(300)
 	c.PacketDropped(DropTTL)
 	c.Forwarded()
-	c.Forwarded()
+	c.ForwardedN(2)
 	c.Control(10)
 	s := c.Summarize("m", 1000)
 	if s.Generated != 3 || s.Delivered != 2 {
@@ -32,7 +32,7 @@ func TestCollectorSummarize(t *testing.T) {
 	if math.Abs(s.OverallDelay-1400.0/3.0) > 1e-9 {
 		t.Errorf("overall delay = %v", s.OverallDelay)
 	}
-	if s.Forwarding != 2 || s.TotalCost != 12 {
+	if s.Forwarding != 3 || s.TotalCost != 13 {
 		t.Errorf("costs = %d, %d", s.Forwarding, s.TotalCost)
 	}
 	if s.DelayQ[0] != 100 || s.DelayQ[4] != 300 {

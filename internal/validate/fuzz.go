@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 
+	"repro/internal/core"
 	"repro/internal/disrupt"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
@@ -204,13 +205,17 @@ func (s ScenarioSpec) Config(duration trace.Time) sim.Config {
 // surges are applied; the trace must already be the perturbed one (see
 // perturbedTrace) for the three axes to describe the same scenario.
 func (s ScenarioSpec) runOn(tr *trace.Trace, method string, ck sim.Checker, probe *telemetry.Probe) metrics.Summary {
+	return s.runRouter(tr, experiment.NewRouter(method), ck, probe)
+}
+
+// runRouter is runOn with an explicit router instance.
+func (s ScenarioSpec) runRouter(tr *trace.Trace, r sim.Router, ck sim.Checker, probe *telemetry.Probe) metrics.Summary {
 	cfg := s.Config(tr.Duration())
 	cfg.Check = ck
 	cfg.Probe = probe
 	w := sim.NewWorkload(float64(s.RatePerDay), cfg.PacketSize, cfg.TTL)
 	s.Disruption().Apply(&cfg, w)
-	eng := sim.New(tr, experiment.NewRouter(method), w, cfg)
-	return eng.Run().Summary
+	return sim.New(tr, r, w, cfg).Run().Summary
 }
 
 // Run simulates one method on the spec's own (disruption-perturbed)
@@ -326,6 +331,7 @@ var properties = []property{
 	{"invariants", propInvariants},
 	{"oracle-dominance", propOracleDominance},
 	{"checker-neutral", propCheckerNeutral},
+	{"balance-neutral", propBalanceNeutral},
 	{"rerun-deterministic", propRerun},
 	{"relabel-invariant", propRelabel},
 	{"ttl-monotone", propTTLMonotone},
@@ -361,6 +367,30 @@ func propCheckerNeutral(s ScenarioSpec, opt FuzzOptions) string {
 	watched := s.Run(m, ck, telemetry.NewProbe(telemetry.NewRecorder(1<<10)))
 	if !reflect.DeepEqual(plain, watched) {
 		return fmt.Sprintf("%s: checked run diverged: plain %+v, checked %+v", m, plain, watched)
+	}
+	return ""
+}
+
+// propBalanceNeutral asserts the contact scheduler's cycle fast-forward
+// is exact. DTN-FLOW with load balancing — whose long contacts ping-pong
+// packets between station and contact node — runs twice on the spec:
+// unobserved, where the fast-forward may fire, and under the checker with
+// a probe, which must see every transfer and so forces the plain
+// round-by-round loop. The summaries must be identical and the checked
+// run clean.
+func propBalanceNeutral(s ScenarioSpec, opt FuzzOptions) string {
+	cfg := core.DefaultConfig()
+	cfg.LoadBalance = true
+	tr := s.perturbedTrace()
+	fast := s.runRouter(tr, core.New(cfg), nil, nil)
+	ck := NewChecker()
+	ck.SetDisruption(s.Disruption())
+	plain := s.runRouter(tr, core.New(cfg), ck, telemetry.NewProbe(telemetry.NewRecorder(1<<10)))
+	if err := ck.Err(); err != nil {
+		return fmt.Sprintf("balanced DTN-FLOW: %v", err)
+	}
+	if !reflect.DeepEqual(fast, plain) {
+		return fmt.Sprintf("balanced DTN-FLOW: fast-forwarded run diverged: fast %+v, plain %+v", fast, plain)
 	}
 	return ""
 }

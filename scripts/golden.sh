@@ -6,13 +6,14 @@
 #
 # The corpus (internal/experiment/testdata/golden/*.json) pins fixed-seed
 # metrics.Summary fingerprints for every routing method on both Tiny
-# scenarios — steady-state and storm-disrupted. TestGoldenRuns and
-# TestDisruptedGoldenRuns compare against it exactly, on the classic,
-# sharded, and parallel-apply engines; run this script only when a
+# scenarios — steady-state and storm-disrupted — plus DTN-FLOW with load
+# balancing (BALANCE.json, the Table VIII configuration). TestGoldenRuns,
+# TestDisruptedGoldenRuns and TestBalanceGoldenRuns compare against it
+# exactly, on the classic, sharded, and parallel-apply engines; run this script only when a
 # numeric change is intended, and review the corpus diff like code.
 set -eu
 cd "$(dirname "$0")/.."
 
-go test ./internal/experiment/ -run 'TestGoldenRuns|TestDisruptedGoldenRuns' -update-golden
-go test ./internal/experiment/ -run 'TestGoldenRuns|TestDisruptedGoldenRuns'
+go test ./internal/experiment/ -run 'TestGoldenRuns|TestDisruptedGoldenRuns|TestBalanceGoldenRuns' -update-golden
+go test ./internal/experiment/ -run 'TestGoldenRuns|TestDisruptedGoldenRuns|TestBalanceGoldenRuns'
 git --no-pager diff --stat -- internal/experiment/testdata/golden || true
