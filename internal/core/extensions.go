@@ -127,8 +127,8 @@ func (r *Router) InjectLoop(dest int) []int {
 		if lm == dest {
 			continue
 		}
-		if e, ok := r.landmarks[lm].table.Lookup(dest); ok {
-			cands = append(cands, cand{a: lm, delay: e.Delay})
+		if next, delay := r.landmarks[lm].table.NextHop(dest); next >= 0 {
+			cands = append(cands, cand{a: lm, delay: delay})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -145,15 +145,15 @@ func (r *Router) InjectLoop(dest int) []int {
 				continue
 			}
 			tc := r.landmarks[c].table
-			ec, ok := tc.Lookup(dest)
-			if !ok || tc.LinkDelay(a) >= routing.Infinite {
+			cNext, cDelay := tc.NextHop(dest)
+			if cNext < 0 || tc.LinkDelay(a) >= routing.Infinite {
 				continue
 			}
 			// The fake advertised delay must make the A<->C detour
 			// strictly cheaper than both landmarks' current routes, or no
 			// loop forms.
 			tiny := cd.delay / 8
-			if ta.LinkDelay(c)+tiny >= cd.delay || tc.LinkDelay(a)+tiny >= ec.Delay {
+			if ta.LinkDelay(c)+tiny >= cd.delay || tc.LinkDelay(a)+tiny >= cDelay {
 				continue
 			}
 			plant := func(at *routing.Table, from int) {
@@ -184,11 +184,11 @@ func (r *Router) HasLoop(from, dest int) bool {
 			return true
 		}
 		seen[cur] = true
-		e, ok := r.landmarks[cur].table.Lookup(dest)
-		if !ok {
+		next, _ := r.landmarks[cur].table.NextHop(dest)
+		if next < 0 {
 			return false
 		}
-		cur = e.Next
+		cur = next
 	}
 	return false
 }

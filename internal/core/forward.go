@@ -56,8 +56,8 @@ func (r *Router) stationReceive(ctx *sim.Context, lm int, p *sim.Packet) {
 // recordAssignment counts the packet toward the incoming rate of the link
 // its current route would use (Section IV-E.3).
 func (r *Router) recordAssignment(ls *landmarkState, p *sim.Packet) {
-	if e, ok := ls.table.Lookup(p.Dst); ok {
-		ls.lbAssigned[e.Next]++
+	if next, _ := ls.table.NextHop(p.Dst); next >= 0 {
+		ls.lbAssigned[next]++
 	}
 }
 
@@ -96,11 +96,15 @@ func (r *Router) route(ctx *sim.Context, lm int, p *sim.Packet, epoch int) (targ
 		}
 		return p.Dst, exp
 	}
+	if !r.cfg.LoadBalance {
+		// Only the best route is read, so a stale backup stays unresolved.
+		return ls.table.NextHop(p.Dst)
+	}
 	e, ok := ls.table.Lookup(p.Dst)
 	if !ok {
 		return -1, routing.Infinite
 	}
-	if r.cfg.LoadBalance && e.Backup >= 0 && r.overloaded(ls, e.Next) && !r.overloaded(ls, e.Backup) {
+	if e.Backup >= 0 && r.overloaded(ls, e.Next) && !r.overloaded(ls, e.Backup) {
 		return e.Backup, e.BackupDelay
 	}
 	return e.Next, e.Delay

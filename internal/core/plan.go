@@ -438,11 +438,7 @@ func (r *Router) planRoute(pl *contactPlan, tbl *routing.Table, p *sim.Packet) (
 		}
 		return p.Dst, exp
 	}
-	e, ok := tbl.Lookup(p.Dst)
-	if !ok {
-		return -1, routing.Infinite
-	}
-	return e.Next, e.Delay
+	return tbl.NextHop(p.Dst)
 }
 
 // planForwardPass mirrors forwardPass over the shadow station queue, with

@@ -27,14 +27,24 @@ type Entry struct {
 // Maintenance is incremental: a mutation (a link-delay change from a
 // bandwidth update, or a handful of changed entries in a merged vector)
 // touches exactly one candidate (dest, neighbour) pair per changed input,
-// and candChanged folds that delta into the affected row in O(1) — only
-// when the changed candidate was the row's current best or backup and got
-// worse does the row join a dirty set for a single-row rescan at the next
-// read. A full recomputation never runs after construction; the historical
-// recompute loop is retained solely as the reference for CheckFull, the
-// equivalence cross-check the property tests and the validation layer run.
-// Storage is dense (indexed by landmark) because large simulations hammer
-// the merge path.
+// and candidateIs folds that delta into the affected row in O(1). Each row
+// is in one of three states:
+//
+//   - clean: best (next, delay) and backup (backup, bakDelay) are exact;
+//   - stale: the best is exact, and (bakDelay, backup) is a lower bound,
+//     in the beats order, on the best candidate via any other neighbour;
+//   - dirty: the row awaits a single-row rescan before any read.
+//
+// A worsened backup, or a backup promoted over a worsened best, leaves the
+// row stale rather than dirty: the old backup value still bounds the rest
+// from below, so the best stays exact and every later delta keeps folding
+// in O(1). Only readers of the backup (Lookup, Entries, Sync, CheckFull)
+// rescan stale rows; best-only readers (NextHop, Delay, ToVector, …)
+// rescan dirty rows alone. A full recomputation never runs after
+// construction; the historical recompute loop is retained solely as the
+// reference for CheckFull, the equivalence cross-check the property tests
+// and the validation layer run. Storage is dense (indexed by landmark)
+// because large simulations hammer the merge path.
 type Table struct {
 	Owner int
 
@@ -49,19 +59,26 @@ type Table struct {
 	bakDelay  []float64   // per dest
 	reachable int
 
-	// Incremental-maintenance state: rows whose best/backup may have
-	// worsened await a single-row rescan; dirtyAll forces the full
-	// recompute (only structural resets use it).
-	dirtyAll  bool
-	dirtyDest []bool
+	// Incremental-maintenance state: per-row rowDirty/rowStale bits, and
+	// the dirty rows in marking order, which await a single-row rescan.
+	// Stale rows are not listed; a full resolve finds them by their bit.
+	state     []uint8
 	dirtyList []int
 	// gen increases whenever the routed state (next/delay/backup) may have
 	// changed; readers that cache derived views (the router's shared
 	// advertisement copy) compare generations instead of whole vectors.
 	// Read it after a refreshing accessor (Lookup, ToVector, …) so pending
-	// rescans are folded in.
+	// rescans are folded in. A backup that goes stale bumps it only when
+	// the row is resolved, so a cache of backup values must take its
+	// generation from Sync.
 	gen uint64
 }
+
+// Row-state bits.
+const (
+	rowDirty uint8 = 1 << iota // rescan before any read
+	rowStale                   // backup is a lower bound; rescan before a backup read
+)
 
 // NewTable returns an empty table for landmark owner in a network of size
 // landmarks.
@@ -76,7 +93,7 @@ func NewTable(owner, size int) *Table {
 		delay:     make([]float64, size),
 		backup:    make([]int, size),
 		bakDelay:  make([]float64, size),
-		dirtyDest: make([]bool, size),
+		state:     make([]uint8, size),
 	}
 	for i := 0; i < size; i++ {
 		t.linkDelay[i] = Infinite
@@ -97,15 +114,15 @@ func (t *Table) Size() int { return t.size }
 // Lookup) — pending row rescans bump the generation when they apply.
 func (t *Table) Gen() uint64 { return t.gen }
 
-// Sync applies any pending recomputation and returns the resulting
-// generation. After Sync, every routed-state read (Lookup, Delay, Entries)
-// is a pure read until the next mutation — the plan/commit pipeline calls
-// it before fanning read-only planners out across goroutines, and compares
-// its result against the plan-time generation to validate a plan: an
-// unchanged generation proves every next/delay/backup value the plan read
-// is still current.
+// Sync applies every pending rescan, stale backups included, and returns
+// the resulting generation. After Sync, every routed-state read (Lookup,
+// Delay, Entries) is a pure read until the next mutation — the plan/commit
+// pipeline calls it before fanning read-only planners out across
+// goroutines, and compares its result against the plan-time generation to
+// validate a plan: an unchanged generation proves every next/delay/backup
+// value the plan read is still current.
 func (t *Table) Sync() uint64 {
-	t.refresh()
+	t.resolveAll()
 	return t.gen
 }
 
@@ -119,8 +136,8 @@ func beats(c1 float64, i1 int, c2 float64, i2 int) bool {
 
 // markDest queues row d for a single-row rescan at the next read.
 func (t *Table) markDest(d int) {
-	if !t.dirtyDest[d] {
-		t.dirtyDest[d] = true
+	if t.state[d]&rowDirty == 0 {
+		t.state[d] |= rowDirty
 		t.dirtyList = append(t.dirtyList, d)
 	}
 }
@@ -145,37 +162,42 @@ func (t *Table) cand(d, nbr int) float64 {
 	return c
 }
 
-// candChanged folds a changed candidate (dest d via neighbour nbr) into
-// row d. The row invariant — next is the (delay, index)-minimum over all
-// neighbours, backup the minimum among the rest — makes every improving or
-// neutral change O(1); only a worsening of the current best or backup
-// needs the row rescanned, because the third-best candidate is not
-// tracked.
-func (t *Table) candChanged(d, nbr int) {
-	if d == t.Owner || t.dirtyAll || t.dirtyDest[d] {
+// candidateIs folds the changed candidate c == cand(d, nbr) into row d —
+// the bulk folds (SetLinkDelay, storeVector) hoist the link delay and
+// vector loads out of their loops and evaluate the candidate inline.
+// Callers must have excluded the owner row and dirty rows. On a clean row
+// the invariant — next is the (delay, index)-minimum over all neighbours,
+// backup the minimum among the rest — makes every change O(1): a worsened
+// backup, or a backup promoted over a worsened best, only loses exactness
+// of the backup, and the row goes stale with the old backup value as its
+// bound.
+func (t *Table) candidateIs(d, nbr int, c float64) {
+	if t.state[d]&rowStale != 0 {
+		t.staleCandidateIs(d, nbr, c)
 		return
 	}
-	t.candidateIs(d, nbr, t.cand(d, nbr))
-}
-
-// candidateIs folds the already-evaluated candidate c == cand(d, nbr) into
-// row d — the bulk folds (SetLinkDelay, storeVector) hoist the link delay
-// and vector loads out of their loops and evaluate the candidate inline.
-// Callers must have excluded the owner row and dirty rows.
-func (t *Table) candidateIs(d, nbr int, c float64) {
 	switch {
 	case t.next[d] == nbr:
 		switch {
-		case c < t.delay[d]:
-			// The best improved: it remains the strict minimum.
-			t.delay[d] = c
-			t.gen++
 		case c == t.delay[d]:
 			// No numeric change.
+		case beats(c, nbr, t.bakDelay[d], t.backup[d]):
+			// Improved, or worsened but still ahead of the backup: the best
+			// remains the minimum.
+			t.delay[d] = c
+			t.gen++
+		case t.backup[d] >= 0:
+			// The backup overtakes the worsened best. Every other candidate,
+			// the old best's included, follows the old backup, so its value
+			// bounds the new backup from below.
+			t.next[d], t.delay[d] = t.backup[d], t.bakDelay[d]
+			t.state[d] |= rowStale
+			t.gen++
 		default:
-			// The best worsened; the backup or a third candidate may
-			// overtake it.
-			t.markDest(d)
+			// The only route became Infinite: no neighbour reaches d.
+			t.next[d], t.delay[d] = -1, Infinite
+			t.reachable--
+			t.gen++
 		}
 	case t.backup[d] == nbr:
 		switch {
@@ -190,8 +212,9 @@ func (t *Table) candidateIs(d, nbr int, c float64) {
 		case c == t.bakDelay[d]:
 			// No numeric change.
 		default:
-			// The backup worsened; an untracked third candidate may beat it.
-			t.markDest(d)
+			// The backup worsened; an untracked third candidate may beat it,
+			// but none beats its old value, which becomes the bound.
+			t.state[d] |= rowStale
 		}
 	default:
 		// nbr was neither best nor backup, so its old candidate lost to the
@@ -213,6 +236,40 @@ func (t *Table) candidateIs(d, nbr int, c float64) {
 			t.backup[d], t.bakDelay[d] = nbr, c
 			t.gen++
 		}
+	}
+}
+
+// staleCandidateIs is candidateIs for a stale row d, whose best is exact
+// and whose (bakDelay, backup) bounds every other candidate from below.
+// The bound never follows the best, and each fold below is exact: a
+// candidate ahead of the bound is ahead of every other candidate, and a
+// candidate behind it leaves the bound valid. Only a best worsened past
+// the bound needs the row rescanned.
+func (t *Table) staleCandidateIs(d, nbr int, c float64) {
+	if t.next[d] == nbr {
+		switch {
+		case c == t.delay[d]:
+			// No numeric change.
+		case beats(c, nbr, t.bakDelay[d], t.backup[d]):
+			t.delay[d] = c
+			t.gen++
+		default:
+			t.markDest(d)
+		}
+		return
+	}
+	switch {
+	case beats(c, nbr, t.delay[d], t.next[d]):
+		// The new best; the old best preceded every other candidate, so it
+		// is the exact backup.
+		t.backup[d], t.bakDelay[d] = t.next[d], t.delay[d]
+		t.next[d], t.delay[d] = nbr, c
+		t.state[d] &^= rowStale
+		t.gen++
+	case beats(c, nbr, t.bakDelay[d], t.backup[d]):
+		t.backup[d], t.bakDelay[d] = nbr, c
+		t.state[d] &^= rowStale
+		t.gen++
 	}
 }
 
@@ -242,14 +299,11 @@ func (t *Table) SetLinkDelay(nbr int, delay float64) {
 			}
 		}
 	}
-	if t.dirtyAll {
-		return // every row is rebuilt at the next read anyway
-	}
 	// The fold inlines cand(d, nbr) with the link delay and vector loads
 	// hoisted: candidate = min(ld [d == nbr], ld + vec[d]).
 	vec := t.vectors[nbr]
 	for d := 0; d < t.size; d++ {
-		if d == t.Owner || t.dirtyDest[d] {
+		if d == t.Owner || t.state[d]&rowDirty != 0 {
 			continue
 		}
 		c := Infinite
@@ -336,7 +390,7 @@ func (t *Table) storeVector(nbr int, vec []float64, seq int) {
 		}
 		if dst[i] != v {
 			dst[i] = v
-			if t.dirtyAll || t.dirtyDest[i] || i == t.Owner {
+			if t.state[i]&rowDirty != 0 || i == t.Owner {
 				continue
 			}
 			c := Infinite
@@ -356,33 +410,44 @@ func (t *Table) storeVector(nbr int, vec []float64, seq int) {
 	t.vectorSeq[nbr] = seq
 }
 
-// refresh applies the pending single-row rescans (and, after a structural
-// reset, the full recompute). Reads that return routed state call it
-// first.
+// refresh applies the pending single-row rescans of dirty rows. Reads
+// that return routed state call it first; stale rows keep their bound.
 func (t *Table) refresh() {
-	if t.dirtyAll {
-		t.dirtyAll = false
-		for _, d := range t.dirtyList {
-			t.dirtyDest[d] = false
-		}
-		t.dirtyList = t.dirtyList[:0]
-		t.gen++
-		t.recompute()
+	switch len(t.dirtyList) {
+	case 0:
 		return
-	}
-	if len(t.dirtyList) > 0 {
-		t.gen++
-		if len(t.dirtyList) == 1 {
-			d := t.dirtyList[0]
-			t.dirtyDest[d] = false
-			t.recomputeDest(d)
-		} else {
-			t.recomputeRows(t.dirtyList)
-			for _, d := range t.dirtyList {
-				t.dirtyDest[d] = false
-			}
+	case 1:
+		d := t.dirtyList[0]
+		t.state[d] = 0
+		t.recomputeDest(d)
+	default:
+		t.recomputeRows(t.dirtyList)
+		for _, d := range t.dirtyList {
+			t.state[d] = 0
 		}
-		t.dirtyList = t.dirtyList[:0]
+	}
+	t.gen++
+	t.dirtyList = t.dirtyList[:0]
+}
+
+// resolveAll queues every stale row for a rescan with the dirty ones and
+// applies them all, leaving every row exact.
+func (t *Table) resolveAll() {
+	for d, s := range t.state {
+		if s == rowStale {
+			t.markDest(d)
+		}
+	}
+	t.refresh()
+}
+
+// resolve rescans row d if its backup is stale, so a backup reader sees
+// the exact value. Call it after refresh.
+func (t *Table) resolve(d int) {
+	if t.state[d]&rowStale != 0 {
+		t.state[d] = 0
+		t.recomputeDest(d)
+		t.gen++
 	}
 }
 
@@ -471,9 +536,9 @@ func (t *Table) recomputeDest(d int) {
 }
 
 // recompute rebuilds every route from the stored link delays and vectors.
-// It no longer runs on the maintenance path (candChanged and recomputeDest
-// carry the deltas); it remains as the dirtyAll fallback and as CheckFull's
-// reference implementation.
+// It no longer runs on the maintenance path (candidateIs and the row
+// rescans carry the deltas); it remains as CheckFull's reference
+// implementation.
 func (t *Table) recompute() {
 	for d := 0; d < t.size; d++ {
 		t.next[d] = -1
@@ -520,10 +585,11 @@ func (t *Table) recompute() {
 // CheckFull is the incremental-vs-full equivalence cross-check: it applies
 // any pending rescans, rebuilds every route from scratch with the
 // reference recompute, and reports the first divergence between the
-// incrementally maintained state and the rebuilt one. On success the table
-// is unchanged (the rebuild reproduces the same values); the property
-// tests and the validation layer's Table hook call it after randomized
-// mutation sequences.
+// incrementally maintained state and the rebuilt one — for a stale row,
+// a bound that follows the rebuilt backup. Afterwards every row holds the
+// rebuilt, exact values (identical to the incremental ones on success);
+// the property tests and the validation layer's Table hook call it after
+// randomized mutation sequences.
 func (t *Table) CheckFull() error {
 	t.refresh()
 	next := append([]int(nil), t.next...)
@@ -532,27 +598,41 @@ func (t *Table) CheckFull() error {
 	bakDelay := append([]float64(nil), t.bakDelay...)
 	reachable := t.reachable
 	t.recompute()
+	var err error
+	resolved := false
 	for d := 0; d < t.size; d++ {
-		if next[d] != t.next[d] || delay[d] != t.delay[d] ||
-			backup[d] != t.backup[d] || bakDelay[d] != t.bakDelay[d] {
-			return fmt.Errorf("routing: table %d dest %d diverged: incremental (next %d delay %g backup %d bakDelay %g) vs full (next %d delay %g backup %d bakDelay %g)",
-				t.Owner, d, next[d], delay[d], backup[d], bakDelay[d],
+		stale := t.state[d] == rowStale
+		t.state[d] = 0
+		resolved = resolved || stale
+		bakOK := backup[d] == t.backup[d] && bakDelay[d] == t.bakDelay[d]
+		if stale {
+			bakOK = !beats(t.bakDelay[d], t.backup[d], bakDelay[d], backup[d])
+		}
+		if err == nil && (next[d] != t.next[d] || delay[d] != t.delay[d] || !bakOK) {
+			err = fmt.Errorf("routing: table %d dest %d diverged: incremental (next %d delay %g backup %d bakDelay %g stale %v) vs full (next %d delay %g backup %d bakDelay %g)",
+				t.Owner, d, next[d], delay[d], backup[d], bakDelay[d], stale,
 				t.next[d], t.delay[d], t.backup[d], t.bakDelay[d])
 		}
 	}
-	if reachable != t.reachable {
-		return fmt.Errorf("routing: table %d reachable count diverged: incremental %d vs full %d",
+	if resolved {
+		t.gen++
+	}
+	if err == nil && reachable != t.reachable {
+		err = fmt.Errorf("routing: table %d reachable count diverged: incremental %d vs full %d",
 			t.Owner, reachable, t.reachable)
 	}
-	return nil
+	return err
 }
 
-// Lookup returns the entry toward dest. ok is false when dest is unknown.
+// Lookup returns the entry toward dest, resolving a stale backup. ok is
+// false when dest is unknown. Callers that use only the best route should
+// call NextHop.
 func (t *Table) Lookup(dest int) (Entry, bool) {
 	t.refresh()
 	if dest < 0 || dest >= t.size || t.next[dest] < 0 {
 		return Entry{Dest: dest, Next: -1, Delay: Infinite, Backup: -1, BackupDelay: Infinite}, false
 	}
+	t.resolve(dest)
 	return Entry{
 		Dest:        dest,
 		Next:        t.next[dest],
@@ -560,6 +640,17 @@ func (t *Table) Lookup(dest int) (Entry, bool) {
 		Backup:      t.backup[dest],
 		BackupDelay: t.bakDelay[dest],
 	}, true
+}
+
+// NextHop returns the best next hop toward dest and its overall delay
+// (-1 and Infinite when dest is unknown). Unlike Lookup it never rescans a
+// row for its backup.
+func (t *Table) NextHop(dest int) (int, float64) {
+	t.refresh()
+	if dest < 0 || dest >= t.size {
+		return -1, Infinite
+	}
+	return t.next[dest], t.delay[dest]
 }
 
 // Delay returns the overall delay toward dest (Infinite when unknown).
@@ -573,11 +664,10 @@ func (t *Table) Delay(dest int) float64 {
 
 // Entries returns all reachable rows sorted by destination.
 func (t *Table) Entries() []Entry {
-	t.refresh()
+	t.resolveAll()
 	out := make([]Entry, 0, t.reachable)
 	for d := 0; d < t.size; d++ {
-		if t.next[d] >= 0 {
-			e, _ := t.Lookup(d)
+		if e, ok := t.Lookup(d); ok {
 			out = append(out, e)
 		}
 	}
@@ -596,18 +686,11 @@ func (t *Table) ToVector() []float64 {
 	return t.delay
 }
 
-// NextHops returns a copy of the per-destination next-hop array (-1 =
-// unreachable). Landmarks compare successive copies to decide whether the
-// table materially changed and needs re-advertising — the maintenance-cost
-// saving the paper derives from Fig. 8's stability result.
-func (t *Table) NextHops() []int {
-	t.refresh()
-	return append([]int(nil), t.next...)
-}
-
-// AppendNextHops appends the per-destination next-hop array to dst and
-// returns it — the allocation-free variant of NextHops for callers with a
-// reusable scratch buffer.
+// AppendNextHops appends the per-destination next-hop array (-1 =
+// unreachable) to dst and returns it. Landmarks compare successive copies
+// in a reusable scratch buffer to decide whether the table materially
+// changed and needs re-advertising — the maintenance-cost saving the paper
+// derives from Fig. 8's stability result.
 func (t *Table) AppendNextHops(dst []int) []int {
 	t.refresh()
 	return append(dst, t.next...)
@@ -644,8 +727,8 @@ func NextHopChanges(prev, cur *Table) int {
 
 // Snapshot returns a deep copy of the table (used for stability
 // measurements and warm-state forking). It is a pure read: pending
-// single-row rescans are carried over via the dirty set rather than
-// refreshed here, so concurrent Snapshots of one frozen table are
+// rescans and stale bounds are carried over via the row states rather
+// than resolved here, so concurrent Snapshots of one frozen table are
 // race-free.
 func (t *Table) Snapshot() *Table {
 	cp := NewTable(t.Owner, t.size)
@@ -662,8 +745,7 @@ func (t *Table) Snapshot() *Table {
 	copy(cp.backup, t.backup)
 	copy(cp.bakDelay, t.bakDelay)
 	cp.reachable = t.reachable
-	cp.dirtyAll = t.dirtyAll
-	copy(cp.dirtyDest, t.dirtyDest)
+	copy(cp.state, t.state)
 	cp.dirtyList = append([]int(nil), t.dirtyList...)
 	cp.gen = t.gen
 	return cp

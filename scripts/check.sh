@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-merge hygiene gate: formatting, vet, the race detector over the
 # packages that share state across goroutines (the parallel experiment
-# sweep, the engine it drives, and the fleet coordinator/worker pair),
+# sweep, the engine it drives, the fleet coordinator/worker pair, and the
+# routing table's Snapshot/Sync pure-read contract),
 # the validation battery — invariant checker, checker-neutrality, fork
 # equivalence, the O1-O4 paper-fidelity checks at tiny scale, and the
 # disrupted-scenario section (outage / churn / storm presets, every
@@ -19,7 +20,7 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-go test -race ./internal/experiment ./internal/sim ./internal/fleet
+go test -race ./internal/experiment ./internal/sim ./internal/fleet ./internal/routing
 go run ./cmd/dtnflow-validate
 ./scripts/fleet-smoke.sh
 
