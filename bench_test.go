@@ -331,33 +331,6 @@ func BenchmarkScaleDART1x(b *testing.B)  { benchScale(b, 1) }
 func BenchmarkScaleDART10x(b *testing.B) { benchScale(b, 10) }
 func BenchmarkScaleDART32x(b *testing.B) { benchScale(b, 32) }
 
-// benchScaleParallel is benchScale with the plan/commit execution pipeline
-// enabled, additionally reporting the pipeline's effectiveness counters:
-// the plan-hit rate and the conflict/bail volume.
-func benchScaleParallel(b *testing.B, mult int) {
-	b.Helper()
-	spec := experiment.ScaleSpec{Scenario: "DART", Mult: mult}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := spec.RunSharded("DTN-FLOW", sim.ShardConfig{ParallelApply: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.VisitsPerSec, "visits/s")
-		b.ReportMetric(res.EventsPerSec, "events/s")
-		b.ReportMetric(float64(res.PeakHeap)/(1<<20), "peak-MiB")
-		if res.Planned > 0 {
-			b.ReportMetric(100*float64(res.PlanHits)/float64(res.Planned), "plan-hit-%")
-			b.ReportMetric(float64(res.PlanConflicts), "plan-conflicts")
-			b.ReportMetric(float64(res.PlanBails), "plan-bails")
-		}
-	}
-}
-
-func BenchmarkScaleDART1xParallel(b *testing.B)  { benchScaleParallel(b, 1) }
-func BenchmarkScaleDART32xParallel(b *testing.B) { benchScaleParallel(b, 32) }
-
 // benchOracle measures the offline oracle at population scale: one
 // materialized scaled-DART trace through contact-graph build plus the
 // parallel relaxed solve of the engine-identical packet schedule. Run at

@@ -48,8 +48,6 @@ func main() {
 		engine     = flag.String("engine", "sharded", "simulation path: sharded, classic, or both (equivalence check)")
 		workers    = flag.Int("workers", 0, "shard/fill workers (0 = GOMAXPROCS)")
 		epochDays  = flag.Float64("epoch-days", 1, "sharded merge epoch in days")
-		parApply   = flag.Bool("parallel-apply", false, "enable the plan/commit execution pipeline (bit-identical; reports plan hit/conflict counters)")
-		planWin    = flag.Int("plan-window", 0, "events per planning window (0 = default)")
 		rate       = flag.Float64("rate", 0, "packets/day network-wide (0 = scenario default)")
 		disruptArg = flag.String("disrupt", "", "disruption preset (outage, link-sever, link-degrade, churn, drift, flash-crowd, storm) or a JSON spec file")
 		seed       = flag.Int64("seed", 1, "simulation seed")
@@ -102,10 +100,8 @@ func main() {
 	switch *engine {
 	case "sharded":
 		sh := sim.ShardConfig{
-			Workers:       *workers,
-			Epoch:         trace.Time(*epochDays * float64(trace.Day)),
-			ParallelApply: *parApply,
-			PlanWindow:    *planWin,
+			Workers: *workers,
+			Epoch:   trace.Time(*epochDays * float64(trace.Day)),
 		}
 		res, err = spec.RunSharded(*method, sh)
 	case "classic":
@@ -115,10 +111,8 @@ func main() {
 		// the classic one; any divergence must fail the process, not just
 		// print — fleet workers and CI trust this exit code.
 		sh := sim.ShardConfig{
-			Workers:       *workers,
-			Epoch:         trace.Time(*epochDays * float64(trace.Day)),
-			ParallelApply: *parApply,
-			PlanWindow:    *planWin,
+			Workers: *workers,
+			Epoch:   trace.Time(*epochDays * float64(trace.Day)),
 		}
 		var classic *experiment.ScaleResult
 		res, err = spec.RunSharded(*method, sh)
@@ -166,11 +160,6 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("  peak heap   %.1f MiB\n", float64(res.PeakHeap)/(1<<20))
-	if res.Planned > 0 {
-		fmt.Printf("  plan        %d arrivals planned: %d hit (%.1f%%), %d conflict, %d bail\n",
-			res.Planned, res.PlanHits, 100*float64(res.PlanHits)/float64(res.Planned),
-			res.PlanConflicts, res.PlanBails)
-	}
 	fmt.Printf("  summary     success %.4f, delivered %d/%d, avg delay %.0fs, fwd %d\n",
 		res.Summary.SuccessRate, res.Summary.Delivered, res.Summary.Generated,
 		res.Summary.AvgDelay, res.Summary.Forwarding)

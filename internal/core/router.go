@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/predict"
 	"repro/internal/routing"
@@ -138,11 +137,6 @@ type Router struct {
 	// Reusable scratch state for the forwarding hot path (forward.go).
 	// One router serves one engine, so the scratch is race-free; sweeps
 	// parallelise across engines, each with its own router.
-	// planPool recycles contactPlan scratch for the plan/commit pipeline
-	// (plan.go); pooled rather than single-slot because PlanContact calls
-	// run concurrently.
-	planPool sync.Pool
-
 	reachStamp    []int // per landmark; == reachEpoch when reachable this pass
 	directStamp   []int // per landmark; == reachEpoch when some present node predicts it
 	reachEpoch    int
@@ -268,8 +262,7 @@ func (r *Router) OnContact(ctx *sim.Context, c *sim.Contact) {
 }
 
 // contactPrologue runs steps 1–5 of contact processing — everything before
-// the communication schedule. CommitContact (plan.go) shares it with
-// OnContact so a replayed plan sees the identical prologue mutations.
+// the communication schedule.
 func (r *Router) contactPrologue(ctx *sim.Context, c *sim.Contact) {
 	n := c.Node
 	ns := r.nodes[n.ID]

@@ -15,8 +15,8 @@
 //     where both engine constructors consume them identically).
 //
 // Every compilation is deterministic, so disrupted runs remain
-// bit-identical across the classic, sharded, and parallel-apply engines
-// at any worker count — the same contract undisrupted runs have.
+// bit-identical across the classic and sharded engines at any worker
+// count — the same contract undisrupted runs have.
 package disrupt
 
 import (

@@ -14,12 +14,12 @@ import (
 
 // The disrupted golden corpus extends the steady-state corpus with the
 // "storm" preset — every disruption family at once — applied to each Tiny
-// scenario. The entries pin the same contract: classic, sharded, and
-// parallel-apply execution are bit-identical at every worker count, now
-// with outage clipping, churn flushes, drift remaps, link-fault drops,
-// and flash-crowd surges all in play. A chunk boundary landing on a
-// disruption edge, a mis-ordered churn flush in the commit pipeline, or
-// a surge drawn from a different RNG stream all show up as corpus diffs.
+// scenario. The entries pin the same contract: classic and sharded
+// execution are bit-identical at every worker count, now with outage
+// clipping, churn flushes, drift remaps, link-fault drops, and
+// flash-crowd surges all in play. A chunk boundary landing on a
+// disruption edge, a mis-ordered churn flush, or a surge drawn from a
+// different RNG stream all show up as corpus diffs.
 
 func disruptedGoldenPath(scenario string) string {
 	return filepath.Join("testdata", "golden", scenario+"-disrupted.json")
@@ -68,8 +68,8 @@ func disruptedShardedRun(t *testing.T, sc *Scenario, method string, sh sim.Shard
 
 // TestDisruptedGoldenRuns pins every method × Tiny scenario under the
 // storm disruption, then replays each entry through the sharded engine at
-// workers 1, 2, 8, and GOMAXPROCS and through the parallel-apply pipeline
-// — all must reproduce the classic fingerprint exactly.
+// workers 1, 2, 8, and GOMAXPROCS — all must reproduce the classic
+// fingerprint exactly.
 func TestDisruptedGoldenRuns(t *testing.T) {
 	shardCfgs := []struct {
 		name string
@@ -79,8 +79,6 @@ func TestDisruptedGoldenRuns(t *testing.T) {
 		{"sharded-w2", sim.ShardConfig{Workers: 2}},
 		{"sharded-w8", sim.ShardConfig{Workers: 8}},
 		{"sharded-wmax", sim.ShardConfig{}},
-		{"parallel-apply-w1", sim.ShardConfig{Workers: 1, ParallelApply: true}},
-		{"parallel-apply-w8", sim.ShardConfig{Workers: 8, ParallelApply: true}},
 	}
 	for _, sc := range BothScenarios(Tiny) {
 		sc := sc

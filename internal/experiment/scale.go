@@ -212,12 +212,6 @@ type ScaleResult struct {
 	EventsPerSec float64         `json:"events_per_sec"`
 	PeakHeap     uint64          `json:"peak_heap_bytes"`
 	Summary      metrics.Summary `json:"summary"`
-	// Plan/commit pipeline counters (sim.ShardStats), zero unless the run
-	// used ShardConfig.ParallelApply with a planning router.
-	Planned       int `json:"planned,omitempty"`
-	PlanHits      int `json:"plan_hits,omitempty"`
-	PlanConflicts int `json:"plan_conflicts,omitempty"`
-	PlanBails     int `json:"plan_bails,omitempty"`
 }
 
 // heapWatermark samples the live heap on a background ticker and tracks
@@ -299,9 +293,7 @@ func (sp ScaleSpec) RunSharded(method string, sh sim.ShardConfig) (*ScaleResult,
 	wall := time.Since(t0)
 	peak := wm.halt()
 	st := s.Stats()
-	r := sp.result("sharded", method, st.Workers, nodes, lms, st.Visits, st.Events, wall, peak, res.Summary)
-	r.Planned, r.PlanHits, r.PlanConflicts, r.PlanBails = st.Planned, st.PlanHits, st.PlanConflicts, st.PlanBails
-	return r, nil
+	return sp.result("sharded", method, st.Workers, nodes, lms, st.Visits, st.Events, wall, peak, res.Summary), nil
 }
 
 // RunClassic materializes the same stream and executes the spec on the

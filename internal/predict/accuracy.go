@@ -32,19 +32,6 @@ func (a *AccuracyTracker) Clone() *AccuracyTracker {
 
 // Record updates p_a with the outcome of one prediction.
 func (a *AccuracyTracker) Record(correct bool) {
-	a.value = a.after(correct)
-}
-
-// ValueAfter previews Value() as it would be immediately after
-// Record(correct), without mutating the tracker — the side-effect-free read
-// the plan/commit pipeline uses to plan a contact before committing its
-// accuracy update. The arithmetic is Record's, applied to a copy, so the
-// previewed value is bit-identical to the committed one.
-func (a *AccuracyTracker) ValueAfter(correct bool) float64 {
-	return a.after(correct)
-}
-
-func (a *AccuracyTracker) after(correct bool) float64 {
 	v := a.value
 	if correct {
 		v *= a.Alpha
@@ -57,7 +44,7 @@ func (a *AccuracyTracker) after(correct bool) float64 {
 	if v < a.Floor {
 		v = a.Floor
 	}
-	return v
+	a.value = v
 }
 
 // Evaluate measures predict-as-you-go accuracy of an order-k predictor on

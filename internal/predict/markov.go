@@ -316,29 +316,6 @@ func (m *Markov) Predict() (lm int, p float64, ok bool) {
 	return dist[0].Landmark, dist[0].Probability, true
 }
 
-// PredictAfter previews Predict's result as it would be immediately after
-// Observe(lm), without mutating the predictor — the side-effect-free read
-// the plan/commit pipeline uses to plan a contact before committing its
-// observation. Only dense order-1 mode supports previews; ok2 is false
-// otherwise (callers must then fall back to Observe-then-Predict).
-func (m *Markov) PredictAfter(lm int) (next int, p float64, ok, ok2 bool) {
-	if m.rows == nil {
-		return -1, 0, false, false
-	}
-	if m.cur == lm {
-		// Duplicate observation: nothing changes.
-		next, p, ok = m.Predict()
-		return next, p, ok, true
-	}
-	// After Observe(lm) the context is lm; the transition cur->lm lands in
-	// row cur, which the prediction does not read.
-	mt := m.meta[lm]
-	if mt.tot == 0 || m.rows[lm] == nil {
-		return -1, 0, false, true
-	}
-	return int(mt.arg), float64(mt.max) / float64(mt.tot), true, true
-}
-
 // ProbabilityOf returns the predicted probability that the next landmark is
 // lm, using the same backed-off context as Distribution.
 func (m *Markov) ProbabilityOf(lm int) float64 {

@@ -7,7 +7,7 @@
 //	dtnflow-scale -mult 10 -cpuprofile cpu.pb.gz
 //	go tool pprof cpu.pb.gz
 //
-//	dtnflow-scale -mult 10 -parallel-apply -blockprofile block.pb.gz -mutexprofile mutex.pb.gz
+//	dtnflow-scale -mult 10 -blockprofile block.pb.gz -mutexprofile mutex.pb.gz
 //	go tool pprof block.pb.gz
 package prof
 

@@ -38,7 +38,7 @@ type Entry struct {
 // A worsened backup, or a backup promoted over a worsened best, leaves the
 // row stale rather than dirty: the old backup value still bounds the rest
 // from below, so the best stays exact and every later delta keeps folding
-// in O(1). Only readers of the backup (Lookup, Entries, Sync, CheckFull)
+// in O(1). Only readers of the backup (Lookup, Entries, CheckFull)
 // rescan stale rows; best-only readers (NextHop, Delay, ToVector, …)
 // rescan dirty rows alone. A full recomputation never runs after
 // construction; the historical recompute loop is retained solely as the
@@ -69,8 +69,8 @@ type Table struct {
 	// advertisement copy) compare generations instead of whole vectors.
 	// Read it after a refreshing accessor (Lookup, ToVector, …) so pending
 	// rescans are folded in. A backup that goes stale bumps it only when
-	// the row is resolved, so a cache of backup values must take its
-	// generation from Sync.
+	// the row is resolved, so a cache of backup values must read it after
+	// a full resolve (Entries).
 	gen uint64
 }
 
@@ -113,18 +113,6 @@ func (t *Table) Size() int { return t.size }
 // rebuilt only on change. Call it after a refreshing accessor (ToVector,
 // Lookup) — pending row rescans bump the generation when they apply.
 func (t *Table) Gen() uint64 { return t.gen }
-
-// Sync applies every pending rescan, stale backups included, and returns
-// the resulting generation. After Sync, every routed-state read (Lookup,
-// Delay, Entries) is a pure read until the next mutation — the plan/commit
-// pipeline calls it before fanning read-only planners out across
-// goroutines, and compares its result against the plan-time generation to
-// validate a plan: an unchanged generation proves every next/delay/backup
-// value the plan read is still current.
-func (t *Table) Sync() uint64 {
-	t.resolveAll()
-	return t.gen
-}
 
 // beats reports whether candidate (c1 via neighbour i1) precedes (c2 via
 // i2) in the deterministic route order: smaller delay first, ties to the

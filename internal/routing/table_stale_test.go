@@ -23,7 +23,7 @@ func newStaleFixture(t *testing.T, adv ...float64) *staleFixture {
 		f.tb.SetLinkDelay(i+1, 1)
 		f.advertise(i+1, v)
 	}
-	f.tb.Sync()
+	f.tb.Entries()
 	return f
 }
 
@@ -155,12 +155,13 @@ func TestTableAccessors(t *testing.T) {
 	if n, d := tb.NextHop(5); n != -1 || d != Infinite {
 		t.Errorf("NextHop(out of range) = (%d, %g)", n, d)
 	}
-	gen := tb.Sync()
-	if gen == 0 || gen != tb.Gen() {
-		t.Errorf("Sync = %d, Gen = %d after two routed changes", gen, tb.Gen())
+	tb.Entries()
+	gen := tb.Gen()
+	if gen == 0 {
+		t.Error("Gen = 0 after two routed changes and a full resolve")
 	}
-	if tb.Sync() != gen {
-		t.Error("Sync without mutation changed the generation")
+	if tb.Entries(); tb.Gen() != gen {
+		t.Error("Entries without mutation changed the generation")
 	}
 }
 
@@ -178,7 +179,7 @@ func staleTable(t *testing.T) *Table {
 		}
 		tb.MergeVector(nbr, vec, 1)
 	}
-	tb.Sync()
+	tb.Entries()
 	worse := make([]float64, size)
 	for d := range worse {
 		worse[d] = 9
@@ -220,15 +221,16 @@ func TestTableConcurrentSnapshots(t *testing.T) {
 	}
 }
 
-// TestTableSyncLeavesNoStaleRow requires Sync to resolve every stale row,
-// so Lookup and Entries afterwards are pure reads: concurrent readers (run
-// under the race detector) must not write, and the generation must not
-// move.
-func TestTableSyncLeavesNoStaleRow(t *testing.T) {
+// TestTableEntriesLeavesNoStaleRow requires Entries to resolve every
+// stale row, so Lookup and Entries afterwards are pure reads: concurrent
+// readers (run under the race detector) must not write, and the generation
+// must not move.
+func TestTableEntriesLeavesNoStaleRow(t *testing.T) {
 	tb := staleTable(t)
-	gen := tb.Sync()
+	tb.Entries()
+	gen := tb.Gen()
 	if n := staleRows(tb); n != 0 {
-		t.Fatalf("Sync left %d stale rows", n)
+		t.Fatalf("Entries left %d stale rows", n)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -244,7 +246,7 @@ func TestTableSyncLeavesNoStaleRow(t *testing.T) {
 	}
 	wg.Wait()
 	if tb.Gen() != gen {
-		t.Errorf("reads after Sync moved the generation from %d to %d", gen, tb.Gen())
+		t.Errorf("reads after a full resolve moved the generation from %d to %d", gen, tb.Gen())
 	}
 	if err := tb.CheckFull(); err != nil {
 		t.Error(err)

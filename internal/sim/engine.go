@@ -39,8 +39,7 @@ type Config struct {
 	// (internal/disrupt compiles it from a disruption spec). Each action
 	// fires immediately before the first processed event at or after its
 	// timestamp — the same point on every execution path, so disrupted
-	// runs stay bit-identical across the classic, sharded, and
-	// parallel-apply engines.
+	// runs stay bit-identical across the classic and sharded engines.
 	Disrupt []DisruptAction
 }
 
@@ -486,8 +485,7 @@ func (e *Engine) runEvents(until trace.Time) {
 }
 
 // contactBudget derives an arrival's transfer budget from the visit
-// duration and the link rate, capped by MaxContactTransfers. It reads no
-// mutable engine state, so planners can evaluate it ahead of the event.
+// duration and the link rate, capped by MaxContactTransfers.
 func (e *Engine) contactBudget(v trace.Visit) int {
 	dur := v.End - v.Start
 	budget := int(e.ctx.Cfg.LinkRate * float64(dur))
@@ -500,36 +498,10 @@ func (e *Engine) contactBudget(v trace.Visit) int {
 	return budget
 }
 
-// planContact builds the contact a planner sees for an upcoming arrival:
-// the same node, landmark, interval and budget prepareArrive will
-// establish, with no engine state mutated — presence, visit bookkeeping and
-// the expiry sweep happen only when the event commits.
-func (e *Engine) planContact(v trace.Visit) *Contact {
-	return &Contact{Node: e.ctx.Nodes[v.Node], Landmark: v.Landmark, Start: v.Start, End: v.End, Budget: e.contactBudget(v)}
-}
-
-// prepareArrive performs the engine half of an arrival — visit bookkeeping,
-// presence insertion, budget derivation, the expiry sweep — and returns the
-// contact. The router callback is the caller's: apply invokes OnContact,
-// the plan/commit pipeline invokes CommitContact with a validated plan.
-func (e *Engine) prepareArrive(v trace.Visit) *Contact {
-	n := e.ctx.Nodes[v.Node]
-	n.At = v.Landmark
-	n.VisitStart = v.Start
-	n.VisitEnd = v.End
-	e.addPresent(v.Landmark, n)
-	c := &Contact{Node: n, Landmark: v.Landmark, Start: v.Start, End: v.End, Budget: e.contactBudget(v)}
-	e.ctx.ExpireBuffers(n, e.ctx.Stations[v.Landmark])
-	return c
-}
-
 // advanceDisrupt fires every scheduled disruption action with T <= t:
 // the churned node's buffer is flushed so a carrier that left the
-// network carries no packets. It reports whether anything fired, letting
-// the plan/commit pipeline invalidate in-flight plans whose read sets
-// the flush may have touched.
-func (e *Engine) advanceDisrupt(t trace.Time) bool {
-	fired := false
+// network carries no packets.
+func (e *Engine) advanceDisrupt(t trace.Time) {
 	for e.nextDisrupt < len(e.disrupt) && e.disrupt[e.nextDisrupt].T <= t {
 		a := e.disrupt[e.nextDisrupt]
 		e.nextDisrupt++
@@ -545,9 +517,7 @@ func (e *Engine) advanceDisrupt(t trace.Time) bool {
 			}
 			e.expireScratch = flush[:0]
 		}
-		fired = true
 	}
-	return fired
 }
 
 // apply executes one event. The caller has already advanced e.now to the
@@ -560,7 +530,14 @@ func (e *Engine) apply(ev event) {
 	}
 	switch ev.kind {
 	case evArrive:
-		c := e.prepareArrive(ev.visit)
+		v := ev.visit
+		n := e.ctx.Nodes[v.Node]
+		n.At = v.Landmark
+		n.VisitStart = v.Start
+		n.VisitEnd = v.End
+		e.addPresent(v.Landmark, n)
+		c := &Contact{Node: n, Landmark: v.Landmark, Start: v.Start, End: v.End, Budget: e.contactBudget(v)}
+		e.ctx.ExpireBuffers(n, e.ctx.Stations[v.Landmark])
 		e.router.OnContact(e.ctx, c)
 	case evDepart:
 		v := ev.visit

@@ -52,15 +52,6 @@ type Sharded struct {
 	cur    []int      // k-way merge cursors, one per shard
 	bufs   [2][]event // double-buffered epoch batches (prefetch pipeline)
 
-	// Plan/commit pipeline state (nil pl disables it; see parallel.go).
-	pl         ContactPlanner
-	planWindow int
-	win        []winEv
-	viable     []int
-	lmStamp    []int // per landmark: tick of the last event touching it
-	nodeStamp  []int // per node: tick of the last event touching it
-	tick       int
-
 	stats ShardStats
 }
 
@@ -73,17 +64,6 @@ type ShardConfig struct {
 	// Epoch is the merge granularity; <= 0 means one day. Smaller epochs
 	// lower peak memory, larger epochs amortize merge overhead.
 	Epoch trace.Time
-	// ParallelApply enables the plan/commit execution pipeline (parallel.go)
-	// when the router implements ContactPlanner: arrivals are planned
-	// read-only against window-start state — across planner goroutines when
-	// Workers > 1 — and a serial committer revalidates and applies the
-	// plans. Results stay bit-identical for every worker count; the stats
-	// report how many plans hit, conflicted, or bailed to inline execution.
-	ParallelApply bool
-	// PlanWindow is the number of events gathered per planning window;
-	// <= 0 means 64. Larger windows plan further ahead but conflict more
-	// (any two same-landmark events in a window invalidate the later one).
-	PlanWindow int
 }
 
 // ShardStats reports what a sharded run processed.
@@ -92,14 +72,6 @@ type ShardStats struct {
 	Epochs  int
 	Visits  int
 	Events  int
-	// Plan/commit pipeline counters (zero unless ParallelApply is on):
-	// arrivals considered, plans committed via replay, plans invalidated by
-	// a conflicting event or a prologue table change, and contacts the
-	// planner declined (unsupported configuration, possible expiry, …).
-	Planned       int
-	PlanHits      int
-	PlanConflicts int
-	PlanBails     int
 }
 
 // shard owns the visit events of the landmarks assigned to it. arrives is
@@ -276,17 +248,6 @@ func NewSharded(open func() trace.Source, r Router, w *Workload, cfg Config, sh 
 		s.shards[i].departs = departBuckets{start: start, epoch: epoch}
 	}
 	s.stats.Workers = workers
-	if sh.ParallelApply {
-		if pl, ok := r.(ContactPlanner); ok {
-			s.pl = pl
-			s.planWindow = sh.PlanWindow
-			if s.planWindow <= 0 {
-				s.planWindow = 64
-			}
-			s.lmStamp = make([]int, info.NumLandmarks)
-			s.nodeStamp = make([]int, info.NumNodes)
-		}
-	}
 	if w != nil {
 		// Identical call to the classic constructor's: ctx.Rand is fresh
 		// and consumed only here, so the packet schedule is bit-identical.
@@ -380,10 +341,6 @@ func (s *Sharded) buildEpoch(epEnd trace.Time, buf []event) (batch []event, last
 // merged visit events with the unit, generation and timer cursors by the
 // total event order.
 func (s *Sharded) applyEpoch(b epochBatch) {
-	if s.pl != nil {
-		s.applyEpochPlanned(b)
-		return
-	}
 	e := s.e
 	bi := 0
 	for {

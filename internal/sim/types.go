@@ -112,15 +112,6 @@ func (b *Buffer) Len() int { return b.live }
 // Fits reports whether a packet of the given size fits.
 func (b *Buffer) Fits(size int64) bool { return b.Capacity <= 0 || b.used+size <= b.Capacity }
 
-// ExpiryDue reports whether an expiry sweep at time now could drop a
-// packet: some packet is stored and the min-expiry watermark has been
-// reached. It is exactly the condition under which expireFromBuffer scans
-// (the watermark is a lower bound, so false positives are possible after
-// removals but false negatives are not) — contact planners bail to inline
-// execution when it holds, guaranteeing the committed contact's expiry
-// sweep is a no-op.
-func (b *Buffer) ExpiryDue(now trace.Time) bool { return b.live != 0 && now >= b.minExpiry }
-
 // Add stores p. It reports false (and does not store) when p does not fit.
 func (b *Buffer) Add(p *Packet) bool {
 	if !b.Fits(p.Size) {

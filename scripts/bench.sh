@@ -23,7 +23,7 @@ raw="${out%.json}.raw.txt"
 
 pattern='^(BenchmarkSimulateDTNFLOW|BenchmarkSimulateBaselines|BenchmarkSimulateTracesOff|BenchmarkSweepFresh|BenchmarkSweepForked|BenchmarkTransitExtraction|BenchmarkBandwidths|BenchmarkFig11MemoryDART|BenchmarkFig13RateDART|BenchmarkTable6DeadEnd|BenchmarkFig16Campus)$'
 
-scale_pattern='^(BenchmarkScaleDART1x|BenchmarkScaleDART1xClassic|BenchmarkScaleDART10x|BenchmarkScaleDART32x|BenchmarkScaleDART1xParallel|BenchmarkScaleDART32xParallel|BenchmarkOracle1x|BenchmarkOracle32x)$'
+scale_pattern='^(BenchmarkScaleDART1x|BenchmarkScaleDART1xClassic|BenchmarkScaleDART10x|BenchmarkScaleDART32x|BenchmarkOracle1x|BenchmarkOracle32x)$'
 
 go test -run '^$' -bench "$pattern" -benchmem -benchtime 10x -count 1 . | tee "$raw"
 go test -run '^$' -bench "$scale_pattern" -benchmem -benchtime 1x -count 1 -timeout 60m . | tee -a "$raw"

@@ -2,7 +2,7 @@
 # Pre-merge hygiene gate: formatting, vet, the race detector over the
 # packages that share state across goroutines (the parallel experiment
 # sweep, the engine it drives, the fleet coordinator/worker pair, and the
-# routing table's Snapshot/Sync pure-read contract),
+# routing table's pure reads after Snapshot and after a full resolve),
 # the validation battery — invariant checker, checker-neutrality, fork
 # equivalence, the O1-O4 paper-fidelity checks at tiny scale, and the
 # disrupted-scenario section (outage / churn / storm presets, every
