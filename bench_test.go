@@ -226,10 +226,15 @@ func BenchmarkSimulateBaselines(b *testing.B) {
 // points (asserted by TestSweepForkEquivalence); the benchmark pair
 // isolates the wall-clock difference of re-simulating the warmup per seed
 // versus forking it from one snapshot per (x, method) cell.
-func benchSweep(b *testing.B, noFork bool) {
+func benchSweep(b *testing.B, fresh bool) {
 	sc := experiment.DARTScenario(experiment.Tiny)
 	warmup := sc.Trace.Duration() * 2 / 3
-	opt := experiment.Options{Scale: experiment.Tiny, Seeds: 5, NoFork: noFork}
+	opt := experiment.Options{Scale: experiment.Tiny, Seeds: 5}
+	// A Setup hook, even a no-op one, keeps every cell on the fresh path.
+	var setup func(*sim.Engine, sim.Router)
+	if fresh {
+		setup = func(*sim.Engine, sim.Router) {}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -241,6 +246,7 @@ func benchSweep(b *testing.B, noFork bool) {
 					Rate:     x,
 					Seed:     seed,
 					Tweak:    func(cfg *sim.Config) { cfg.Warmup = warmup },
+					Setup:    setup,
 				}
 			})
 		if len(points) == 0 {
@@ -250,7 +256,7 @@ func benchSweep(b *testing.B, noFork bool) {
 }
 
 // BenchmarkSweepFresh runs the sweep with every seed simulating its own
-// warmup (Options.NoFork).
+// warmup (a no-op Setup hook gates every cell off the fork path).
 func BenchmarkSweepFresh(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkSweepForked runs the same sweep with warm-state forking (the

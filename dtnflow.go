@@ -107,8 +107,10 @@ type SimOptions struct {
 	TTL        Time    // packet TTL (default 20 days)
 	Unit       Time    // bandwidth/table time unit (default 3 days)
 	Warmup     Time    // no packets before this offset (default 1/4 trace)
-	// FixedDst routes every packet to one landmark (-1/0 value of -1
-	// means uniform; use DstLandmark >= 0 to pin).
+	// DstLandmark pins every packet's destination landmark when > 0;
+	// 0 and negative values draw destinations uniformly. With
+	// PerLandmarkDaytime set the value is used as given, so the zero
+	// value pins landmark 0 (a negative value still draws uniformly).
 	DstLandmark int
 	// PerLandmarkDaytime generates RatePerDay packets per landmark,
 	// spread over the daytime (the campus deployment's workload).

@@ -18,8 +18,7 @@ func main() {
 	fmt.Printf("trace: %s\n\n", tr.Summarize())
 
 	cfg := dtnflow.DefaultFlowConfig()
-	cfg.NodeRouting = true
-	cfg.TopF = 3 // consider the destination's top-3 frequented landmarks
+	cfg.NodeRouting = true // route to the destination's top-3 frequented landmarks
 
 	// Address every packet to one of the first five nodes.
 	dsts := []int{0, 1, 2, 3, 4}

@@ -32,7 +32,7 @@ func TestPROPHETScore(t *testing.T) {
 	}
 	m.OnVisit(ctx, n, 1)
 	s1 := m.Score(ctx, 0, 1, 0)
-	if s1 != m.PInit {
+	if s1 != prophetPInit {
 		t.Errorf("score after one visit = %v, want PInit", s1)
 	}
 	m.OnVisit(ctx, n, 1)

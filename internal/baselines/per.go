@@ -13,8 +13,6 @@ import (
 // frequently — PER's forwarding cost is the highest of the six methods
 // (Section V-A.2).
 type PER struct {
-	MaxSteps int // cap on the hitting-probability recursion depth
-
 	trans    [][]transRow // node -> landmark -> next-landmark counts
 	stepSum  []trace.Time // node -> accumulated sojourn+travel time
 	stepCnt  []int
@@ -55,8 +53,13 @@ func (r *transRow) bump(lm int) {
 	r.total++
 }
 
+// perMaxSteps caps the depth of PER's hitting-probability recursion over
+// the semi-Markov model (Section V-A.2); it is also the largest
+// power-of-two step bucket Score quantises to.
+const perMaxSteps = 16
+
 // NewPER returns a PER instance.
-func NewPER() *PER { return &PER{MaxSteps: 16} }
+func NewPER() *PER { return &PER{} }
 
 // Name implements Method.
 func (m *PER) Name() string { return "PER" }
@@ -66,7 +69,6 @@ func (m *PER) Name() string { return "PER" }
 // buffers start fresh (hitting re-sizes them on demand).
 func (m *PER) Clone() Method {
 	cp := &PER{
-		MaxSteps: m.MaxSteps,
 		stepSum:  append([]trace.Time(nil), m.stepSum...),
 		stepCnt:  append([]int(nil), m.stepCnt...),
 		last:     append([]int(nil), m.last...),
@@ -203,8 +205,8 @@ func (m *PER) Score(ctx *sim.Context, node, dst int, remaining trace.Time) float
 	if steps < 1 {
 		steps = 1
 	}
-	if steps > m.MaxSteps {
-		steps = m.MaxSteps
+	if steps > perMaxSteps {
+		steps = perMaxSteps
 	}
 	// Quantise to power-of-two buckets so the per-(node, landmark) cache
 	// is effective across packets with similar deadlines.

@@ -13,8 +13,6 @@ import (
 // measures single-step accuracy below 80%), which is why PGR shows the
 // lowest success rate and forwarding cost (Section V-A.2).
 type PGR struct {
-	Horizon int // predicted route length (default 5)
-
 	trans [][]map[int]int // node -> landmark -> next-landmark counts
 	last  []int           // node -> current landmark
 
@@ -23,8 +21,12 @@ type PGR struct {
 	cacheRoute [][]int
 }
 
-// NewPGR returns a PGR instance with a five-hop horizon.
-func NewPGR() *PGR { return &PGR{Horizon: 5} }
+// pgrHorizon is the length of the route PGR predicts for a node (Section
+// V-A.2 baseline): five landmark hops.
+const pgrHorizon = 5
+
+// NewPGR returns a PGR instance.
+func NewPGR() *PGR { return &PGR{} }
 
 // Name implements Method.
 func (m *PGR) Name() string { return "PGR" }
@@ -35,7 +37,6 @@ func (m *PGR) Name() string { return "PGR" }
 // the same routes.
 func (m *PGR) Clone() Method {
 	cp := &PGR{
-		Horizon: m.Horizon,
 		last:    append([]int(nil), m.last...),
 		cacheAt: append([]int(nil), m.cacheAt...),
 	}
@@ -90,7 +91,7 @@ func (m *PGR) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {
 }
 
 // predictedRoute follows the most likely transition from the node's
-// current landmark for Horizon steps. The route is cached until the node
+// current landmark for pgrHorizon steps. The route is cached until the node
 // moves (the transition counts change slowly).
 func (m *PGR) predictedRoute(node int) []int {
 	cur := m.last[node]
@@ -100,8 +101,8 @@ func (m *PGR) predictedRoute(node int) []int {
 	if m.cacheAt[node] == cur {
 		return m.cacheRoute[node]
 	}
-	route := make([]int, 0, m.Horizon)
-	for step := 0; step < m.Horizon; step++ {
+	route := make([]int, 0, pgrHorizon)
+	for step := 0; step < pgrHorizon; step++ {
 		nm := m.trans[node][cur]
 		best, bestC := -1, 0
 		for next, c := range nm {

@@ -14,25 +14,28 @@ import (
 // (the paper's adaptation "simply employs the visiting records with
 // landmarks to calculate the future meeting probability").
 type PROPHET struct {
-	PInit    float64    // predictability boost per visit (default 0.75)
-	GammaAge float64    // aging factor per aging unit (default 0.98)
-	AgeUnit  trace.Time // aging granularity (default 1 hour)
-
 	p       [][]float64  // node -> landmark -> predictability
 	lastAge []trace.Time // node -> last aging timestamp
 }
 
-// NewPROPHET returns a PROPHET instance with the customary constants.
-func NewPROPHET() *PROPHET {
-	return &PROPHET{PInit: 0.75, GammaAge: 0.98, AgeUnit: trace.Hour}
-}
+// PROPHET's customary constants (Section V-A.2 baseline): the
+// predictability boost per visit, the aging factor per aging unit, and
+// the aging granularity.
+const (
+	prophetPInit    float64    = 0.75
+	prophetGammaAge float64    = 0.98
+	prophetAgeUnit  trace.Time = trace.Hour
+)
+
+// NewPROPHET returns a PROPHET instance.
+func NewPROPHET() *PROPHET { return &PROPHET{} }
 
 // Name implements Method.
 func (m *PROPHET) Name() string { return "PROPHET" }
 
 // Clone implements Method.
 func (m *PROPHET) Clone() Method {
-	cp := &PROPHET{PInit: m.PInit, GammaAge: m.GammaAge, AgeUnit: m.AgeUnit}
+	cp := &PROPHET{}
 	cp.p = make([][]float64, len(m.p))
 	for i, vec := range m.p {
 		cp.p[i] = append([]float64(nil), vec...)
@@ -53,11 +56,11 @@ func (m *PROPHET) Init(ctx *sim.Context) {
 // age applies exponential decay to node's whole vector.
 func (m *PROPHET) age(node int, now trace.Time) {
 	dt := now - m.lastAge[node]
-	if dt < m.AgeUnit {
+	if dt < prophetAgeUnit {
 		return
 	}
-	k := float64(dt) / float64(m.AgeUnit)
-	f := math.Pow(m.GammaAge, k)
+	k := float64(dt) / float64(prophetAgeUnit)
+	f := math.Pow(prophetGammaAge, k)
 	vec := m.p[node]
 	for i := range vec {
 		vec[i] *= f
@@ -68,7 +71,7 @@ func (m *PROPHET) age(node int, now trace.Time) {
 // OnVisit implements Method.
 func (m *PROPHET) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {
 	m.age(n.ID, ctx.Now())
-	m.p[n.ID][lm] += (1 - m.p[n.ID][lm]) * m.PInit
+	m.p[n.ID][lm] += (1 - m.p[n.ID][lm]) * prophetPInit
 }
 
 // Score implements Method.

@@ -11,10 +11,11 @@
 // IV-E.4.
 package core
 
-import "repro/internal/trace"
-
-// Config holds every DTN-FLOW knob. DefaultConfig returns the values used
-// in the paper's evaluation.
+// Config holds the DTN-FLOW knobs that experiments vary. DefaultConfig
+// returns the values used in the paper's evaluation; the paper's fixed
+// parameters (accuracy multipliers, scheduling thresholds, loop period,
+// overload factor, frequented-landmark count) are named constants next to
+// the code that reads them.
 type Config struct {
 	// Order is the order k of the Markov transit predictor; the paper
 	// finds k=1 best on both traces (Fig. 6a).
@@ -25,9 +26,6 @@ type Config struct {
 	// UseAccuracy selects carriers by p_o = p_t · p_a (Section IV-D.4)
 	// instead of the raw transit probability p_t.
 	UseAccuracy bool
-	// AccAlpha/AccBeta multiply a node's accuracy estimate after a
-	// correct/incorrect prediction.
-	AccAlpha, AccBeta float64
 
 	// DirectDelivery hands a packet straight to a node predicted to
 	// transit to the packet's destination landmark (Section IV-D.2).
@@ -37,36 +35,19 @@ type Config struct {
 	// (Section IV-D.1). Disabling it uploads unconditionally.
 	HoldOnWorse bool
 
-	// Scheduling (Section IV-D.5).
-	RUp, RDown float64 // mode-switch thresholds on R = N_l / N_n
-	NMax       int     // packets per upload turn
-
 	// Dead-end prevention (Section IV-E.1).
 	DeadEnd bool
 	Gamma   float64 // stay-time multiple; the paper finds 2 best
-	// DeadEndMinVisits is the history needed before detection activates.
-	DeadEndMinVisits int
-	// DebugDeadEndDump / DebugDeadEndExclude isolate the two halves of
-	// dead-end prevention for diagnostics; both default true via
-	// DefaultConfig.
-	DebugDeadEndDump, DebugDeadEndExclude bool
 
 	// Routing-loop detection and correction (Section IV-E.2).
 	LoopFix bool
-	// LoopPeriod is the period P the corrected landmarks keep
-	// re-advertising; the paper sets it to the average time a packet
-	// takes to traverse the loop. 0 derives it from the time unit.
-	LoopPeriod trace.Time
 
 	// Load balancing (Section IV-E.3).
 	LoadBalance bool
-	Theta       float64 // overload when incoming rate > Theta × outgoing
 
 	// NodeRouting addresses packets to mobile nodes via their most
-	// frequented landmarks (Section IV-E.4). TopF is how many frequented
-	// landmarks are considered when picking the rendezvous landmark.
+	// frequented landmarks (Section IV-E.4).
 	NodeRouting bool
-	TopF        int
 }
 
 // DefaultConfig returns the configuration used for the headline results:
@@ -74,22 +55,12 @@ type Config struct {
 // evaluated separately in Section V-B).
 func DefaultConfig() Config {
 	return Config{
-		Order:               1,
-		Rho:                 0.5,
-		UseAccuracy:         true,
-		AccAlpha:            1.1,
-		AccBeta:             0.8,
-		DirectDelivery:      true,
-		HoldOnWorse:         true,
-		RUp:                 2.0,
-		RDown:               0.5,
-		NMax:                50,
-		Gamma:               2,
-		DeadEndMinVisits:    10,
-		DebugDeadEndDump:    true,
-		DebugDeadEndExclude: true,
-		Theta:               2,
-		TopF:                3,
+		Order:          1,
+		Rho:            0.5,
+		UseAccuracy:    true,
+		DirectDelivery: true,
+		HoldOnWorse:    true,
+		Gamma:          2,
 	}
 }
 

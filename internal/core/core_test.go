@@ -133,12 +133,11 @@ func TestFig9LoopPersistsWithoutCorrection(t *testing.T) {
 }
 
 // TestFig10LoadBalance reproduces the mechanism of Fig. 10: when the
-// incoming rate of a link exceeds Theta times its outgoing rate, packets
+// incoming rate of a link exceeds theta times its outgoing rate, packets
 // divert to the backup next hop.
 func TestFig10LoadBalance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LoadBalance = true
-	cfg.Theta = 2
 	eng, r := smallEngine(t, cfg, 0)
 	ctx := eng.Context()
 	r.Init(ctx)
@@ -237,7 +236,6 @@ func TestDeadEndTimerFiresOnLongStay(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeadEnd = true
 	cfg.Gamma = 2
-	cfg.DeadEndMinVisits = 5
 	r := New(cfg)
 	scfg := sim.Config{Seed: 1, PacketSize: 1, NodeMemory: 1000, TTL: 1 << 40, Unit: 2000, LinkRate: 10}
 	eng := sim.New(tr, r, nil, scfg)

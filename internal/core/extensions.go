@@ -13,6 +13,10 @@ import (
 // Load balancing (IV-E.3) lives in forward.go next to the routing decision
 // it modifies, and node-destination routing (IV-E.4) in noderoute.go.
 
+// deadEndMinVisits is the visit history a node needs before dead-end
+// detection (Section IV-E.1) trusts its average stay times.
+const deadEndMinVisits = 10
+
 // armDeadEnd schedules the stay-time check of Section IV-E.1 for the
 // current visit. A dead end is declared when the node has stayed Gamma
 // times longer than its historical average stay — either its overall
@@ -22,7 +26,7 @@ import (
 func (r *Router) armDeadEnd(ctx *sim.Context, c *sim.Contact) {
 	n := c.Node
 	ns := r.nodes[n.ID]
-	if ns.totalCnt < r.cfg.DeadEndMinVisits {
+	if ns.totalCnt < deadEndMinVisits {
 		return
 	}
 	lm := c.Landmark
@@ -47,23 +51,19 @@ func (r *Router) armDeadEnd(ctx *sim.Context, c *sim.Contact) {
 		if n.At != lm || n.VisitEnd != visitEnd || n.Buffer.Len() == 0 {
 			return
 		}
-		if r.cfg.DebugDeadEndExclude {
-			ns.deadEnded = true
-		}
+		ns.deadEnded = true
 		r.Debug.DeadEndEvents++
 		r.Debug.DeadEndPackets += int64(n.Buffer.Len())
 		for _, p := range n.Buffer.Packets() {
 			r.Debug.DeadEndRemTTL += float64(p.Remaining(ctx.Now())) / float64(ctx.Cfg.TTL)
 		}
-		if r.cfg.DebugDeadEndDump {
-			pkts := append([]*sim.Packet(nil), n.Buffer.Packets()...)
-			for _, p := range pkts {
-				if ctx.Upload(nil, n, p) && !p.Done() {
-					r.stationReceive(ctx, lm, p)
-				}
+		pkts := append([]*sim.Packet(nil), n.Buffer.Packets()...)
+		for _, p := range pkts {
+			if ctx.Upload(nil, n, p) && !p.Done() {
+				r.stationReceive(ctx, lm, p)
 			}
-			r.forwardPass(ctx, lm, nil)
 		}
+		r.forwardPass(ctx, lm, nil)
 	})
 }
 
@@ -76,7 +76,9 @@ func (r *Router) armDeadEnd(ctx *sim.Context, c *sim.Contact) {
 func (r *Router) startCorrection(ctx *sim.Context, lm, dest int, members []int) {
 	ls := r.landmarks[lm]
 	now := ctx.Now()
-	period := r.loopPeriod(ctx)
+	// The loop period P of Section IV-E.2 is one time unit (the paper
+	// sets P to the average time a packet takes to traverse the loop).
+	period := ctx.Cfg.Unit
 	// Deduplicate: one correction round per destination per period.
 	for _, nt := range ls.notices {
 		if nt.Dest == dest && now < nt.Expiry {

@@ -61,8 +61,12 @@ func (r *Router) recordAssignment(ls *landmarkState, p *sim.Packet) {
 	}
 }
 
+// theta is the load-balancing factor Θ of Section IV-E.3: a link is
+// overloaded when its incoming rate exceeds Θ times its outgoing rate.
+const theta float64 = 2
+
 // overloaded reports whether landmark state ls considers its outgoing link
-// to next overloaded: the incoming rate exceeds Theta times the outgoing
+// to next overloaded: the incoming rate exceeds theta times the outgoing
 // rate and there is material traffic (Section IV-E.3).
 func (r *Router) overloaded(ls *landmarkState, next int) bool {
 	busy, over := r.overloadAt(ls, next, ls.lbAssigned[next], ls.lbSent[next])
@@ -71,11 +75,11 @@ func (r *Router) overloaded(ls *landmarkState, next int) bool {
 
 // overloadAt evaluates overloaded's two sub-predicates for the link to
 // next at the given per-unit assigned and sent counts: material traffic,
-// and incoming rate above Theta times the outgoing rate.
+// and incoming rate above theta times the outgoing rate.
 func (r *Router) overloadAt(ls *landmarkState, next int, assigned, sent float64) (busy, over bool) {
 	in := ls.lbInRate[next] + assigned
 	out := ls.lbOutRate[next] + sent
-	return in > 4, in > r.cfg.Theta*out
+	return in > 4, in > theta*out
 }
 
 // route decides the forwarding target for packet p held at landmark lm:
@@ -365,7 +369,17 @@ func cmpElig(a, b elig) int {
 	return a.p.ID - b.p.ID
 }
 
-// uploadBatch uploads up to NMax eligible packets from the contact's node,
+// Communication scheduling parameters (Section IV-D.5): the station
+// switches to forwarding when R = N_l / N_n reaches rUp and back to
+// uploading when R falls to rDown, and uploads at most nMax packets per
+// turn.
+const (
+	rUp   float64 = 2.0
+	rDown float64 = 0.5
+	nMax          = 50
+)
+
+// uploadBatch uploads up to nMax eligible packets from the contact's node,
 // prioritising packets whose expected delay fits their remaining TTL, then
 // minimal remaining TTL (IV-D.5 step 3). It returns the number uploaded.
 func (r *Router) uploadBatch(ctx *sim.Context, c *sim.Contact) int {
@@ -381,13 +395,9 @@ func (r *Router) uploadBatch(ctx *sim.Context, c *sim.Contact) int {
 	}
 	r.eligScratch = el
 	slices.SortFunc(el, cmpElig)
-	max := r.cfg.NMax
-	if max <= 0 {
-		max = len(el)
-	}
 	up := 0
 	for _, e := range el {
-		if up >= max {
+		if up >= nMax {
 			break
 		}
 		if !ctx.Upload(c, n, e.p) {
@@ -446,9 +456,9 @@ func (r *Router) schedule(ctx *sim.Context, c *sim.Contact) {
 			mode = "forward"
 		default:
 			ratio := float64(nl) / float64(nn)
-			if ratio >= r.cfg.RUp {
+			if ratio >= rUp {
 				mode = "forward"
-			} else if ratio <= r.cfg.RDown {
+			} else if ratio <= rDown {
 				mode = "upload"
 			}
 		}

@@ -12,6 +12,10 @@ import (
 // the destination's frequented landmarks and waits there until the node
 // connects.
 
+// topF is F of Section IV-E.4: how many of the destination node's most
+// frequented landmarks are candidates for the rendezvous landmark.
+const topF = 3
+
 // visitCounts tallies a node's landmark visits for the frequented-landmark
 // summary. It lives on the router so it exists even before NodeRouting
 // packets appear.
@@ -37,10 +41,7 @@ func (r *Router) refreshFrequented(nodeID, lm int) {
 		}
 		return all[i].lm < all[j].lm
 	})
-	top := r.cfg.TopF
-	if top <= 0 {
-		top = 3
-	}
+	top := topF
 	if top > len(all) {
 		top = len(all)
 	}

@@ -183,13 +183,6 @@ func (r *Router) Init(ctx *sim.Context) {
 	r.nodes = make([]*nodeState, len(ctx.Nodes))
 	for i := range r.nodes {
 		acc := predict.NewAccuracyTracker()
-		acc.Alpha, acc.Beta = r.cfg.AccAlpha, r.cfg.AccBeta
-		if acc.Alpha <= 0 {
-			acc.Alpha = 1.1
-		}
-		if acc.Beta <= 0 {
-			acc.Beta = 0.8
-		}
 		pred := predict.NewMarkov(r.cfg.Order)
 		pred.SetDomain(nL)
 		r.nodes[i] = &nodeState{
@@ -555,7 +548,8 @@ func (r *Router) deliverControl(ctx *sim.Context, ns *nodeState, lm int) {
 				continue
 			}
 			if nt.To == lm {
-				if until := now + r.loopPeriod(ctx); until > ls.forcedUntil[nt.Dest] {
+				// Re-advertise for one loop period P (see startCorrection).
+				if until := now + ctx.Cfg.Unit; until > ls.forcedUntil[nt.Dest] {
 					ls.forcedUntil[nt.Dest] = until
 				}
 				ctx.Metrics.Control(1)
@@ -574,13 +568,6 @@ func (r *Router) applyReport(ctx *sim.Context, ls *landmarkState, rep routing.Ba
 		ls.table.SetLinkDelay(rep.To, routing.LinkDelay(ls.bw.Bandwidth(rep.To), ctx.Cfg.Unit))
 	}
 	ctx.Metrics.Control(1)
-}
-
-func (r *Router) loopPeriod(ctx *sim.Context) trace.Time {
-	if r.cfg.LoopPeriod > 0 {
-		return r.cfg.LoopPeriod
-	}
-	return ctx.Cfg.Unit
 }
 
 // delaysDrifted reports whether any finite advertised delay moved by more

@@ -163,10 +163,11 @@ func (s *Source) process(v trace.Visit) {
 		}
 	}
 	// Collect the windows during which this visit cannot exist: the
-	// (post-drift) landmark's outages and the node's churn absences.
+	// (post-drift) landmark's outages and the node's churn absences. An
+	// outage with End <= Start is empty, as LandmarkDown reads it.
 	s.cuts = s.cuts[:0]
 	for _, o := range sp.Outages {
-		if o.Landmark == v.Landmark && o.Start < v.End && o.End > v.Start {
+		if o.Landmark == v.Landmark && o.Start < o.End && o.Start < v.End && o.End > v.Start {
 			s.cuts = append(s.cuts, window{o.Start, o.End})
 		}
 	}

@@ -49,9 +49,33 @@ func TestForkEquivalence(t *testing.T) {
 	}
 }
 
+// freshSweep is the reference for Sweep: every run of methods × xs ×
+// seeds executed fresh (Run.Execute, no warm-state forking) and folded
+// into points exactly as Sweep folds them.
+func freshSweep(methods []string, xs []float64, seeds int, build func(string, float64, int64) Run) []SweepPoint {
+	var runs []Run
+	for _, x := range xs {
+		for _, m := range methods {
+			for s := 0; s < seeds; s++ {
+				runs = append(runs, build(m, x, int64(s+1)))
+			}
+		}
+	}
+	sums := Parallel(runs, 0)
+	points := make([]SweepPoint, len(xs))
+	for xi, x := range xs {
+		points[xi].X = x
+		for mi := range methods {
+			i := (xi*len(methods) + mi) * seeds
+			points[xi].Results = append(points[xi].Results, Average(sums[i:i+seeds]))
+		}
+	}
+	return points
+}
+
 // TestSweepForkEquivalence checks the same contract one layer up: a Sweep
-// with forking enabled (the default) must return exactly the points of a
-// Sweep forced onto the fresh path with NoFork.
+// with forking enabled must return exactly the points of fresh per-seed
+// runs.
 func TestSweepForkEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")
@@ -63,7 +87,7 @@ func TestSweepForkEquivalence(t *testing.T) {
 	methods := []string{"DTN-FLOW", "PROPHET"}
 	xs := []float64{100, 200}
 	forked := Sweep(methods, xs, Options{Scale: Tiny, Seeds: 3}, build)
-	fresh := Sweep(methods, xs, Options{Scale: Tiny, Seeds: 3, NoFork: true}, build)
+	fresh := freshSweep(methods, xs, 3, build)
 	if !reflect.DeepEqual(forked, fresh) {
 		t.Errorf("sweep diverged:\nforked: %+v\nfresh:  %+v", forked, fresh)
 	}
@@ -110,7 +134,7 @@ func (c countingChecker) Finish(*sim.Context)                                 {}
 // per-run probe, a per-run checker, a Setup hook, a Tweak that attaches
 // a checker at config level, and a router whose warm state Snapshot
 // refuses to clone. For each gate the sweep must (a) produce exactly the
-// NoFork results and (b) demonstrably run the fresh path — the attached
+// fresh-run results and (b) demonstrably run the fresh path — the attached
 // observer sees every run, which a silently-forked cell would skip.
 func TestSweepFallbackGates(t *testing.T) {
 	if testing.Short() {
@@ -185,9 +209,9 @@ func TestSweepFallbackGates(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var gated, fresh atomic.Int64
 			forkedPoints := Sweep(methods, xs, Options{Scale: Tiny, Seeds: seeds}, tc.build(&gated))
-			freshPoints := Sweep(methods, xs, Options{Scale: Tiny, Seeds: seeds, NoFork: true}, tc.build(&fresh))
+			freshPoints := freshSweep(methods, xs, seeds, tc.build(&fresh))
 			if !reflect.DeepEqual(forkedPoints, freshPoints) {
-				t.Errorf("gated sweep diverged from NoFork sweep:\ngated: %+v\nfresh: %+v",
+				t.Errorf("gated sweep diverged from fresh runs:\ngated: %+v\nfresh: %+v",
 					forkedPoints, freshPoints)
 			}
 			runs := int64(len(methods) * len(xs) * seeds)
@@ -197,7 +221,7 @@ func TestSweepFallbackGates(t *testing.T) {
 						gated.Load(), runs)
 				}
 			} else if gated.Load() != fresh.Load() {
-				t.Errorf("gated sweep observed %d events, NoFork observed %d; cell was forked despite the gate",
+				t.Errorf("gated sweep observed %d events, fresh runs observed %d; cell was forked despite the gate",
 					gated.Load(), fresh.Load())
 			}
 		})

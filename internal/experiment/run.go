@@ -54,7 +54,8 @@ type Run struct {
 	// parallel sweeps must build one per run.
 	Check sim.Checker
 	// Setup runs after engine construction but before Run (fault
-	// injection, hooks).
+	// injection, hooks). A non-nil Setup keeps a Sweep cell on fresh
+	// per-seed runs, since the hook needs each run's own engine.
 	Setup func(*sim.Engine, sim.Router)
 }
 
@@ -251,8 +252,9 @@ func (c *sweepCell) execute(i int) metrics.Summary {
 // seed must depend only on (method, x) — the contract that makes seeds
 // averageable, and that warm-state forking relies on to share one warmup
 // per (x, method) cell across all seeds. Multi-seed sweeps fork each
-// cell's measured runs from a single end-of-warmup snapshot (disable with
-// Options.NoFork); results are bit-identical to fresh per-seed runs.
+// cell's measured runs from a single end-of-warmup snapshot; results are
+// bit-identical to fresh per-seed runs. A Run with a Setup hook (even a
+// no-op one) keeps its cell on the fresh path.
 func Sweep(methods []string, xs []float64, opt Options, build func(method string, x float64, seed int64) Run) []SweepPoint {
 	seeds := opt.Seeds
 	if seeds < 1 {
@@ -270,7 +272,7 @@ func Sweep(methods []string, xs []float64, opt Options, build func(method string
 	}
 	// Phase 1: warm each cell once. With a single seed a fork saves
 	// nothing over a fresh run, so the whole phase is skipped.
-	if !opt.NoFork && seeds >= 2 {
+	if seeds >= 2 {
 		parallelFor(len(cells), opt.Workers, func(ci int) { cells[ci].warm() })
 	}
 	// Phase 2: every measured run, flat across cells so late cells don't

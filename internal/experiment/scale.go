@@ -328,26 +328,6 @@ func (sp ScaleSpec) RunClassic(method string) (*ScaleResult, error) {
 	return sp.result("classic", method, 1, nodes, lms, len(tr.Visits), 0, wall, peak, res.Summary), nil
 }
 
-// ScaleSweep runs a method across population multipliers on the scale
-// path, returning one result per multiplier in input order. Runs are
-// sequential on purpose: each is internally parallel, and the tier's
-// memory bound is per run — concurrent 32× populations would stack their
-// windows. For seed sweeps at paper scale use Sweep and the fork tier
-// instead; the scale tier trades forkability for bounded memory.
-func ScaleSweep(spec ScaleSpec, method string, mults []int, sh sim.ShardConfig) ([]*ScaleResult, error) {
-	out := make([]*ScaleResult, 0, len(mults))
-	for _, m := range mults {
-		sp := spec
-		sp.Mult = m
-		res, err := sp.RunSharded(method, sh)
-		if err != nil {
-			return out, fmt.Errorf("experiment: scale sweep %s %d×: %w", sp.Scenario, m, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 func (sp ScaleSpec) result(engine, method string, workers, nodes, lms, visits, events int,
 	wall time.Duration, peak uint64, sum metrics.Summary) *ScaleResult {
 	r := &ScaleResult{

@@ -103,18 +103,20 @@ func TestScaleShardedMatchesClassicDART(t *testing.T) {
 	}
 }
 
-// TestScaleSweep checks the multiplier sweep scales the population and
-// keeps per-multiplier results ordered and labelled.
+// TestScaleSweep checks that raising the population multiplier scales
+// the population and that each result carries its own labels.
 func TestScaleSweep(t *testing.T) {
-	results, err := ScaleSweep(ScaleSpec{Scenario: "DNET"}, "PGR", []int{1, 2}, sim.ShardConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("%d results, want 2", len(results))
+	mults := []int{1, 2}
+	results := make([]*ScaleResult, len(mults))
+	for i, mult := range mults {
+		r, err := ScaleSpec{Scenario: "DNET", Mult: mult}.RunSharded("PGR", sim.ShardConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = r
 	}
 	base := synth.DefaultDNET().Buses
-	for i, mult := range []int{1, 2} {
+	for i, mult := range mults {
 		r := results[i]
 		if r.Mult != mult || r.Nodes != base*mult {
 			t.Errorf("result %d: mult=%d nodes=%d, want mult=%d nodes=%d", i, r.Mult, r.Nodes, mult, base*mult)
@@ -126,7 +128,7 @@ func TestScaleSweep(t *testing.T) {
 	if results[1].Visits <= results[0].Visits {
 		t.Errorf("2× visits (%d) not above 1× (%d)", results[1].Visits, results[0].Visits)
 	}
-	if _, err := ScaleSweep(ScaleSpec{Scenario: "NOPE"}, "PGR", []int{1}, sim.ShardConfig{}); err == nil {
+	if _, err := (ScaleSpec{Scenario: "NOPE"}).RunSharded("PGR", sim.ShardConfig{}); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }

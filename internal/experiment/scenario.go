@@ -37,11 +37,6 @@ type Options struct {
 	Seeds int
 	// Workers bounds parallel simulations; 0 = GOMAXPROCS.
 	Workers int
-	// NoFork disables warm-state forking in sweeps: every seed re-runs
-	// its own warmup instead of forking from a shared end-of-warmup
-	// snapshot. Results are bit-identical either way; the fresh path
-	// exists for A/B benchmarking and as an escape hatch.
-	NoFork bool
 }
 
 // DefaultOptions returns full-scale, single-seed options.

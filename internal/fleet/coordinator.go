@@ -19,9 +19,6 @@ type Options struct {
 	// Store, when non-nil, is consulted before dispatch (hits skip
 	// execution entirely) and receives every executed result.
 	Store *Store
-	// MaxRetries bounds re-dispatches per cell after worker failures;
-	// one more failure aborts the run. <= 0 means 3.
-	MaxRetries int
 	// HeartbeatTimeout is how long a dispatched cell may stay silent —
 	// no heartbeat, no result — before its worker is declared dead and
 	// the cell re-dispatched. <= 0 means 10s.
@@ -39,12 +36,9 @@ type Options struct {
 	Progress io.Writer
 }
 
-func (o Options) maxRetries() int {
-	if o.MaxRetries <= 0 {
-		return 3
-	}
-	return o.MaxRetries
-}
+// maxRetries bounds re-dispatches per cell after worker failures; one
+// more failure aborts the run.
+const maxRetries = 3
 
 func (o Options) heartbeatTimeout() time.Duration {
 	if o.HeartbeatTimeout <= 0 {
@@ -306,7 +300,7 @@ func (c *Coordinator) requeue(idx int, cause error) {
 	c.tries[idx]++
 	c.rep.Retries++
 	tries := c.tries[idx]
-	if tries > c.opt.maxRetries() {
+	if tries > maxRetries {
 		c.failure = fmt.Errorf("fleet: cell %d (%s) failed %d dispatches, giving up: %w",
 			idx, c.cells[idx], tries, cause)
 		c.cond.Broadcast()
@@ -316,7 +310,7 @@ func (c *Coordinator) requeue(idx int, cause error) {
 	backoff := c.opt.retryBackoff() << (tries - 1)
 	c.mu.Unlock()
 	c.logf("cell %d (%s) lost (%v); re-dispatch %d/%d in %s",
-		idx, c.cells[idx], cause, tries, c.opt.maxRetries(), backoff)
+		idx, c.cells[idx], cause, tries, maxRetries, backoff)
 	go func() {
 		time.Sleep(backoff)
 		c.mu.Lock()

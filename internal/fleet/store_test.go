@@ -12,7 +12,7 @@ import (
 
 // fakeResult builds a store payload without running a simulation: the
 // store trusts the caller's fingerprint and only guards integrity.
-func fakeResult(t *testing.T, seed int64) *experiment.CellResult {
+func fakeResult(t testing.TB, seed int64) *experiment.CellResult {
 	t.Helper()
 	cell := experiment.Cell{Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: seed}
 	fp, err := cell.Fingerprint()

@@ -2,23 +2,28 @@ package predict
 
 import "sort"
 
+// Accuracy-tracker parameters (Section IV-D.4): p_a starts at the medium
+// value accInit, is multiplied by accAlpha after a correct prediction and
+// by accBeta after an incorrect one, and is clamped to [accFloor, accCap].
+const (
+	accInit  float64 = 0.5
+	accAlpha float64 = 1.1
+	accBeta  float64 = 0.8
+	accFloor float64 = 0.05
+	accCap   float64 = 1.0
+)
+
 // AccuracyTracker maintains a node's prediction accuracy p_a as defined in
-// Section IV-D.4: it starts at a medium value and is multiplied by Alpha on
-// a correct prediction and by Beta on an incorrect one, clamped to
-// [Floor, Cap]. The overall transit probability used for carrier selection
-// is p_o = p_t * p_a.
+// Section IV-D.4. The overall transit probability used for carrier
+// selection is p_o = p_t * p_a.
 type AccuracyTracker struct {
-	Alpha float64 // multiplier on a correct prediction (> 1)
-	Beta  float64 // multiplier on an incorrect prediction (< 1)
-	Floor float64 // lower clamp
-	Cap   float64 // upper clamp
 	value float64
 }
 
 // NewAccuracyTracker returns a tracker initialised to the paper's medium
-// value of 0.5 with Alpha=1.1, Beta=0.8, Floor=0.05, Cap=1.0.
+// value of 0.5.
 func NewAccuracyTracker() *AccuracyTracker {
-	return &AccuracyTracker{Alpha: 1.1, Beta: 0.8, Floor: 0.05, Cap: 1.0, value: 0.5}
+	return &AccuracyTracker{value: accInit}
 }
 
 // Value returns the current accuracy estimate p_a.
@@ -34,15 +39,15 @@ func (a *AccuracyTracker) Clone() *AccuracyTracker {
 func (a *AccuracyTracker) Record(correct bool) {
 	v := a.value
 	if correct {
-		v *= a.Alpha
+		v *= accAlpha
 	} else {
-		v *= a.Beta
+		v *= accBeta
 	}
-	if v > a.Cap {
-		v = a.Cap
+	if v > accCap {
+		v = accCap
 	}
-	if v < a.Floor {
-		v = a.Floor
+	if v < accFloor {
+		v = accFloor
 	}
 	a.value = v
 }

@@ -202,7 +202,8 @@ func TestAccuracyTrackerClone(t *testing.T) {
 		t.Fatalf("clone %+v, want %+v", *cp, *a)
 	}
 	cp.Record(true)
-	if a.Value() != 0.5*a.Beta || cp.Value() != 0.5*a.Beta*a.Alpha {
+	want := accInit * accBeta
+	if a.Value() != want || cp.Value() != want*accAlpha {
 		t.Errorf("after Record on the clone: original %v, clone %v", a.Value(), cp.Value())
 	}
 }

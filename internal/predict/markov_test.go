@@ -254,13 +254,13 @@ func TestAccuracyTracker(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.Record(true)
 	}
-	if a.Value() != a.Cap {
-		t.Errorf("after many correct = %v, want cap %v", a.Value(), a.Cap)
+	if a.Value() != accCap {
+		t.Errorf("after many correct = %v, want cap %v", a.Value(), accCap)
 	}
 	for i := 0; i < 100; i++ {
 		a.Record(false)
 	}
-	if a.Value() != a.Floor {
-		t.Errorf("after many incorrect = %v, want floor %v", a.Value(), a.Floor)
+	if a.Value() != accFloor {
+		t.Errorf("after many incorrect = %v, want floor %v", a.Value(), accFloor)
 	}
 }

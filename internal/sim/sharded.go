@@ -16,8 +16,8 @@ import (
 //
 // Architecture. Ingestion partitions visit events per landmark across a
 // bounded pool of shards (landmark % workers); within an epoch
-// [t, t+Epoch) each shard assembles its landmarks' arrival run and pops
-// its due departures from a private pending heap, in parallel. A
+// [t, t+Epoch) each shard assembles its landmarks' arrival run and drains
+// its due departures from private per-epoch buckets, in parallel. A
 // deterministic k-way merge then interleaves the shard runs — and, in the
 // apply loop, the time-unit, packet-generation and router-timer cursors —
 // by the engine's total event order (time, kind, per-kind sequence). The

@@ -13,13 +13,12 @@ import (
 
 // BatteryOptions configure the full validation battery.
 type BatteryOptions struct {
-	Scale      experiment.Scale // default Tiny
-	Methods    []string         // default experiment.MethodNames
-	Seeds      int              // seeds for the fork-equivalence check (default 2)
-	Rate       float64          // packets/day; 0 = scenario default
-	Thresholds ObsThresholds    // zero value = DefaultThresholds
-	FuzzSpecs  int              // property-fuzzer specs to run (0 = skip)
-	Log        func(format string, args ...any)
+	Scale     experiment.Scale // default Tiny
+	Methods   []string         // default experiment.MethodNames
+	Seeds     int              // seeds for the fork-equivalence check (default 2)
+	Rate      float64          // packets/day; 0 = scenario default
+	FuzzSpecs int              // property-fuzzer specs to run (0 = skip)
+	Log       func(format string, args ...any)
 }
 
 func (o BatteryOptions) normalized() BatteryOptions {
@@ -31,9 +30,6 @@ func (o BatteryOptions) normalized() BatteryOptions {
 	}
 	if o.Seeds < 2 {
 		o.Seeds = 2
-	}
-	if o.Thresholds == (ObsThresholds{}) {
-		o.Thresholds = DefaultThresholds()
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
@@ -108,7 +104,7 @@ func RunBattery(opt BatteryOptions) *Report {
 		}
 
 		// Paper observations on the scenario's trace, at its time unit.
-		for _, o := range CheckObservations(sc.Trace, sc.Unit, opt.Thresholds) {
+		for _, o := range CheckObservations(sc.Trace, sc.Unit) {
 			rep.add(fmt.Sprintf("%s: %s", sc.Name, o.Name), o.Pass, o.Detail)
 		}
 

@@ -42,9 +42,8 @@ func TestBatteryTiny(t *testing.T) {
 // random) must fail them, otherwise the thresholds are vacuous.
 func TestObservationsRejectUniformTrace(t *testing.T) {
 	tr := uniformTrace(40, 8, 6)
-	th := DefaultThresholds()
-	o1 := CheckO1(tr, th)
-	o2 := CheckO2(tr, tr.Duration()/12, th)
+	o1 := CheckO1(tr)
+	o2 := CheckO2(tr, tr.Duration()/12)
 	if o1.Pass && o2.Pass {
 		t.Fatalf("uniform trace passed both O1 (%v) and O2 (%v); thresholds are vacuous", o1, o2)
 	}

@@ -268,14 +268,12 @@ func RandomSpec(rng *rand.Rand) ScenarioSpec {
 	}.Normalize()
 }
 
-// FuzzOptions tunes a fuzz campaign.
+// FuzzOptions tunes a fuzz campaign. A campaign stops at its first
+// failure, shrunk to a minimal reproduction.
 type FuzzOptions struct {
-	Specs       int     // number of random specs to try (default 20)
-	Seed        int64   // campaign RNG seed (default 1)
-	MaxFailures int     // stop after this many shrunk failures (default 1)
-	Tol         float64 // metamorphic tolerance on success rate (default 0.12)
-	MinSlack    int     // absolute packet-count slack for metamorphic checks (default 3)
-	Log         func(format string, args ...any)
+	Specs int   // number of random specs to try (default 20)
+	Seed  int64 // campaign RNG seed (default 1)
+	Log   func(format string, args ...any)
 }
 
 func (o FuzzOptions) normalized() FuzzOptions {
@@ -284,15 +282,6 @@ func (o FuzzOptions) normalized() FuzzOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxFailures <= 0 {
-		o.MaxFailures = 1
-	}
-	if o.Tol <= 0 {
-		o.Tol = 0.12
-	}
-	if o.MinSlack <= 0 {
-		o.MinSlack = 3
 	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
@@ -317,7 +306,7 @@ func (f FuzzFailure) String() string {
 // and a failure detail otherwise.
 type property struct {
 	name string
-	fn   func(s ScenarioSpec, opt FuzzOptions) string
+	fn   func(s ScenarioSpec) string
 }
 
 // properties is the fuzzer's battery, ordered cheap-first. The metamorphic
@@ -343,7 +332,7 @@ var properties = []property{
 // The run uses the spec's perturbed trace and the checker is armed with
 // the disruption spec, so disrupted scenarios additionally verify the
 // outage, churn, and conservation invariants.
-func propInvariants(s ScenarioSpec, opt FuzzOptions) string {
+func propInvariants(s ScenarioSpec) string {
 	tr := s.perturbedTrace()
 	for _, m := range experiment.MethodNames {
 		ck := NewChecker()
@@ -359,7 +348,7 @@ func propInvariants(s ScenarioSpec, opt FuzzOptions) string {
 
 // propCheckerNeutral asserts the checker observes without interfering: the
 // summary of a checked+probed run is bit-identical to an unobserved one.
-func propCheckerNeutral(s ScenarioSpec, opt FuzzOptions) string {
+func propCheckerNeutral(s ScenarioSpec) string {
 	m := s.method()
 	plain := s.Run(m, nil, nil)
 	ck := NewChecker()
@@ -378,7 +367,7 @@ func propCheckerNeutral(s ScenarioSpec, opt FuzzOptions) string {
 // a probe, which must see every transfer and so forces the plain
 // round-by-round loop. The summaries must be identical and the checked
 // run clean.
-func propBalanceNeutral(s ScenarioSpec, opt FuzzOptions) string {
+func propBalanceNeutral(s ScenarioSpec) string {
 	cfg := core.DefaultConfig()
 	cfg.LoadBalance = true
 	tr := s.perturbedTrace()
@@ -396,7 +385,7 @@ func propBalanceNeutral(s ScenarioSpec, opt FuzzOptions) string {
 }
 
 // propRerun asserts equal seeds produce bit-identical results.
-func propRerun(s ScenarioSpec, opt FuzzOptions) string {
+func propRerun(s ScenarioSpec) string {
 	m := s.method()
 	a := s.Run(m, nil, nil)
 	b := s.Run(m, nil, nil)
@@ -409,7 +398,7 @@ func propRerun(s ScenarioSpec, opt FuzzOptions) string {
 // propRelabel asserts node identity does not matter: reversing the node
 // IDs leaves the delivery outcome within tolerance (exact equality cannot
 // hold — simultaneous visits are processed in node-ID order).
-func propRelabel(s ScenarioSpec, opt FuzzOptions) string {
+func propRelabel(s ScenarioSpec) string {
 	s = s.noDisrupt() // node-keyed perturbations are not relabel-invariant
 	m := s.method()
 	tr := s.Trace()
@@ -424,7 +413,7 @@ func propRelabel(s ScenarioSpec, opt FuzzOptions) string {
 	if a.Generated != b.Generated {
 		return fmt.Sprintf("%s: relabeling changed the workload: %d vs %d generated", m, a.Generated, b.Generated)
 	}
-	if d := absInt(a.Delivered - b.Delivered); d > slack(opt, a.Generated) {
+	if d := absInt(a.Delivered - b.Delivered); d > slack(a.Generated) {
 		return fmt.Sprintf("%s: relabeling moved deliveries by %d of %d (%d vs %d)",
 			m, d, a.Generated, a.Delivered, b.Delivered)
 	}
@@ -436,7 +425,7 @@ func propRelabel(s ScenarioSpec, opt FuzzOptions) string {
 // pressure, longer-lived packets occupy scarce buffer space longer and
 // genuinely crowd out deliverable traffic, so TTL monotonicity is only a
 // law of the congestion-free regime.
-func propTTLMonotone(s ScenarioSpec, opt FuzzOptions) string {
+func propTTLMonotone(s ScenarioSpec) string {
 	s = s.noDisrupt() // churn flushes and crowds break the monotone law
 	s.NodeMemKB = 64
 	s.StationMemKB = 0
@@ -445,37 +434,45 @@ func propTTLMonotone(s ScenarioSpec, opt FuzzOptions) string {
 	if loose.TTLHours == s.TTLHours {
 		return ""
 	}
-	return propMonotone(s, loose, "TTL", opt)
+	return propMonotone(s, loose, "TTL")
 }
 
 // propBufferMonotone asserts doubling the node memory does not lose
 // deliveries beyond tolerance.
-func propBufferMonotone(s ScenarioSpec, opt FuzzOptions) string {
+func propBufferMonotone(s ScenarioSpec) string {
 	s = s.noDisrupt() // churn flushes and crowds break the monotone law
 	loose := s
 	loose.NodeMemKB = clampInt(s.NodeMemKB*2, 1, 64)
 	if loose.NodeMemKB == s.NodeMemKB {
 		return ""
 	}
-	return propMonotone(s, loose, "node memory", opt)
+	return propMonotone(s, loose, "node memory")
 }
 
-func propMonotone(tight, loose ScenarioSpec, what string, opt FuzzOptions) string {
+func propMonotone(tight, loose ScenarioSpec, what string) string {
 	m := tight.method()
 	a := tight.Run(m, nil, nil)
 	b := loose.Run(m, nil, nil)
-	if drop := a.Delivered - b.Delivered; drop > slack(opt, a.Generated) {
+	if drop := a.Delivered - b.Delivered; drop > slack(a.Generated) {
 		return fmt.Sprintf("%s: doubling %s lost %d of %d deliveries (%d -> %d)",
 			m, what, drop, a.Generated, a.Delivered, b.Delivered)
 	}
 	return ""
 }
 
+// Metamorphic tolerances: a relabeled or loosened run may deliver up to
+// metaTol of the generated packets fewer, and never less than metaMinSlack
+// packets of slack.
+const (
+	metaTol      float64 = 0.12
+	metaMinSlack         = 3
+)
+
 // slack converts the relative tolerance into an allowed packet count.
-func slack(opt FuzzOptions, generated int) int {
-	s := int(opt.Tol * float64(generated))
-	if s < opt.MinSlack {
-		s = opt.MinSlack
+func slack(generated int) int {
+	s := int(metaTol * float64(generated))
+	if s < metaMinSlack {
+		s = metaMinSlack
 	}
 	return s
 }
@@ -490,11 +487,10 @@ func absInt(v int) int {
 // CheckSpec runs the full property battery on one spec and returns the
 // first failing property and its detail ("", "" when all pass). The
 // native fuzz targets call this directly.
-func CheckSpec(s ScenarioSpec, opt FuzzOptions) (prop, detail string) {
+func CheckSpec(s ScenarioSpec) (prop, detail string) {
 	s = s.Normalize()
-	opt = opt.normalized()
 	for _, p := range properties {
-		if d := p.fn(s, opt); d != "" {
+		if d := p.fn(s); d != "" {
 			return p.name, d
 		}
 	}
@@ -502,33 +498,32 @@ func CheckSpec(s ScenarioSpec, opt FuzzOptions) (prop, detail string) {
 }
 
 // Fuzz runs a property-based campaign: random specs through the property
-// battery, shrinking every failure to a minimal reproduction. It returns
-// the shrunk failures (nil when the campaign is clean).
+// battery until the first failure, which it shrinks to a minimal
+// reproduction. It returns that failure (nil when the campaign is clean).
 func Fuzz(opt FuzzOptions) []FuzzFailure {
 	opt = opt.normalized()
 	rng := rand.New(rand.NewSource(opt.Seed))
-	var fails []FuzzFailure
-	for i := 0; i < opt.Specs && len(fails) < opt.MaxFailures; i++ {
+	for i := 0; i < opt.Specs; i++ {
 		s := RandomSpec(rng)
-		prop, detail := CheckSpec(s, opt)
+		prop, detail := CheckSpec(s)
 		if prop == "" {
 			opt.Log("spec %d/%d ok: %v", i+1, opt.Specs, s)
 			continue
 		}
 		opt.Log("spec %d/%d FAILED %q: %s", i+1, opt.Specs, prop, detail)
-		f := shrink(s, prop, detail, opt)
+		f := shrink(s, prop, detail)
 		opt.Log("shrunk after %d steps to %v", f.Shrinks, f.Spec)
-		fails = append(fails, f)
+		return []FuzzFailure{f}
 	}
-	return fails
+	return nil
 }
 
 // shrink greedily minimizes a failing spec: every round proposes the
 // halving of each size-like dimension and keeps the first candidate on
 // which the same property still fails, until no reduction reproduces it.
-func shrink(s ScenarioSpec, prop, detail string, opt FuzzOptions) FuzzFailure {
+func shrink(s ScenarioSpec, prop, detail string) FuzzFailure {
 	fails := func(c ScenarioSpec) (bool, string) {
-		p, d := CheckSpec(c, opt)
+		p, d := CheckSpec(c)
 		return p == prop, d
 	}
 	f := FuzzFailure{Original: s, Spec: s, Property: prop, Detail: detail}

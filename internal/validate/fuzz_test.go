@@ -72,7 +72,7 @@ func TestShrinkMinimizes(t *testing.T) {
 	defer func() { properties = orig }()
 	properties = []property{{
 		name: "synthetic",
-		fn: func(s ScenarioSpec, opt FuzzOptions) string {
+		fn: func(s ScenarioSpec) string {
 			if s.Nodes >= 12 && s.Days >= 3 {
 				return "fails"
 			}
@@ -81,11 +81,11 @@ func TestShrinkMinimizes(t *testing.T) {
 	}}
 	big := ScenarioSpec{Seed: 1, Nodes: 40, Landmarks: 8, Days: 8, CycleLen: 4,
 		TTLHours: 48, NodeMemKB: 32, RatePerDay: 100, LinkRate: 1, FollowPct: 85}
-	f := shrink(big.Normalize(), "synthetic", "fails", FuzzOptions{}.normalized())
+	f := shrink(big.Normalize(), "synthetic", "fails")
 	if f.Spec.Nodes >= 24 || f.Spec.Days >= 6 {
 		t.Fatalf("shrinker left a large spec: %v", f.Spec)
 	}
-	if p, _ := CheckSpec(f.Spec, FuzzOptions{}); p != "synthetic" {
+	if p, _ := CheckSpec(f.Spec); p != "synthetic" {
 		t.Fatalf("shrunk spec no longer fails: %v", f.Spec)
 	}
 	if f.Shrinks == 0 {

@@ -17,44 +17,30 @@ import (
 // assumptions do not hold for. This file turns O1–O4 into executable
 // statistical checks with explicit thresholds.
 
-// ObsThresholds are the pass bounds for the O1–O4 checks. The defaults
-// are calibrated against the DART-like and DNET-like generators across
-// scales and seeds: loose enough to be seed-robust, tight enough that a
-// generator regression (e.g. uniform instead of routine-driven mobility)
-// fails clearly.
-type ObsThresholds struct {
-	// O1: the top O1NodeFrac of all nodes must contribute at least
-	// O1MinShare of the visits, averaged over the O1Landmarks most-visited
-	// landmarks.
-	O1NodeFrac  float64
-	O1MinShare  float64
-	O1Landmarks int
-	// O2: the top O2LinkFrac of transit links must carry at least
-	// O2MinShare of the total bandwidth.
-	O2LinkFrac float64
-	O2MinShare float64
-	// O3: the median bandwidth ratio over matching link pairs must be at
-	// least O3MinMedian.
-	O3MinMedian float64
-	// O4: the mean coefficient of variation of the per-unit bandwidth
-	// series over the O4TopLinks busiest links must be at most O4MaxCV.
-	O4TopLinks int
-	O4MaxCV    float64
-}
-
-// DefaultThresholds returns the calibrated bounds (see ObsThresholds).
-func DefaultThresholds() ObsThresholds {
-	return ObsThresholds{
-		O1NodeFrac:  0.2,
-		O1MinShare:  0.5,
-		O1Landmarks: 5,
-		O2LinkFrac:  0.2,
-		O2MinShare:  0.4,
-		O3MinMedian: 0.4,
-		O4TopLinks:  5,
-		O4MaxCV:     1.0,
-	}
-}
+// Pass bounds for the O1–O4 checks, calibrated against the DART-like and
+// DNET-like generators across scales and seeds: loose enough to be
+// seed-robust, tight enough that a generator regression (e.g. uniform
+// instead of routine-driven mobility) fails clearly.
+const (
+	// O1 (Fig. 2): the top o1NodeFrac of all nodes must contribute at
+	// least o1MinShare of the visits, averaged over the o1Landmarks
+	// most-visited landmarks.
+	o1NodeFrac  float64 = 0.2
+	o1MinShare  float64 = 0.5
+	o1Landmarks         = 5
+	// O2 (Fig. 3): the top o2LinkFrac of transit links must carry at
+	// least o2MinShare of the total bandwidth.
+	o2LinkFrac float64 = 0.2
+	o2MinShare float64 = 0.4
+	// O3 (Fig. 3): the median bandwidth ratio over matching link pairs
+	// must be at least o3MinMedian.
+	o3MinMedian float64 = 0.4
+	// O4 (Fig. 4): the mean coefficient of variation of the per-unit
+	// bandwidth series over the o4TopLinks busiest links must be at most
+	// o4MaxCV.
+	o4TopLinks         = 5
+	o4MaxCV    float64 = 1.0
+)
 
 // ObsResult is the outcome of one observation check.
 type ObsResult struct {
@@ -75,21 +61,21 @@ func (r ObsResult) String() string {
 }
 
 // CheckObservations runs the four observation checks against a trace.
-func CheckObservations(tr *trace.Trace, unit trace.Time, th ObsThresholds) []ObsResult {
+func CheckObservations(tr *trace.Trace, unit trace.Time) []ObsResult {
 	return []ObsResult{
-		CheckO1(tr, th),
-		CheckO2(tr, unit, th),
-		CheckO3(tr, unit, th),
-		CheckO4(tr, unit, th),
+		CheckO1(tr),
+		CheckO2(tr, unit),
+		CheckO3(tr, unit),
+		CheckO4(tr, unit),
 	}
 }
 
 // CheckO1 verifies the skewed landmark visiting distribution (Fig. 2): at
 // the busiest landmarks, a small fraction of the nodes accounts for most
 // of the visits.
-func CheckO1(tr *trace.Trace, th ObsThresholds) ObsResult {
-	top := trace.TopLandmarks(tr, th.O1Landmarks)
-	few := int(math.Ceil(th.O1NodeFrac * float64(tr.NumNodes)))
+func CheckO1(tr *trace.Trace) ObsResult {
+	top := trace.TopLandmarks(tr, o1Landmarks)
+	few := int(math.Ceil(o1NodeFrac * float64(tr.NumNodes)))
 	if few < 1 {
 		few = 1
 	}
@@ -109,27 +95,27 @@ func CheckO1(tr *trace.Trace, th ObsThresholds) ObsResult {
 		}
 	}
 	if len(shares) == 0 {
-		return ObsResult{Name: "O1", Detail: "no visits at any landmark", Threshold: th.O1MinShare}
+		return ObsResult{Name: "O1", Detail: "no visits at any landmark", Threshold: o1MinShare}
 	}
 	mean := meanOf(shares)
 	return ObsResult{
 		Name:      "O1",
 		Value:     mean,
-		Threshold: th.O1MinShare,
-		Pass:      mean >= th.O1MinShare,
+		Threshold: o1MinShare,
+		Pass:      mean >= o1MinShare,
 		Detail: fmt.Sprintf("top %.0f%% of nodes contribute %.0f%% of visits at the %d busiest landmarks",
-			th.O1NodeFrac*100, mean*100, len(shares)),
+			o1NodeFrac*100, mean*100, len(shares)),
 	}
 }
 
 // CheckO2 verifies bandwidth concentration (Fig. 3): a small fraction of
 // the transit links carries most of the total bandwidth.
-func CheckO2(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
+func CheckO2(tr *trace.Trace, unit trace.Time) ObsResult {
 	bws := trace.Bandwidths(tr, unit) // sorted decreasing
 	if len(bws) == 0 {
-		return ObsResult{Name: "O2", Detail: "no transit links", Threshold: th.O2MinShare}
+		return ObsResult{Name: "O2", Detail: "no transit links", Threshold: o2MinShare}
 	}
-	top := int(math.Ceil(th.O2LinkFrac * float64(len(bws))))
+	top := int(math.Ceil(o2LinkFrac * float64(len(bws))))
 	if top < 1 {
 		top = 1
 	}
@@ -141,25 +127,25 @@ func CheckO2(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
 		}
 	}
 	if total == 0 {
-		return ObsResult{Name: "O2", Detail: "zero total bandwidth", Threshold: th.O2MinShare}
+		return ObsResult{Name: "O2", Detail: "zero total bandwidth", Threshold: o2MinShare}
 	}
 	share := head / total
 	return ObsResult{
 		Name:      "O2",
 		Value:     share,
-		Threshold: th.O2MinShare,
-		Pass:      share >= th.O2MinShare,
+		Threshold: o2MinShare,
+		Pass:      share >= o2MinShare,
 		Detail: fmt.Sprintf("top %.0f%% of %d links carry %.0f%% of total bandwidth",
-			th.O2LinkFrac*100, len(bws), share*100),
+			o2LinkFrac*100, len(bws), share*100),
 	}
 }
 
 // CheckO3 verifies matching-link symmetry (Fig. 3): when both directions
 // of a landmark pair see transits, their bandwidths are similar.
-func CheckO3(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
+func CheckO3(tr *trace.Trace, unit trace.Time) ObsResult {
 	ratios := trace.MatchingSymmetry(tr, unit) // sorted ascending
 	if len(ratios) == 0 {
-		return ObsResult{Name: "O3", Detail: "no matching link pairs", Threshold: th.O3MinMedian}
+		return ObsResult{Name: "O3", Detail: "no matching link pairs", Threshold: o3MinMedian}
 	}
 	med := ratios[len(ratios)/2]
 	if len(ratios)%2 == 0 {
@@ -168,8 +154,8 @@ func CheckO3(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
 	return ObsResult{
 		Name:      "O3",
 		Value:     med,
-		Threshold: th.O3MinMedian,
-		Pass:      med >= th.O3MinMedian,
+		Threshold: o3MinMedian,
+		Pass:      med >= o3MinMedian,
 		Detail: fmt.Sprintf("median min/max bandwidth ratio over %d matching pairs is %.2f",
 			len(ratios), med),
 	}
@@ -178,9 +164,9 @@ func CheckO3(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
 // CheckO4 verifies bandwidth stability over time (Fig. 4): the per-unit
 // transit counts of the busiest links have a bounded coefficient of
 // variation.
-func CheckO4(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
+func CheckO4(tr *trace.Trace, unit trace.Time) ObsResult {
 	bws := trace.Bandwidths(tr, unit)
-	n := th.O4TopLinks
+	n := o4TopLinks
 	if n > len(bws) {
 		n = len(bws)
 	}
@@ -199,14 +185,14 @@ func CheckO4(tr *trace.Trace, unit trace.Time, th ObsThresholds) ObsResult {
 		cvs = append(cvs, math.Sqrt(ss/float64(len(series)))/m)
 	}
 	if len(cvs) == 0 {
-		return ObsResult{Name: "O4", Detail: "no busy links to measure", Threshold: th.O4MaxCV}
+		return ObsResult{Name: "O4", Detail: "no busy links to measure", Threshold: o4MaxCV}
 	}
 	mean := meanOf(cvs)
 	return ObsResult{
 		Name:      "O4",
 		Value:     mean,
-		Threshold: th.O4MaxCV,
-		Pass:      mean <= th.O4MaxCV,
+		Threshold: o4MaxCV,
+		Pass:      mean <= o4MaxCV,
 		Detail: fmt.Sprintf("mean bandwidth CV over the %d busiest links is %.2f",
 			len(cvs), mean),
 	}

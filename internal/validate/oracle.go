@@ -42,7 +42,7 @@ func (s ScenarioSpec) oraclePackets(tr *trace.Trace) ([]oracle.Packet, sim.Confi
 // the spec's (possibly disrupted) scenario: per delivered packet, the
 // oracle must call it deliverable with an earliest arrival no later
 // than the achieved delivery time.
-func propOracleDominance(s ScenarioSpec, opt FuzzOptions) string {
+func propOracleDominance(s ScenarioSpec) string {
 	tr := s.perturbedTrace()
 	pkts, cfg := s.oraclePackets(tr)
 	ocfg := oracle.ConfigFrom(cfg)

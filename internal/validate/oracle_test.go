@@ -17,10 +17,9 @@ func TestOracleDominanceRandom(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	opt := FuzzOptions{}.normalized()
 	for i := 0; i < n; i++ {
 		s := RandomSpec(rng)
-		if d := propOracleDominance(s, opt); d != "" {
+		if d := propOracleDominance(s); d != "" {
 			t.Fatalf("spec %d: %s\n  repro: %v", i, d, s)
 		}
 	}

@@ -44,7 +44,7 @@ func TestShrunkRegressions(t *testing.T) {
 				t.Fatalf("bad regression file: %v", err)
 			}
 			spec := rec.Spec.Normalize()
-			if prop, detail := CheckSpec(spec, FuzzOptions{}.normalized()); prop != "" {
+			if prop, detail := CheckSpec(spec); prop != "" {
 				t.Errorf("property %q failed on %v: %s\n(%s)", prop, spec, detail, rec.Note)
 			}
 		})
