@@ -12,6 +12,7 @@ package dtnflow
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -309,10 +310,10 @@ func BenchmarkBandwidths(b *testing.B) {
 	}
 }
 
-// --- Scale tier: streaming generation + sharded engine ----------------
+// --- Scale tier: streaming generation into the engine -----------------
 
 // benchScale runs one scaled DART population through the scale path
-// (streaming generator feeding the sharded engine) and reports the tier's
+// (streaming generator feeding the engine) and reports the tier's
 // headline figures — visit/event throughput and the sampled heap
 // high-water mark — as custom metrics. These run at -benchtime 1x
 // (scripts/bench.sh): one 32× run is minutes of wall clock, and the
@@ -360,19 +361,32 @@ func benchOracle(b *testing.B, mult int) {
 func BenchmarkOracle1x(b *testing.B)  { benchOracle(b, 1) }
 func BenchmarkOracle32x(b *testing.B) { benchOracle(b, 32) }
 
-// BenchmarkScaleDART1xClassic is the materialized reference the scale
-// tier's memory acceptance compares against: the same 1× population on
-// the classic engine, whole trace held in memory.
-func BenchmarkScaleDART1xClassic(b *testing.B) {
+// BenchmarkScaleDART1xMaterialized is the materialized reference the scale
+// tier's memory figures compare against: the same 1× population drained
+// into a trace and run through sim.New, whole trace held in memory.
+func BenchmarkScaleDART1xMaterialized(b *testing.B) {
 	spec := experiment.ScaleSpec{Scenario: "DART", Mult: 1}
+	open, err := spec.Open()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl, err := spec.Workload()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := spec.RunClassic("DTN-FLOW")
+		t0 := time.Now()
+		tr, err := trace.Materialize(open())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.VisitsPerSec, "visits/s")
-		b.ReportMetric(float64(res.PeakHeap)/(1<<20), "peak-MiB")
+		sim.New(tr, experiment.NewRouter("DTN-FLOW"), wl, cfg).Run()
+		b.ReportMetric(float64(len(tr.Visits))/time.Since(t0).Seconds(), "visits/s")
 	}
 }

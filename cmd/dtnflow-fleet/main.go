@@ -13,7 +13,7 @@
 //	dtnflow-fleet -workers 0                       # same cells, in-process
 //	dtnflow-fleet -store results/fleet-store       # warm the result cache
 //	dtnflow-fleet -scenarios DART -methods DTN-FLOW,PROPHET -seeds 5
-//	dtnflow-fleet -mults 1,2,4                     # scale-tier cells (sharded engine)
+//	dtnflow-fleet -mults 1,2,4                     # scale-tier cells (streamed populations)
 //	dtnflow-fleet -json > results.json             # index-aligned cell results
 //	dtnflow-fleet -join 127.0.0.1:9999             # run as a worker (internal)
 package main
@@ -41,7 +41,7 @@ func main() {
 		methods   = flag.String("methods", "all", "comma-separated methods, or all")
 		seeds     = flag.Int("seeds", 1, "seeds per (scenario, method) cell group")
 		rate      = flag.Float64("rate", 0, "packets/day network-wide (0 = scenario default)")
-		mults     = flag.String("mults", "", "scale-tier population multipliers (switches to sharded-engine cells)")
+		mults     = flag.String("mults", "", "scale-tier population multipliers (switches to streamed scale cells)")
 		seed      = flag.Int64("seed", 1, "simulation seed for scale-tier cells")
 		workers   = flag.Int("workers", 2, "worker processes to spawn (0 = in-process)")
 		storeDir  = flag.String("store", "", "content-addressed result store directory (empty = no cache)")

@@ -1,29 +1,23 @@
 // Command dtnflow-scale runs one scaled scenario through the scale tier —
-// the streaming generator feeding the sharded engine — or, for A/B
-// comparison, through the classic materialize-and-heap path, and reports
-// the throughput and memory figures the tier exists to measure.
+// the streaming generator feeding the engine epoch by epoch, without ever
+// materializing the trace — and reports the throughput and memory figures
+// the tier exists to measure.
 //
 // The population multiplier scales nodes (and DART communities / DNET
 // routes) while keeping the landmark count fixed: the routing tables are
 // O(L²), so the scaling question the tier answers is "more devices over
-// the same infrastructure". Results are bit-identical across worker
-// counts and across the two engines.
+// the same infrastructure". Results are bit-identical across fill-worker
+// counts and epoch lengths, and equal to a run over the materialized
+// stream (pinned by experiment's TestScaleShardedMatchesClassic* tests).
 //
 // Usage:
 //
-//	dtnflow-scale                             # 1× DART, DTN-FLOW, sharded
+//	dtnflow-scale                             # 1× DART, DTN-FLOW
 //	dtnflow-scale -mult 32                    # 10,240-node DART
 //	dtnflow-scale -scenario DNET -mult 10
-//	dtnflow-scale -engine classic -mult 1     # materialized A/B reference
-//	dtnflow-scale -engine both                # sharded/classic equivalence check
 //	dtnflow-scale -workers 8 -epoch-days 0.5  # tuning knobs
-//	dtnflow-scale -disrupt storm -engine both # disrupted equivalence check
+//	dtnflow-scale -disrupt storm              # disrupted population
 //	dtnflow-scale -json                       # machine-readable result
-//
-// With -engine both the command runs the spec on both engines and
-// byte-compares their summaries (via the canonical run fingerprint); a
-// mismatch prints the diverging fields and exits non-zero, so fleet
-// workers and CI can trust the exit code.
 package main
 
 import (
@@ -45,9 +39,8 @@ func main() {
 		scenario   = flag.String("scenario", "DART", "scaled scenario: DART or DNET")
 		mult       = flag.Int("mult", 1, "population multiplier (landmarks stay fixed)")
 		method     = flag.String("method", "DTN-FLOW", "routing method")
-		engine     = flag.String("engine", "sharded", "simulation path: sharded, classic, or both (equivalence check)")
-		workers    = flag.Int("workers", 0, "shard/fill workers (0 = GOMAXPROCS)")
-		epochDays  = flag.Float64("epoch-days", 1, "sharded merge epoch in days")
+		workers    = flag.Int("workers", 0, "stream fill workers (0 = GOMAXPROCS)")
+		epochDays  = flag.Float64("epoch-days", 1, "engine merge epoch in days")
 		rate       = flag.Float64("rate", 0, "packets/day network-wide (0 = scenario default)")
 		disruptArg = flag.String("disrupt", "", "disruption preset (outage, link-sever, link-degrade, churn, drift, flash-crowd, storm) or a JSON spec file")
 		seed       = flag.Int64("seed", 1, "simulation seed")
@@ -96,43 +89,7 @@ func main() {
 		spec.Disrupt = &sp
 	}
 
-	var res *experiment.ScaleResult
-	switch *engine {
-	case "sharded":
-		sh := sim.ShardConfig{
-			Workers: *workers,
-			Epoch:   trace.Time(*epochDays * float64(trace.Day)),
-		}
-		res, err = spec.RunSharded(*method, sh)
-	case "classic":
-		res, err = spec.RunClassic(*method)
-	case "both":
-		// Equivalence gate: the sharded engine is pinned bit-identical to
-		// the classic one; any divergence must fail the process, not just
-		// print — fleet workers and CI trust this exit code.
-		sh := sim.ShardConfig{
-			Workers: *workers,
-			Epoch:   trace.Time(*epochDays * float64(trace.Day)),
-		}
-		var classic *experiment.ScaleResult
-		res, err = spec.RunSharded(*method, sh)
-		if err == nil {
-			classic, err = spec.RunClassic(*method)
-		}
-		if err == nil {
-			sfp := experiment.SummaryFingerprint(res.Summary)
-			cfp := experiment.SummaryFingerprint(classic.Summary)
-			if sfp != cfp {
-				stopProf()
-				fmt.Fprintf(os.Stderr, "dtnflow-scale: sharded/classic equivalence FAILED for %s %d× %s:\n  sharded %+v\n  classic %+v\n",
-					spec.Scenario, spec.Mult, *method, res.Summary, classic.Summary)
-				os.Exit(1)
-			}
-			fmt.Printf("equivalence OK: sharded and classic summaries bit-identical (%s)\n", sfp[:12])
-		}
-	default:
-		err = fmt.Errorf("unknown engine %q (want sharded, classic or both)", *engine)
-	}
+	res, err := spec.RunSharded(*method, sim.ShardConfig{Epoch: trace.Time(*epochDays * float64(trace.Day))})
 	if err != nil {
 		stopProf()
 		fmt.Fprintln(os.Stderr, "dtnflow-scale:", err)
@@ -149,16 +106,11 @@ func main() {
 		return
 	}
 
-	fmt.Printf("%s %d× (%s engine): %d nodes, %d landmarks, %d visits\n",
-		res.Scenario, res.Mult, res.Engine, res.Nodes, res.Landmarks, res.Visits)
+	fmt.Printf("%s %d×: %d nodes, %d landmarks, %d visits\n",
+		res.Scenario, res.Mult, res.Nodes, res.Landmarks, res.Visits)
 	fmt.Printf("  method      %s\n", res.Method)
-	fmt.Printf("  workers     %d\n", res.Workers)
 	fmt.Printf("  wall        %.2fs\n", res.WallSec)
-	fmt.Printf("  throughput  %.0f visits/s", res.VisitsPerSec)
-	if res.Events > 0 {
-		fmt.Printf("  (%d events, %.0f events/s)", res.Events, res.EventsPerSec)
-	}
-	fmt.Println()
+	fmt.Printf("  throughput  %.0f visits/s  (%d events, %.0f events/s)\n", res.VisitsPerSec, res.Events, res.EventsPerSec)
 	fmt.Printf("  peak heap   %.1f MiB\n", float64(res.PeakHeap)/(1<<20))
 	fmt.Printf("  summary     success %.4f, delivered %d/%d, avg delay %.0fs, fwd %d\n",
 		res.Summary.SuccessRate, res.Summary.Delivered, res.Summary.Generated,

@@ -14,9 +14,10 @@
 //     extra traffic, not mobility, so they live in Workload.Schedule
 //     where both engine constructors consume them identically).
 //
-// Every compilation is deterministic, so disrupted runs remain
-// bit-identical across the classic and sharded engines at any worker
-// count — the same contract undisrupted runs have.
+// Every compilation is deterministic, so a disrupted run over the
+// materialized perturbed trace and over the wrapped stream remain
+// bit-identical at any epoch length — the same contract undisrupted runs
+// have.
 package disrupt
 
 import (

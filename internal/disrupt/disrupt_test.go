@@ -248,7 +248,7 @@ func TestEmptySpecPassThrough(t *testing.T) {
 }
 
 // TestNoSpanner pins the span contract: the wrapper must not implement
-// trace.Spanner, so sharded consumers scan the perturbed stream and get
+// trace.Spanner, so stream consumers scan the perturbed stream and get
 // the same span a materialized perturbed trace reports.
 func TestNoSpanner(t *testing.T) {
 	tr := smallTrace(t)

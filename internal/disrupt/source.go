@@ -31,8 +31,8 @@ import (
 // span differs from the underlying one (clipped visits shrink it), so
 // consumers needing the span (sim.NewSharded) fall back to
 // trace.ScanSpan over a fresh perturbed stream — the exact span a
-// materialized perturbed trace reports, which is what keeps the classic
-// and sharded engines' measurement windows bit-identical.
+// materialized perturbed trace reports, which is what keeps the
+// materialized and streamed runs' measurement windows bit-identical.
 
 const maxTime = trace.Time(1) << 62
 
@@ -84,9 +84,9 @@ func Wrap(open func() trace.Source, sp *Spec) func() trace.Source {
 	return func() trace.Source { return NewSource(open(), sp) }
 }
 
-// Perturb materializes the disrupted view of a trace — the classic
-// engine's input, and by construction byte-equal to draining a wrapped
-// streaming source over the same visits.
+// Perturb materializes the disrupted view of a trace — sim.New's input,
+// and by construction byte-equal to draining a wrapped streaming source
+// over the same visits.
 func Perturb(tr *trace.Trace, sp *Spec) (*trace.Trace, error) {
 	if sp.Empty() {
 		return tr, nil

@@ -22,8 +22,8 @@ import (
 var balancedRouter = flowRouter(func(c *core.Config) { c.LoadBalance = true })
 
 // TestBalanceGoldenRuns compares the load-balanced run on each Tiny
-// scenario against the checked-in corpus on the classic engine, then
-// replays it through the sharded engine at 1 and 4 workers.
+// scenario against the checked-in corpus through Run.Execute, then replays
+// it through chunked streams at three epoch lengths.
 func TestBalanceGoldenRuns(t *testing.T) {
 	scens := BothScenarios(Tiny)
 	runs := make([]Run, len(scens))
@@ -60,18 +60,18 @@ func TestBalanceGoldenRuns(t *testing.T) {
 	}
 	for _, sc := range scens {
 		if got[sc.Name] != want[sc.Name] {
-			t.Errorf("%s: classic run drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, got[sc.Name], want[sc.Name])
+			t.Errorf("%s: run drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, got[sc.Name], want[sc.Name])
 		}
-		for _, workers := range []int{1, 4} {
+		for _, epoch := range []trace.Time{250, 0, sc.Trace.Duration() + 1} {
 			s, err := sim.NewSharded(
 				func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
-				balancedRouter(), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Workers: workers},
+				balancedRouter(), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Epoch: epoch},
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sum := s.Run().Summary; sum != want[sc.Name] {
-				t.Errorf("%s: sharded run (workers %d) drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, workers, sum, want[sc.Name])
+				t.Errorf("%s: streamed run (epoch %d) drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, epoch, sum, want[sc.Name])
 			}
 		}
 	}

@@ -16,8 +16,8 @@ import (
 // process and cannot be a cell.
 type Cell struct {
 	// Kind selects the execution path: CellRun (default when empty) is a
-	// paper-tier run on the classic engine; CellScale is a scale-tier run
-	// on the streaming + sharded path.
+	// paper-tier run over a materialized scenario trace; CellScale is a
+	// scale-tier run over a streamed population.
 	Kind string `json:"kind,omitempty"`
 	// Scenario names the trace: DART, DNET or CAMPUS (run cells); DART or
 	// DNET (scale cells).
@@ -154,7 +154,7 @@ type CellResult struct {
 	Fingerprint string          `json:"fingerprint"`
 	Summary     metrics.Summary `json:"summary"`
 	// Counters is the run's exact telemetry aggregate (run cells only;
-	// the sharded engine keeps its probe path dark).
+	// scale cells keep the probe path dark).
 	Counters *telemetry.Counters `json:"counters,omitempty"`
 }
 

@@ -130,9 +130,9 @@ func TestExecuteCellMatchesRun(t *testing.T) {
 	}
 }
 
-// TestExecuteCellScale pins a scale cell to the classic reference: the
-// sharded engine is bit-identical to the classic one, so the cell's
-// summary must match a classic run of the same spec.
+// TestExecuteCellScale pins a scale cell to the materialized reference:
+// the cell's summary must match sim.New over the materialized stream of
+// the same spec.
 func TestExecuteCellScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full scale simulations")
@@ -142,11 +142,8 @@ func TestExecuteCellScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := ScaleSpec{Scenario: "DNET", Mult: 1, Seed: 1}.RunClassic("DTN-FLOW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SummaryFingerprint(res.Summary) != SummaryFingerprint(classic.Summary) {
-		t.Errorf("scale cell diverged from classic reference:\ncell    %+v\nclassic %+v", res.Summary, classic.Summary)
+	want, _ := materializedRun(t, ScaleSpec{Scenario: "DNET", Mult: 1, Seed: 1}, "DTN-FLOW")
+	if SummaryFingerprint(res.Summary) != SummaryFingerprint(want) {
+		t.Errorf("scale cell diverged from the materialized reference:\ncell         %+v\nmaterialized %+v", res.Summary, want)
 	}
 }

@@ -14,12 +14,12 @@ import (
 
 // The disrupted golden corpus extends the steady-state corpus with the
 // "storm" preset — every disruption family at once — applied to each Tiny
-// scenario. The entries pin the same contract: classic and sharded
-// execution are bit-identical at every worker count, now with outage
-// clipping, churn flushes, drift remaps, link-fault drops, and
-// flash-crowd surges all in play. A chunk boundary landing on a
-// disruption edge, a mis-ordered churn flush, or a surge drawn from a
-// different RNG stream all show up as corpus diffs.
+// scenario. The entries pin the same contract: the materialized perturbed
+// trace and the disrupt-wrapped stream are bit-identical at every epoch
+// length, now with outage clipping, churn flushes, drift remaps,
+// link-fault drops, and flash-crowd surges all in play. A chunk boundary
+// landing on a disruption edge, a mis-ordered churn flush, or a surge
+// drawn from a different RNG stream all show up as corpus diffs.
 
 func disruptedGoldenPath(scenario string) string {
 	return filepath.Join("testdata", "golden", scenario+"-disrupted.json")
@@ -35,9 +35,9 @@ func disruptedSpec(t *testing.T, sc *Scenario) *disrupt.Spec {
 	return &sp
 }
 
-// disruptedClassicRun executes one method on the storm-perturbed scenario
-// through the classic engine.
-func disruptedClassicRun(t *testing.T, sc *Scenario, method string) metrics.Summary {
+// disruptedRun executes one method on the materialized storm-perturbed
+// scenario trace.
+func disruptedRun(t *testing.T, sc *Scenario, method string) metrics.Summary {
 	t.Helper()
 	sp := disruptedSpec(t, sc)
 	tr, err := disrupt.Perturb(sc.Trace, sp)
@@ -50,9 +50,9 @@ func disruptedClassicRun(t *testing.T, sc *Scenario, method string) metrics.Summ
 	return sim.New(tr, NewRouter(method), w, cfg).Run().Summary
 }
 
-// disruptedShardedRun replays the same run through the sharded engine, the
-// disruption applied as a streaming source wrapper.
-func disruptedShardedRun(t *testing.T, sc *Scenario, method string, sh sim.ShardConfig) metrics.Summary {
+// disruptedStreamedRun replays the same run over a stream, the disruption
+// applied as a source wrapper.
+func disruptedStreamedRun(t *testing.T, sc *Scenario, method string, sh sim.ShardConfig) metrics.Summary {
 	t.Helper()
 	sp := disruptedSpec(t, sc)
 	cfg := sc.Config(1)
@@ -67,25 +67,16 @@ func disruptedShardedRun(t *testing.T, sc *Scenario, method string, sh sim.Shard
 }
 
 // TestDisruptedGoldenRuns pins every method × Tiny scenario under the
-// storm disruption, then replays each entry through the sharded engine at
-// workers 1, 2, 8, and GOMAXPROCS — all must reproduce the classic
-// fingerprint exactly.
+// storm disruption, then replays each entry over the wrapped stream at
+// three epoch lengths (250 s, the default, one longer than the trace) —
+// all must reproduce the materialized run's fingerprint exactly.
 func TestDisruptedGoldenRuns(t *testing.T) {
-	shardCfgs := []struct {
-		name string
-		sh   sim.ShardConfig
-	}{
-		{"sharded-w1", sim.ShardConfig{Workers: 1}},
-		{"sharded-w2", sim.ShardConfig{Workers: 2}},
-		{"sharded-w8", sim.ShardConfig{Workers: 8}},
-		{"sharded-wmax", sim.ShardConfig{}},
-	}
 	for _, sc := range BothScenarios(Tiny) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			got := make(map[string]metrics.Summary, len(MethodNames))
 			for _, m := range MethodNames {
-				got[m] = disruptedClassicRun(t, sc, m)
+				got[m] = disruptedRun(t, sc, m)
 			}
 			path := disruptedGoldenPath(sc.Name)
 			if *updateGolden {
@@ -114,17 +105,17 @@ func TestDisruptedGoldenRuns(t *testing.T) {
 				}
 				for _, m := range MethodNames {
 					if got[m] != want[m] {
-						t.Errorf("%s: disrupted classic run drifted from corpus:\ngot  %+v\nwant %+v", m, got[m], want[m])
+						t.Errorf("%s: disrupted run drifted from corpus:\ngot  %+v\nwant %+v", m, got[m], want[m])
 					}
 				}
 			}
-			// Engine equivalence holds against the freshly computed entries
+			// Stream equivalence holds against the freshly computed entries
 			// whether or not the corpus is being rewritten.
 			for _, m := range MethodNames {
-				for _, sh := range shardCfgs {
-					if sum := disruptedShardedRun(t, sc, m, sh.sh); sum != got[m] {
-						t.Errorf("%s/%s: disrupted run drifted from classic:\ngot  %+v\nwant %+v",
-							m, sh.name, sum, got[m])
+				for _, epoch := range []trace.Time{250, 0, sc.Trace.Duration() + 1} {
+					if sum := disruptedStreamedRun(t, sc, m, sim.ShardConfig{Epoch: epoch}); sum != got[m] {
+						t.Errorf("%s/epoch %d: streamed run drifted from materialized:\ngot  %+v\nwant %+v",
+							m, epoch, sum, got[m])
 					}
 				}
 			}

@@ -42,27 +42,24 @@ func goldenRuns(sc *Scenario) map[string]metrics.Summary {
 	return out
 }
 
-// shardedGoldenRun replays one corpus entry through the sharded engine
-// over a chunked view of the scenario trace.
-func shardedGoldenRun(t *testing.T, sc *Scenario, method string) metrics.Summary {
+// streamedGoldenRuns replays one corpus entry through NewSharded over a
+// view of the scenario trace chunked 512 visits at a time, once per epoch
+// row: shorter than most visits, the default, and one epoch longer than
+// the trace.
+func streamedGoldenRuns(t *testing.T, sc *Scenario, method string) map[trace.Time]metrics.Summary {
 	t.Helper()
-	sum, _ := shardedGoldenRunCfg(t, sc, method, sim.ShardConfig{Workers: 4})
-	return sum
-}
-
-// shardedGoldenRunCfg is shardedGoldenRun with an explicit shard
-// configuration, reporting the run's stats as well.
-func shardedGoldenRunCfg(t *testing.T, sc *Scenario, method string, sh sim.ShardConfig) (metrics.Summary, sim.ShardStats) {
-	t.Helper()
-	cfg := sc.Config(1)
-	s, err := sim.NewSharded(
-		func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
-		NewRouter(method), sc.Workload(sc.RateDef), cfg, sh,
-	)
-	if err != nil {
-		t.Fatal(err)
+	out := map[trace.Time]metrics.Summary{}
+	for _, epoch := range []trace.Time{250, 0, sc.Trace.Duration() + 1} {
+		s, err := sim.NewSharded(
+			func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
+			NewRouter(method), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Epoch: epoch},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[epoch] = s.Run().Summary
 	}
-	return s.Run().Summary, s.Stats()
+	return out
 }
 
 // loadGolden reads the checked-in corpus entry for one scenario.
@@ -80,9 +77,9 @@ func loadGolden(t *testing.T, sc *Scenario) map[string]metrics.Summary {
 }
 
 // TestGoldenRuns compares every method × Tiny scenario against the checked
-// in corpus, on the classic engine and again on the sharded engine — the
-// corpus is engine-independent by construction, so the sharded replay
-// passes without regeneration.
+// in corpus, through Run.Execute and again through chunked streams at
+// three epoch lengths — epochs and chunking never change results, so the
+// replays pass without regeneration.
 func TestGoldenRuns(t *testing.T) {
 	for _, sc := range BothScenarios(Tiny) {
 		sc := sc
@@ -131,7 +128,7 @@ func TestGoldenRuns(t *testing.T) {
 				for _, m := range MethodNames {
 					if got[m] != want[m] {
 						drift = true
-						t.Errorf("%s: classic run drifted from corpus:\ngot  %+v\nwant %+v", m, got[m], want[m])
+						t.Errorf("%s: run drifted from corpus:\ngot  %+v\nwant %+v", m, got[m], want[m])
 					}
 				}
 				if !drift {
@@ -139,8 +136,10 @@ func TestGoldenRuns(t *testing.T) {
 				}
 			}
 			for _, m := range MethodNames {
-				if sum := shardedGoldenRun(t, sc, m); sum != want[m] {
-					t.Errorf("%s: sharded run drifted from corpus:\ngot  %+v\nwant %+v", m, sum, want[m])
+				for epoch, sum := range streamedGoldenRuns(t, sc, m) {
+					if sum != want[m] {
+						t.Errorf("%s: streamed run (epoch %d) drifted from corpus:\ngot  %+v\nwant %+v", m, epoch, sum, want[m])
+					}
 				}
 			}
 		})

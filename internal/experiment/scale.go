@@ -13,8 +13,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Scale tier: populations 10–100× the paper's, run through the streaming
-// generators (synth.DARTSource/DNETSource) and the sharded engine
+// Scale tier: populations 10–100× the paper's, streamed from the
+// generators (synth.DARTSource/DNETSource) into the engine
 // (sim.NewSharded) so peak memory stays bounded by one merge window of
 // visits instead of the whole trace. A ScaleSpec multiplies the node
 // population and its community/route structure while keeping the landmark
@@ -43,9 +43,8 @@ type ScaleSpec struct {
 	Stream synth.StreamConfig
 	// Disrupt perturbs the scenario (nil = steady state): the spec's
 	// trace effects wrap the streaming source, its churn flushes enter
-	// the engine config, and its flash crowds enter the workload — so
-	// both engines, and the -engine both equivalence gate, see the same
-	// disrupted world.
+	// the engine config, and its flash crowds enter the workload — so a
+	// stream and its materialized trace see the same disrupted world.
 	Disrupt *disrupt.Spec `json:"disrupt,omitempty"`
 }
 
@@ -159,11 +158,11 @@ func (sp ScaleSpec) Span() (start, end trace.Time, err error) {
 	return 0, trace.Time(p.days) * trace.Day, nil
 }
 
-// Config returns the simulator configuration shared by both engines. The
-// warmup boundary is analytic — a quarter of the generation horizon
-// (days × Day) — rather than a quarter of the materialized span, so the
-// streaming path needs no extra scan and both engines measure the same
-// window when given the same spec.
+// Config returns the simulator configuration of the spec. The warmup
+// boundary is analytic — a quarter of the generation horizon (days × Day)
+// — rather than a quarter of the materialized span, so the streaming path
+// needs no extra scan and a run over the materialized stream measures the
+// same window.
 func (sp ScaleSpec) Config() (sim.Config, error) {
 	p, err := sp.params()
 	if err != nil {
@@ -196,17 +195,13 @@ func (sp ScaleSpec) Workload() (*sim.Workload, error) {
 // ScaleResult is one scale run's outcome: the routing summary plus the
 // engine-throughput and memory figures the scale tier exists to measure.
 type ScaleResult struct {
-	Engine    string `json:"engine"` // "sharded" or "classic"
-	Scenario  string `json:"scenario"`
-	Mult      int    `json:"mult"`
-	Method    string `json:"method"`
-	Workers   int    `json:"workers"`
-	Nodes     int    `json:"nodes"`
-	Landmarks int    `json:"landmarks"`
-	Visits    int    `json:"visits"`
-	// Events counts applied simulation events (sharded engine only; the
-	// classic engine does not count, so 0 there).
-	Events       int             `json:"events"`
+	Scenario     string          `json:"scenario"`
+	Mult         int             `json:"mult"`
+	Method       string          `json:"method"`
+	Nodes        int             `json:"nodes"`
+	Landmarks    int             `json:"landmarks"`
+	Visits       int             `json:"visits"`
+	Events       int             `json:"events"` // applied simulation events
 	WallSec      float64         `json:"wall_sec"`
 	VisitsPerSec float64         `json:"visits_per_sec"`
 	EventsPerSec float64         `json:"events_per_sec"`
@@ -218,8 +213,7 @@ type ScaleResult struct {
 // the high-water mark. It reads runtime/metrics'
 // /memory/classes/heap/objects:bytes — HeapAlloc's equivalent — which,
 // unlike runtime.ReadMemStats, does not stop the world. The 20 Hz
-// resolution is coarse, but the materialized-vs-streamed gap it exists
-// to show is orders of magnitude at 32×.
+// resolution is coarse, but ample for runs of seconds to minutes.
 type heapWatermark struct {
 	stop   chan struct{}
 	done   chan struct{}
@@ -266,7 +260,8 @@ func (w *heapWatermark) halt() uint64 {
 	return w.peak
 }
 
-// RunSharded executes the spec on the streaming + sharded scale path.
+// RunSharded executes the spec on the scale path: the streaming source
+// feeding the engine epoch by epoch.
 func (sp ScaleSpec) RunSharded(method string, sh sim.ShardConfig) (*ScaleResult, error) {
 	open, err := sp.Open()
 	if err != nil {
@@ -293,60 +288,21 @@ func (sp ScaleSpec) RunSharded(method string, sh sim.ShardConfig) (*ScaleResult,
 	wall := time.Since(t0)
 	peak := wm.halt()
 	st := s.Stats()
-	return sp.result("sharded", method, st.Workers, nodes, lms, st.Visits, st.Events, wall, peak, res.Summary), nil
-}
-
-// RunClassic materializes the same stream and executes the spec on the
-// classic engine — the A/B reference for correctness and for the memory
-// figures. The materialization happens inside the measured window: holding
-// the whole trace is exactly the cost the scale path avoids.
-func (sp ScaleSpec) RunClassic(method string) (*ScaleResult, error) {
-	open, err := sp.Open()
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := sp.Config()
-	if err != nil {
-		return nil, err
-	}
-	wl, err := sp.Workload()
-	if err != nil {
-		return nil, err
-	}
-	nodes, lms, _ := sp.Dims()
-
-	wm := startHeapWatermark()
-	t0 := time.Now()
-	tr, err := trace.Materialize(open())
-	if err != nil {
-		wm.halt()
-		return nil, err
-	}
-	res := sim.New(tr, NewRouter(method), wl, cfg).Run()
-	wall := time.Since(t0)
-	peak := wm.halt()
-	return sp.result("classic", method, 1, nodes, lms, len(tr.Visits), 0, wall, peak, res.Summary), nil
-}
-
-func (sp ScaleSpec) result(engine, method string, workers, nodes, lms, visits, events int,
-	wall time.Duration, peak uint64, sum metrics.Summary) *ScaleResult {
 	r := &ScaleResult{
-		Engine:    engine,
 		Scenario:  sp.Scenario,
 		Mult:      sp.mult(),
 		Method:    method,
-		Workers:   workers,
 		Nodes:     nodes,
 		Landmarks: lms,
-		Visits:    visits,
-		Events:    events,
+		Visits:    st.Visits,
+		Events:    st.Events,
 		WallSec:   wall.Seconds(),
 		PeakHeap:  peak,
-		Summary:   sum,
+		Summary:   res.Summary,
 	}
 	if s := wall.Seconds(); s > 0 {
-		r.VisitsPerSec = float64(visits) / s
-		r.EventsPerSec = float64(events) / s
+		r.VisitsPerSec = float64(r.Visits) / s
+		r.EventsPerSec = float64(r.Events) / s
 	}
-	return r
+	return r, nil
 }

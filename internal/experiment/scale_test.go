@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -51,31 +52,52 @@ func TestScaleDims(t *testing.T) {
 	}
 }
 
+// materializedRun drains the spec's stream into a trace and runs it
+// through sim.New — the reference the scale path must reproduce — and
+// returns the summary and the visit count.
+func materializedRun(t *testing.T, spec ScaleSpec, method string) (metrics.Summary, int) {
+	t.Helper()
+	open, err := spec.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := spec.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Materialize(open())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.New(tr, NewRouter(method), wl, cfg).Run().Summary, len(tr.Visits)
+}
+
 // TestScaleShardedMatchesClassicDNET is the scale tier's end-to-end A/B:
-// the streaming + sharded path reproduces the classic materialize-and-heap
-// path bit for bit, through the real routers.
+// the streaming path reproduces sim.New over the materialized stream bit
+// for bit, through the real routers.
 func TestScaleShardedMatchesClassicDNET(t *testing.T) {
 	spec := ScaleSpec{Scenario: "DNET", Mult: 1}
 	for _, method := range []string{"DTN-FLOW", "PROPHET"} {
-		classic, err := spec.RunClassic(method)
+		want, visits := materializedRun(t, spec, method)
+		streamed, err := spec.RunSharded(method, sim.ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := spec.RunSharded(method, sim.ShardConfig{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
+		if streamed.Summary != want {
+			t.Errorf("%s: summaries differ:\nstreamed     %+v\nmaterialized %+v", method, streamed.Summary, want)
 		}
-		if sharded.Summary != classic.Summary {
-			t.Errorf("%s: summaries differ:\nsharded %+v\nclassic %+v", method, sharded.Summary, classic.Summary)
+		if streamed.Visits != visits {
+			t.Errorf("%s: streamed run saw %d visits, materialized trace has %d", method, streamed.Visits, visits)
 		}
-		if sharded.Visits != classic.Visits {
-			t.Errorf("%s: sharded saw %d visits, classic %d", method, sharded.Visits, classic.Visits)
+		if streamed.Events <= streamed.Visits {
+			t.Errorf("%s: implausible event count %d for %d visits", method, streamed.Events, streamed.Visits)
 		}
-		if sharded.Events <= sharded.Visits {
-			t.Errorf("%s: implausible event count %d for %d visits", method, sharded.Events, sharded.Visits)
-		}
-		if sharded.PeakHeap == 0 || classic.PeakHeap == 0 || sharded.WallSec <= 0 {
-			t.Errorf("%s: missing measurements: %+v", method, sharded)
+		if streamed.PeakHeap == 0 || streamed.WallSec <= 0 {
+			t.Errorf("%s: missing measurements: %+v", method, streamed)
 		}
 	}
 }
@@ -87,19 +109,16 @@ func TestScaleShardedMatchesClassicDART(t *testing.T) {
 		t.Skip("full-population DART A/B; run without -short")
 	}
 	spec := ScaleSpec{Scenario: "DART", Mult: 1}
-	classic, err := spec.RunClassic("DTN-FLOW")
+	want, visits := materializedRun(t, spec, "DTN-FLOW")
+	streamed, err := spec.RunSharded("DTN-FLOW", sim.ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := spec.RunSharded("DTN-FLOW", sim.ShardConfig{})
-	if err != nil {
-		t.Fatal(err)
+	if streamed.Summary != want {
+		t.Errorf("summaries differ:\nstreamed     %+v\nmaterialized %+v", streamed.Summary, want)
 	}
-	if sharded.Summary != classic.Summary {
-		t.Errorf("summaries differ:\nsharded %+v\nclassic %+v", sharded.Summary, classic.Summary)
-	}
-	if sharded.Visits != classic.Visits {
-		t.Errorf("sharded saw %d visits, classic %d", sharded.Visits, classic.Visits)
+	if streamed.Visits != visits {
+		t.Errorf("streamed run saw %d visits, materialized trace has %d", streamed.Visits, visits)
 	}
 }
 
@@ -109,7 +128,7 @@ func TestScaleSweep(t *testing.T) {
 	mults := []int{1, 2}
 	results := make([]*ScaleResult, len(mults))
 	for i, mult := range mults {
-		r, err := ScaleSpec{Scenario: "DNET", Mult: mult}.RunSharded("PGR", sim.ShardConfig{Workers: 2})
+		r, err := ScaleSpec{Scenario: "DNET", Mult: mult}.RunSharded("PGR", sim.ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

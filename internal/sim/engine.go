@@ -38,8 +38,9 @@ type Config struct {
 	// Disrupt schedules engine-side disruption effects, sorted by T
 	// (internal/disrupt compiles it from a disruption spec). Each action
 	// fires immediately before the first processed event at or after its
-	// timestamp — the same point on every execution path, so disrupted
-	// runs stay bit-identical across the classic and sharded engines.
+	// timestamp — the same point whatever the epoch length or source
+	// chunking, so a disrupted run over a materialized trace and over the
+	// equivalent stream stay bit-identical.
 	Disrupt []DisruptAction
 }
 
@@ -111,10 +112,12 @@ func (ctx *Context) NodesAt(lm int) []*Node {
 // Schedule registers fn to run at time t (>= now). Routers use this for
 // protocol timers (dead-end checks, loop-correction periods).
 func (ctx *Context) Schedule(t trace.Time, fn func()) {
-	if t < ctx.engine.now {
-		t = ctx.engine.now
+	e := ctx.engine
+	if t < e.now {
+		t = e.now
 	}
-	ctx.engine.push(event{t: t, kind: evTimer, fn: fn})
+	e.timers.push(event{t: t, kind: evTimer, seq: e.timerSeq, fn: fn})
+	e.timerSeq++
 }
 
 // chargeBudget consumes one transfer from the contact budget; it reports
@@ -313,36 +316,66 @@ func (ctx *Context) ExpireBuffers(n *Node, st *Station) {
 	}
 }
 
-// Engine runs one simulation.
+// Engine runs one simulation. Its events come from four sources merged in
+// the total event order (heap.go): visit arrivals and departures, drawn
+// epoch by epoch from a trace.Source (stream.go), and the time-unit,
+// packet-generation and router-timer cursors.
 type Engine struct {
 	ctx         *Context
 	router      Router
-	workload    *Workload
-	events      eventHeap
-	eventSeq    int
-	now         trace.Time
 	start, end  trace.Time
 	measureFrom trace.Time
 	// started records that the router has been initialised and event
 	// processing has begun; Run and RunWarmup initialise at most once, and
 	// Fork produces engines that are already started.
 	started bool
+	cursors
 	// present[lm] is the ID-ordered set of nodes connected to landmark lm,
 	// maintained incrementally on arrive/depart. Context.NodesAt returns
 	// these slices directly (see its aliasing contract).
 	present       [][]*Node
-	nextUnit      int
 	expireScratch []*Packet
-	// disrupt is the scheduled disruption-action list (Config.Disrupt) and
-	// nextDisrupt the cursor of the first not-yet-fired action.
-	disrupt     []DisruptAction
-	nextDisrupt int
+	// disrupt is the scheduled disruption-action list (Config.Disrupt);
+	// cursors.nextDisrupt indexes the first not-yet-fired action.
+	disrupt []DisruptAction
 	// pathArena is the shared backing array packet Path slices are carved
 	// from in fixed-capacity pieces at generation time, replacing one small
 	// allocation (plus its append-growth steps) per packet with one arena
 	// allocation per pathArenaChunk packets. A path outgrowing its piece
 	// falls back to ordinary append growth.
 	pathArena []int
+
+	// Visit side (stream.go): the reader over the source, the departures
+	// waiting for their epoch, the built epoch being applied, and the
+	// prefetcher's double-buffered batches and assembly scratch.
+	rd      visitReader
+	departs departBuckets // its epoch is the engine's merge granularity
+	batch   epochBatch
+	bufs    [2][]event
+	nextBuf int
+	arrives []event
+	due     []event
+
+	// Cursor side: the scheduled workload (pkts[gi] is the next
+	// generation) and the router timers, the only events on the heap.
+	pkts     []*Packet
+	gi       int
+	timers   eventHeap
+	timerSeq int
+}
+
+// cursors is the engine's position in its event sources apart from the
+// reader and the pending departures: plain values, so a snapshot and a
+// fork copy it by assignment.
+type cursors struct {
+	now         trace.Time
+	epEnd       trace.Time // end of the next epoch to build
+	drained     bool       // the source is exhausted: the last epoch is built
+	unitN       int        // number of the next time unit
+	unitT       trace.Time // its timestamp
+	nextDisrupt int
+	epochs      int // epochs built
+	events      int // events applied
 }
 
 // pathPieceCap is the Path capacity pre-carved per packet: routes longer
@@ -353,16 +386,31 @@ const (
 	pathArenaChunk = 256
 )
 
-// newEngineCore assembles the per-run state shared by the classic and
-// sharded constructors: context, node and station populations, presence
-// sets and the measurement boundary. Event seeding is the caller's job —
-// New fills the global heap, NewSharded streams epochs through cursors.
-func newEngineCore(tr *trace.Trace, r Router, w *Workload, cfg Config, start, end trace.Time) *Engine {
+// New assembles an engine for one run over a materialized trace, which
+// must be preprocessed (sorted, validated). The context trace is tr
+// itself, visits included.
+func New(tr *trace.Trace, r Router, w *Workload, cfg Config) *Engine {
+	start, end := tr.Span()
+	return newEngine(tr, trace.NewSliceSource(tr, 0), r, w, cfg, 0, start, end)
+}
+
+// newEngine assembles the per-run state: context, node and station
+// populations, presence sets, the measurement boundary, the visit reader
+// and the cursors. epoch <= 0 means one day.
+func newEngine(tr *trace.Trace, src trace.Source, r Router, w *Workload, cfg Config, epoch, start, end trace.Time) *Engine {
+	if epoch <= 0 {
+		epoch = trace.Day
+	}
 	e := &Engine{
-		router:   r,
-		workload: w,
-		start:    start,
-		end:      end,
+		router:      r,
+		start:       start,
+		end:         end,
+		measureFrom: start + cfg.Warmup,
+		disrupt:     cfg.Disrupt,
+		rd:          visitReader{src: src, nodes: tr.NumNodes, lms: tr.NumLandmarks},
+		departs:     departBuckets{start: start, epoch: epoch},
+		batch:       epochBatch{bound: start},
+		cursors:     cursors{epEnd: start + epoch, unitT: start + cfg.Unit},
 	}
 	ctx := &Context{
 		Trace:   tr,
@@ -381,39 +429,10 @@ func newEngineCore(tr *trace.Trace, r Router, w *Workload, cfg Config, start, en
 	}
 	e.ctx = ctx
 	e.present = make([][]*Node, tr.NumLandmarks)
-	e.measureFrom = start + cfg.Warmup
-	e.disrupt = cfg.Disrupt
-	return e
-}
-
-// New assembles an engine for one run. The trace must be preprocessed
-// (sorted, validated).
-func New(tr *trace.Trace, r Router, w *Workload, cfg Config) *Engine {
-	start, end := tr.Span()
-	e := newEngineCore(tr, r, w, cfg, start, end)
-	// Seed the event heap. The exact capacity for the trace- and
-	// unit-driven events is known up front; packet generations grow it once
-	// more below.
-	units := 0
-	if cfg.Unit > 0 {
-		units = int((end-start)/cfg.Unit) + 1
-	}
-	e.events.grow(2*len(tr.Visits) + units)
-	for _, v := range tr.Visits {
-		e.push(event{t: v.Start, kind: evArrive, visit: v})
-		e.push(event{t: v.End, kind: evDepart, visit: v})
-	}
-	if cfg.Unit > 0 {
-		for u, t := 0, start+cfg.Unit; t <= end; u, t = u+1, t+cfg.Unit {
-			e.push(event{t: t, kind: evUnit, unit: u})
-		}
-	}
 	if w != nil {
-		pkts := w.Schedule(e.ctx.Rand, e.measureFrom, end, tr.NumLandmarks)
-		e.events.grow(len(pkts))
-		for _, pkt := range pkts {
-			e.push(event{t: pkt.Created, kind: evGenerate, pkt: pkt})
-		}
+		// ctx.Rand is fresh and consumed only here, so the packet schedule
+		// depends on the seed and the span alone.
+		e.pkts = w.Schedule(ctx.Rand, e.measureFrom, end, tr.NumLandmarks)
 	}
 	return e
 }
@@ -421,12 +440,6 @@ func New(tr *trace.Trace, r Router, w *Workload, cfg Config) *Engine {
 // Context exposes the engine's context (for routers needing setup access
 // before Run, e.g. fault injection in the loop experiment).
 func (e *Engine) Context() *Context { return e.ctx }
-
-func (e *Engine) push(ev event) {
-	ev.seq = e.eventSeq
-	e.eventSeq++
-	e.events.push(ev)
-}
 
 // addPresent inserts n into landmark lm's ID-ordered presence set. The
 // insert is idempotent so malformed traces (zero-length visits) cannot
@@ -464,24 +477,7 @@ const maxTime = trace.Time(1) << 62
 // events exactly as an uninterrupted Run would — or serve as the source of
 // a Snapshot from which seeded measured runs are forked (see fork.go).
 func (e *Engine) RunWarmup() {
-	if !e.started {
-		e.started = true
-		e.router.Init(e.ctx)
-	}
-	e.runEvents(e.measureFrom)
-}
-
-// runEvents processes events in order until the heap is empty or the next
-// event is at or past until.
-func (e *Engine) runEvents(until trace.Time) {
-	for e.events.Len() > 0 {
-		if e.events.ev[0].t >= until {
-			return
-		}
-		ev := e.events.pop()
-		e.now = ev.t
-		e.apply(ev)
-	}
+	e.runUntil(e.measureFrom)
 }
 
 // contactBudget derives an arrival's transfer budget from the visit
@@ -520,10 +516,10 @@ func (e *Engine) advanceDisrupt(t trace.Time) {
 	}
 }
 
-// apply executes one event. The caller has already advanced e.now to the
-// event's timestamp; the sharded engine calls apply directly from its
-// epoch-merge loop, so every state transition — presence sets, router
-// callbacks, packet accounting — lives here and nowhere else.
+// apply executes one event. The caller (applyBatch, stream.go) has already
+// advanced e.now to the event's timestamp; every state transition —
+// presence sets, router callbacks, packet accounting — lives here and
+// nowhere else.
 func (e *Engine) apply(ev event) {
 	if e.nextDisrupt < len(e.disrupt) {
 		e.advanceDisrupt(ev.t)
@@ -583,7 +579,6 @@ func (e *Engine) apply(ev event) {
 				prb.QueueDepth(e.now, lm, st.Buffer.Len())
 			}
 		}
-		e.nextUnit = ev.unit + 1
 		e.router.OnTimeUnit(e.ctx, ev.unit)
 		if ck := e.ctx.Check; ck != nil {
 			ck.Scan(e.now, e.ctx)
@@ -598,17 +593,7 @@ func (e *Engine) apply(ev event) {
 // the whole simulation; after RunWarmup (or on a forked engine) it
 // continues from the warmup boundary.
 func (e *Engine) Run() *Result {
-	if !e.started {
-		e.started = true
-		e.router.Init(e.ctx)
-	}
-	e.runEvents(maxTime)
-	return e.finish()
-}
-
-// finish closes out a run after the last event: final invariant scan,
-// end-of-run drain, and result assembly. Shared by Run and Sharded.Run.
-func (e *Engine) finish() *Result {
+	e.runUntil(maxTime)
 	// The final scan runs before the end-of-run drain: draining flags
 	// packets terminal while leaving the buffers untouched, which would
 	// trip the "no terminal packet in a buffer" invariant by design.

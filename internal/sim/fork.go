@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -33,9 +34,12 @@ type Cloner interface {
 }
 
 // Snapshot is a frozen engine at the end of warmup. It retains the
-// engine's router, nodes, stations, pending events and metrics; Fork deep-
-// clones them per seeded run, so one snapshot serves any number of
-// concurrent forks. The snapshotted engine must not be run further.
+// engine's router, nodes, stations and metrics, and its position in the
+// event order: the reader's place in the trace's visit slice, the pending
+// departures, the built epoch's unapplied events and the cursors. Fork
+// deep-clones the mutable parts per seeded run, so one snapshot serves any
+// number of concurrent forks. The snapshotted engine must not be run
+// further.
 type Snapshot struct {
 	trace       *trace.Trace
 	cfg         Config
@@ -43,24 +47,25 @@ type Snapshot struct {
 	nodes       []*Node
 	stations    []*Station
 	present     [][]int // presence sets by node ID (rebound to clones)
-	events      []event
-	eventSeq    int
-	now         trace.Time
 	start, end  trace.Time
 	measureFrom trace.Time
-	nextUnit    int
-	nextDisrupt int
+	rd          visitReader // over a *trace.SliceSource; copied per fork
+	departs     departBuckets
+	batch       epochBatch // unapplied events only; shared read-only
+	cur         cursors
 	metrics     *metrics.Collector
 }
 
 // Snapshot captures the engine's complete state for forking. It fails
 // when the router does not implement Cloner, when warmup has not been run,
-// or when the warm state is not safely clonable: pending timer events
-// carry closures over the original engine's state, and packets are
-// mutable shared objects — neither may cross a fork. Both conditions are
-// impossible in the default configurations (timers come from the dead-end
-// extension, packets only exist from the warmup boundary onward); callers
-// hitting them should fall back to fresh runs.
+// when the engine streams from a source other than a materialized trace
+// (only a trace.SliceSource can be resumed per fork), or when the warm
+// state is not safely clonable: pending timer events carry closures over
+// the original engine's state, and packets are mutable shared objects —
+// neither may cross a fork. Both conditions are impossible in the default
+// configurations (timers come from the dead-end extension, packets only
+// exist from the warmup boundary onward); callers hitting them should
+// fall back to fresh runs.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	cl, ok := e.router.(Cloner)
 	if !ok {
@@ -69,18 +74,20 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	if !e.started {
 		return nil, fmt.Errorf("sim: Snapshot before RunWarmup")
 	}
+	src, ok := e.rd.src.(*trace.SliceSource)
+	if !ok {
+		return nil, fmt.Errorf("sim: engine over a non-slice stream (%T) cannot be forked", e.rd.src)
+	}
 	if e.ctx.Check != nil {
 		// A checker accumulates per-run lifecycle state on one goroutine;
 		// forks sharing it would race and double-count.
 		return nil, fmt.Errorf("sim: engine with an invariant checker cannot be forked")
 	}
-	for i := range e.events.ev {
-		switch e.events.ev[i].kind {
-		case evTimer:
-			return nil, fmt.Errorf("sim: pending timer event at t=%d cannot be forked", e.events.ev[i].t)
-		case evGenerate:
-			return nil, fmt.Errorf("sim: pending packet generation at t=%d cannot be forked", e.events.ev[i].t)
-		}
+	if e.timers.Len() > 0 {
+		return nil, fmt.Errorf("sim: pending timer event at t=%d cannot be forked", e.timers.ev[0].t)
+	}
+	if e.gi < len(e.pkts) {
+		return nil, fmt.Errorf("sim: pending packet generation at t=%d cannot be forked", e.pkts[e.gi].Created)
 	}
 	for _, n := range e.ctx.Nodes {
 		if n.Buffer.Len() > 0 {
@@ -99,14 +106,13 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		nodes:       e.ctx.Nodes,
 		stations:    e.ctx.Stations,
 		present:     make([][]int, len(e.present)),
-		events:      append([]event(nil), e.events.ev...),
-		eventSeq:    e.eventSeq,
-		now:         e.now,
 		start:       e.start,
 		end:         e.end,
 		measureFrom: e.measureFrom,
-		nextUnit:    e.nextUnit,
-		nextDisrupt: e.nextDisrupt,
+		rd:          e.rd.resumed(src),
+		departs:     e.departs.clone(),
+		batch:       epochBatch{events: slices.Clone(e.batch.events[e.batch.next:]), bound: e.batch.bound},
+		cur:         e.cursors,
 		metrics:     e.ctx.Metrics.Clone(),
 	}
 	for lm, set := range e.present {
@@ -122,6 +128,16 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
+// resumed returns a copy of the reader over its own copy of src — a
+// SliceSource value is an independent cursor at the same position — so
+// the copy continues the stream without touching r. The current chunk is
+// a view of the trace's visits, which nobody writes.
+func (r *visitReader) resumed(src *trace.SliceSource) visitReader {
+	cp, srcCopy := *r, *src
+	cp.src = &srcCopy
+	return cp
+}
+
 // Fork builds a new engine whose state equals the snapshot's, schedules
 // the workload with a fresh seed-derived RNG, and returns it ready for
 // Run. The forked run's result is bit-identical to a fresh engine built
@@ -134,16 +150,15 @@ func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 	cfg := s.cfg
 	cfg.Seed = seed
 	e := &Engine{
-		workload:    w,
-		eventSeq:    s.eventSeq,
-		now:         s.now,
 		start:       s.start,
 		end:         s.end,
 		measureFrom: s.measureFrom,
-		nextUnit:    s.nextUnit,
-		disrupt:     cfg.Disrupt,
-		nextDisrupt: s.nextDisrupt,
 		started:     true,
+		cursors:     s.cur,
+		disrupt:     cfg.Disrupt,
+		rd:          s.rd.resumed(s.rd.src.(*trace.SliceSource)),
+		departs:     s.departs.clone(),
+		batch:       s.batch,
 	}
 	ctx := &Context{
 		Trace:   s.trace,
@@ -178,14 +193,9 @@ func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 		}
 		e.present[lm] = set
 	}
-	e.events.ev = append(make([]event, 0, len(s.events)), s.events...)
 	e.router = s.router.CloneRouter(ctx)
 	if w != nil {
-		pkts := w.Schedule(ctx.Rand, e.measureFrom, e.end, s.trace.NumLandmarks)
-		e.events.grow(len(pkts))
-		for _, pkt := range pkts {
-			e.push(event{t: pkt.Created, kind: evGenerate, pkt: pkt})
-		}
+		e.pkts = w.Schedule(ctx.Rand, e.measureFrom, e.end, s.trace.NumLandmarks)
 	}
 	return e
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -156,19 +157,118 @@ func TestForkMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// epochTrace has four nodes over three landmarks for ten days, with
+// visits from two hours to three days long: at any moment the present
+// nodes' departures fall in several later epochs, even one-day ones.
+func epochTrace() *trace.Trace {
+	rng := rand.New(rand.NewSource(5))
+	tr := &trace.Trace{Name: "EPOCHS", NumNodes: 4, NumLandmarks: 3}
+	for n := 0; n < tr.NumNodes; n++ {
+		for t := trace.Time(rng.Intn(3600)); t < 10*trace.Day; {
+			dur := 2*trace.Hour + trace.Time(rng.Int63n(int64(3*trace.Day)))
+			tr.Visits = append(tr.Visits, trace.Visit{Node: n, Landmark: rng.Intn(3), Start: t, End: t + dur})
+			t += dur + trace.Time(rng.Int63n(int64(6*trace.Hour)))
+		}
+	}
+	tr.SortVisits()
+	return tr
+}
+
+// TestForkAcrossEpochs forks at a warmup boundary inside an epoch, with
+// departures pending for several later epochs (or, for the single epoch
+// longer than the trace, the whole rest of the run built but unapplied),
+// at each epoch row. Every fork must equal a fresh run at the same epoch:
+// summary, raw counters, router state and engine stats.
+func TestForkAcrossEpochs(t *testing.T) {
+	tr := epochTrace()
+	cfg := func(seed int64) Config {
+		return Config{Seed: seed, PacketSize: 1, NodeMemory: 100, TTL: 4 * trace.Day, Unit: trace.Day,
+			Warmup: 5*trace.Day/2 + 1234, LinkRate: 0.0002}
+	}
+	w := NewWorkload(40, 1, 4*trace.Day)
+	single := tr.Duration() + 1
+	for _, epoch := range epochRows(tr) {
+		build := func(w *Workload, seed int64) *Engine {
+			e, err := NewSharded(func() trace.Source { return trace.NewSliceSource(tr, 3) },
+				newRelayRouter(tr.NumNodes), w, cfg(seed), ShardConfig{Epoch: epoch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		base := build(nil, 0)
+		base.RunWarmup()
+		if (base.measureFrom-base.start)%base.departs.epoch == 0 {
+			t.Fatalf("epoch %d: warmup ends on an epoch boundary", epoch)
+		}
+		pending := 0
+		for _, b := range base.departs.bkt {
+			if len(b) > 0 {
+				pending++
+			}
+		}
+		unapplied := len(base.batch.events) - base.batch.next
+		if epoch == single && unapplied == 0 {
+			t.Fatalf("epoch %d: nothing built but unapplied at the warmup boundary", epoch)
+		}
+		if epoch != single && pending < 2 {
+			t.Fatalf("epoch %d: departures pending in %d later epochs, want >= 2", epoch, pending)
+		}
+		snap, err := base.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The forks share the snapshot (its trace cursor and unapplied
+		// events), so they run concurrently for the race detector.
+		var wg sync.WaitGroup
+		for seed := int64(1); seed <= 3; seed++ {
+			fresh := build(w, seed)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				want := fresh.Run()
+				forked := Fork(snap, w, seed)
+				got := forked.Run()
+				if !reflect.DeepEqual(got.Summary, want.Summary) || !reflect.DeepEqual(got.Raw, want.Raw) {
+					t.Errorf("epoch %d seed %d: forked run differs:\ngot  %+v\nwant %+v", epoch, seed, got.Summary, want.Summary)
+				}
+				fr, wr := forked.router.(*relayRouter), fresh.router.(*relayRouter)
+				if !reflect.DeepEqual(fr, wr) {
+					t.Errorf("epoch %d seed %d: router state %+v, want %+v", epoch, seed, *fr, *wr)
+				}
+				if forked.Stats() != fresh.Stats() {
+					t.Errorf("epoch %d seed %d: stats %+v, want %+v", epoch, seed, forked.Stats(), fresh.Stats())
+				}
+				if wr.relays == 0 || want.Summary.Delivered == 0 {
+					t.Errorf("epoch %d seed %d: vacuous run (relays %d, delivered %d)", epoch, seed, wr.relays, want.Summary.Delivered)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestRunWarmupThenRun checks that Run continues a warmed-up engine
-// exactly as an uninterrupted Run would.
+// exactly as an uninterrupted Run would: on New's one-day epochs, where
+// the warmup boundary falls mid-epoch, and on 250 s epochs, which divide
+// the warmup so the boundary is an epoch end.
 func TestRunWarmupThenRun(t *testing.T) {
 	tr := relayTrace()
 	for name, w := range relayWorkloads() {
 		want := New(tr, newRelayRouter(tr.NumNodes), w, relayConfig(5)).Run()
-		eng := New(tr, newRelayRouter(tr.NumNodes), w, relayConfig(5))
-		eng.RunWarmup()
-		if eng.now >= eng.measureFrom {
-			t.Fatalf("%s: warmup ran to %d, past the measurement start %d", name, eng.now, eng.measureFrom)
-		}
-		if got := eng.Run(); !reflect.DeepEqual(got.Summary, want.Summary) || !reflect.DeepEqual(got.Raw, want.Raw) {
-			t.Errorf("%s: warmup+run differs:\ngot  %+v\nwant %+v", name, got.Summary, want.Summary)
+		for _, epoch := range []trace.Time{0, 250} {
+			eng, err := NewSharded(func() trace.Source { return trace.NewSliceSource(tr, 0) },
+				newRelayRouter(tr.NumNodes), w, relayConfig(5), ShardConfig{Epoch: epoch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.RunWarmup()
+			if eng.now >= eng.measureFrom {
+				t.Fatalf("%s epoch %d: warmup ran to %d, past the measurement start %d", name, epoch, eng.now, eng.measureFrom)
+			}
+			if got := eng.Run(); !reflect.DeepEqual(got.Summary, want.Summary) || !reflect.DeepEqual(got.Raw, want.Raw) {
+				t.Errorf("%s epoch %d: warmup+run differs:\ngot  %+v\nwant %+v", name, epoch, got.Summary, want.Summary)
+			}
 		}
 	}
 }
@@ -214,6 +314,16 @@ func TestSnapshotRejects(t *testing.T) {
 			e.ctx.Nodes[2].Buffer.Add(&Packet{ID: 0, Size: 1, DstNode: -1, Expiry: 1 << 40})
 			return e
 		}, "node 2 holds packets"},
+		{"non-slice stream", func() *Engine {
+			// The anonymous wrapper hides *trace.SliceSource (and Spanner).
+			open := func() trace.Source { return struct{ trace.Source }{trace.NewSliceSource(tr, 0)} }
+			e, err := NewSharded(open, newRelayRouter(tr.NumNodes), nil, relayConfig(1), ShardConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.RunWarmup()
+			return e
+		}, "non-slice stream"},
 		{"station holds packets", func() *Engine {
 			e := New(tr, newRelayRouter(tr.NumNodes), nil, relayConfig(1))
 			e.RunWarmup()

@@ -2,14 +2,13 @@ package sim
 
 import "repro/internal/trace"
 
-// The event heap is the engine's hottest data structure: every visit
-// contributes two events, plus time units, packet generations and router
-// timers. The seed implementation used container/heap over []*event, which
-// boxes every event behind a pointer (one allocation each) and pays an
-// interface-method call per sift step. This typed binary heap stores
-// events by value in one growable backing array — the array itself is the
-// event pool: pushes reuse freed slots left behind by pops, so a steady
-// simulation allocates nothing after the seeding phase.
+// Events are values: a visit, time-unit, generation or timer event is one
+// fixed-size struct, compared by before. Visit events travel in per-epoch
+// batches and the unit and generation events are synthesised from cursors
+// (stream.go), so the heap below holds only router timers — events a
+// callback schedules at an arbitrary future time. It is a typed binary heap
+// over one growable backing array: no per-event allocation, no interface
+// call per sift step, and pushes reuse the slots pops free.
 
 // event kinds, in tie-break order at equal timestamps.
 const (
@@ -23,7 +22,7 @@ const (
 type event struct {
 	t    trace.Time
 	kind int
-	seq  int // insertion sequence for total ordering
+	seq  int // per-kind sequence for total ordering
 	// payload
 	visit trace.Visit
 	pkt   *Packet
@@ -31,9 +30,11 @@ type event struct {
 	fn    func()
 }
 
-// before is the total event order: time, then kind, then insertion
-// sequence. seq is unique per engine, so the order has no ties and the pop
-// sequence is deterministic regardless of the heap's internal layout.
+// before is the total event order: time, then kind, then the per-kind
+// sequence (stream position for visit events, unit number, packet index,
+// schedule order for timers). seq is unique within a kind, so the order
+// has no ties and the pop sequence is deterministic regardless of the
+// heap's internal layout.
 func (a *event) before(b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -50,15 +51,6 @@ type eventHeap struct {
 }
 
 func (h *eventHeap) Len() int { return len(h.ev) }
-
-// grow preallocates capacity for n more events.
-func (h *eventHeap) grow(n int) {
-	if cap(h.ev)-len(h.ev) < n {
-		ev := make([]event, len(h.ev), len(h.ev)+n)
-		copy(ev, h.ev)
-		h.ev = ev
-	}
-}
 
 // push inserts e, restoring the heap property by sifting up.
 func (h *eventHeap) push(e event) {

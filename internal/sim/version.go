@@ -1,8 +1,8 @@
 package sim
 
 // EngineVersion names the current numeric behaviour of the simulation
-// engines — the classic heap engine and the sharded scale engine, which
-// are pinned bit-identical to each other by the golden corpus. It is part
+// engine — one event loop, whether it runs over a materialized trace (New)
+// or a stream (NewSharded), pinned by the golden corpus. It is part
 // of every run fingerprint (experiment.Cell.Fingerprint), so cached fleet
 // results and golden comparisons can never silently span an engine whose
 // event order, tie-breaks or accounting rules changed.

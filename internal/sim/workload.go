@@ -33,8 +33,8 @@ type Workload struct {
 	// Surges adds flash-crowd traffic spikes on top of the base rate
 	// (internal/disrupt compiles them from a disruption spec). They are
 	// scheduled inside Schedule from the same RNG stream as the base
-	// workload, so the classic and sharded constructors — both of which
-	// call Schedule with identical arguments — see identical packets.
+	// workload, so New, NewSharded and Fork — all of which call Schedule
+	// with identical arguments — see identical packets.
 	Surges []Surge
 }
 

@@ -27,8 +27,9 @@ func (in SourceInfo) header() *Trace {
 }
 
 // Header returns a Trace with the source's dimensions and positions but no
-// visits. The sharded engine runs on such headers: routers only ever read
-// NumNodes/NumLandmarks/Positions from the context trace.
+// visits. An engine over a stream (sim.NewSharded) runs on such headers:
+// routers only ever read NumNodes/NumLandmarks/Positions from the context
+// trace.
 func (in SourceInfo) Header() *Trace { return in.header() }
 
 // Source streams a trace's visits in time order without materializing the
@@ -70,7 +71,9 @@ func VisitBefore(a, b Visit) bool {
 }
 
 // SliceSource adapts a materialized Trace to the Source interface, yielding
-// its visits in fixed-size chunks. It implements Spanner.
+// its visits in fixed-size chunks. It implements Spanner. A copy of a
+// SliceSource value is an independent cursor at the same position (the
+// chunks are views of the trace's visits, which it never writes).
 type SliceSource struct {
 	tr    *Trace
 	chunk int

@@ -197,13 +197,14 @@ func routerFor(m string) func() sim.Router {
 	return func() sim.Router { return experiment.NewRouter(m) }
 }
 
-// disruptedRun executes one method on a perturbed scenario twice — the
-// classic engine on the materialized perturbed trace, under the
-// disruption-armed invariant checker with telemetry cross-checks, and
-// the sharded engine over a disrupt-wrapped stream — and requires a
-// clean checker plus bit-identical summaries. One item therefore covers
-// three contracts at once: the disruption invariants hold, the checker
-// stays neutral, and engine equivalence survives the perturbation.
+// disruptedRun executes one method on a perturbed scenario twice — over
+// the materialized perturbed trace, under the disruption-armed invariant
+// checker with telemetry cross-checks, and over a disrupt-wrapped stream
+// — and requires a clean checker plus bit-identical summaries. The two
+// runs reach the disruption's trace effects by different paths (Perturb
+// and Wrap), so one item covers three contracts at once: the disruption
+// invariants hold, the checker stays neutral, and the two trace-effect
+// paths agree.
 func disruptedRun(name string, sc *experiment.Scenario, tr *trace.Trace, sp *disrupt.Spec, method string, rate float64) Item {
 	ck := NewChecker()
 	ck.SetDisruption(sp)
@@ -212,25 +213,25 @@ func disruptedRun(name string, sc *experiment.Scenario, tr *trace.Trace, sp *dis
 	cfg.Probe = telemetry.NewProbe(telemetry.NewRecorder(1 << 12))
 	w := sc.Workload(rate)
 	sp.Apply(&cfg, w)
-	classic := sim.New(tr, experiment.NewRouter(method), w, cfg).Run().Summary
+	materialized := sim.New(tr, experiment.NewRouter(method), w, cfg).Run().Summary
 	if err := ck.Err(); err != nil {
 		return Item{Name: name, Detail: err.Error()}
 	}
 
-	shCfg := sc.Config(1)
-	shW := sc.Workload(rate)
-	sp.Apply(&shCfg, shW)
+	stCfg := sc.Config(1)
+	stW := sc.Workload(rate)
+	sp.Apply(&stCfg, stW)
 	open := disrupt.Wrap(func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) }, sp)
-	sh, err := sim.NewSharded(open, experiment.NewRouter(method), shW, shCfg, sim.ShardConfig{Workers: 4})
+	eng, err := sim.NewSharded(open, experiment.NewRouter(method), stW, stCfg, sim.ShardConfig{})
 	if err != nil {
-		return Item{Name: name, Detail: "sharded setup failed: " + err.Error()}
+		return Item{Name: name, Detail: "streamed setup failed: " + err.Error()}
 	}
-	sharded := sh.Run().Summary
-	if experiment.SummaryFingerprint(classic) != experiment.SummaryFingerprint(sharded) {
-		return Item{Name: name, Detail: fmt.Sprintf("classic %+v, sharded %+v", classic, sharded)}
+	streamed := eng.Run().Summary
+	if experiment.SummaryFingerprint(materialized) != experiment.SummaryFingerprint(streamed) {
+		return Item{Name: name, Detail: fmt.Sprintf("materialized %+v, streamed %+v", materialized, streamed)}
 	}
 	return Item{Name: name, Pass: true,
-		Detail: fmt.Sprintf("%d packets, 0 violations, classic == sharded", classic.Generated)}
+		Detail: fmt.Sprintf("%d packets, 0 violations, materialized == streamed", materialized.Generated)}
 }
 
 // forkEquivalence warms one engine, snapshots it, and checks that forked

@@ -9,7 +9,8 @@
 # scenarios — steady-state and storm-disrupted — plus DTN-FLOW with load
 # balancing (BALANCE.json, the Table VIII configuration). TestGoldenRuns,
 # TestDisruptedGoldenRuns and TestBalanceGoldenRuns compare against it
-# exactly, on the classic and sharded engines; run this script only when a
+# exactly, through the materialized scenario traces and again through
+# chunked streams at three epoch lengths; run this script only when a
 # numeric change is intended, and review the corpus diff like code.
 set -eu
 cd "$(dirname "$0")/.."
