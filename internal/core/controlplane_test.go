@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/routing"
@@ -59,23 +60,30 @@ func TestBandwidthMeasurementConverges(t *testing.T) {
 
 // TestPacketRoutesAcrossTwoHops injects a packet at landmark 0 for
 // landmark 2; it must travel 0 -> 1 (shuttle nodes) -> 2 (the 1<->2 node).
+// Loop correction is on so the router records the landmark path, starting
+// at the source in OnGenerate.
 func TestPacketRoutesAcrossTwoHops(t *testing.T) {
 	tr := shuttleTrace(4, 60)
-	r := New(DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.LoopFix = true
+	r := New(cfg)
 	eng := sim.New(tr, r, nil, shuttleConfig(tr))
 	ctx := eng.Context()
 	var p *sim.Packet
 	ctx.Schedule(4000, func() { // after the control plane converged
 		p = &sim.Packet{ID: 0, Src: 0, Dst: 2, DstNode: -1, Size: 1, Created: 4000, Expiry: 1 << 30, NextHop: -1, ExpDelay: 1e308}
 		ctx.Stations[0].Buffer.Add(p)
-		p.Path = append(p.Path, 0)
 		r.OnGenerate(ctx, p)
 	})
 	eng.Run()
 	if p == nil || !p.Done() {
 		t.Fatalf("packet not delivered: %+v", p)
 	}
-	// Its landmark path must include the intermediate landmark 1.
+	// Its landmark path must start at the source and include the
+	// intermediate landmark 1.
+	if len(p.Path) == 0 || p.Path[0] != 0 {
+		t.Errorf("path %v does not start at the source", p.Path)
+	}
 	saw1 := false
 	for _, lm := range p.Path {
 		if lm == 1 {
@@ -212,20 +220,27 @@ func TestComparatorsStrictTotalOrders(t *testing.T) {
 	t.Run("cmpCarrier", func(t *testing.T) { checkStrictOrder(t, carriers, cmpCarrier) })
 }
 
+// TestRouteRecordsPath: with loop correction on, every station receipt
+// appends its landmark to the packet's path; with it off, nothing reads
+// the path and the router leaves it nil.
 func TestRouteRecordsPath(t *testing.T) {
 	tr := shuttleTrace(2, 20)
-	r := New(DefaultConfig())
-	eng := sim.New(tr, r, nil, shuttleConfig(tr))
-	ctx := eng.Context()
-	r.Init(ctx)
-	p := &sim.Packet{ID: 0, Src: 0, Dst: 2, DstNode: -1, Size: 1, Expiry: 1 << 30, NextHop: -1}
-	r.stationReceive(ctx, 0, p)
-	if len(p.Path) != 1 || p.Path[0] != 0 {
-		t.Errorf("path = %v", p.Path)
-	}
-	r.stationReceive(ctx, 1, p)
-	if len(p.Path) != 2 || p.Path[1] != 1 {
-		t.Errorf("path = %v", p.Path)
+	for _, loopFix := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.LoopFix = loopFix
+		r := New(cfg)
+		eng := sim.New(tr, r, nil, shuttleConfig(tr))
+		ctx := eng.Context()
+		r.Init(ctx)
+		p := &sim.Packet{ID: 0, Src: 0, Dst: 2, DstNode: -1, Size: 1, Expiry: 1 << 30, NextHop: -1}
+		r.stationReceive(ctx, 0, p)
+		r.stationReceive(ctx, 1, p)
+		switch {
+		case loopFix && !slices.Equal(p.Path, []int{0, 1}):
+			t.Errorf("LoopFix on: path = %v, want [0 1]", p.Path)
+		case !loopFix && p.Path != nil:
+			t.Errorf("LoopFix off: path = %v, want nil", p.Path)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Cycle fast-forward for the contact scheduler (Section IV-D.5).
 //
@@ -28,10 +24,13 @@ import (
 // packets, so an unchanged nn means they gained none. When the
 // start-of-round state repeats the one two rounds back, those two rounds
 // form a cycle whose only other effect is a fixed increment Δ of the
-// budget, ForwardingOps, the forwarding Debug counters, lbAssigned/lbSent
-// and each packet's Path (uploads append the landmark). The cycle then
-// repeats unchanged as long as (a) no transfer inside it meets an
-// exhausted budget and (b) every overload sub-predicate keeps its value.
+// budget, ForwardingOps, the forwarding Debug counters and lbAssigned/
+// lbSent. Packet paths are not among them: only loop correction writes
+// Path, and it keeps the plain loop because it detects and corrects loops
+// on every upload. So a skip costs O(buffer), not O(transfers skipped).
+// The cycle then repeats unchanged as long as (a) no transfer inside it
+// meets an exhausted budget and (b) every overload sub-predicate keeps
+// its value.
 // For (b): the counters only grow inside a contact, and both
 // sub-predicates — float rounding included — are monotone in each
 // counter, so a sub-predicate that agrees at the four corners of the box
@@ -49,12 +48,11 @@ import (
 const cycleWarmRounds = 8
 
 // bufEnt is one buffered packet in a round snapshot, with the fields a
-// round reads (NextHop, ExpDelay) and the one a cycle grows (Path).
+// round reads (NextHop, ExpDelay).
 type bufEnt struct {
-	p    *sim.Packet
-	hop  int
-	exp  float64
-	path int // len(p.Path)
+	p   *sim.Packet
+	hop int
+	exp float64
 }
 
 // roundState is the scheduler state at the start of one round.
@@ -98,7 +96,7 @@ func (r *Router) fastForward(ctx *sim.Context, c *sim.Contact, mode string, nn, 
 	st := ctx.Stations[c.Landmark].Buffer.Packets()
 	nd := c.Node.Buffer.Packets()
 	if s.gen == cy.gen && s.round == round-2 && s.mode == mode && s.nn == nn &&
-		sameBuffer(s.st, st) && sameBuffer(s.nd, nd) && r.skipCycles(ctx, c, s, st, nd) {
+		sameBuffer(s.st, st) && sameBuffer(s.nd, nd) && r.skipCycles(ctx, c, s) {
 		cy.skips++
 		cy.gen++ // both snapshots predate the skip
 		return
@@ -117,12 +115,12 @@ func (r *Router) fastForward(ctx *sim.Context, c *sim.Contact, mode string, nn, 
 }
 
 // skipCycles applies k whole repetitions of the cycle observed since
-// snapshot s, where st and nd are the (equal) current buffers. k is the
-// largest count that leaves the budget positive, so every skipped
-// transfer would have found budget and the plain loop still runs the
-// contact's remaining rounds. It reports false, changing nothing, when
-// not even one cycle can be skipped exactly.
-func (r *Router) skipCycles(ctx *sim.Context, c *sim.Contact, s *roundState, st, nd []*sim.Packet) bool {
+// snapshot s, whose buffers equal the current ones. k is the largest
+// count that leaves the budget positive, so every skipped transfer would
+// have found budget and the plain loop still runs the contact's remaining
+// rounds. It reports false, changing nothing, when not even one cycle can
+// be skipped exactly.
+func (r *Router) skipCycles(ctx *sim.Context, c *sim.Contact, s *roundState) bool {
 	cost := s.budget - c.Budget
 	if cost <= 0 {
 		return false
@@ -150,8 +148,6 @@ func (r *Router) skipCycles(ctx *sim.Context, c *sim.Contact, s *roundState, st,
 		ls.lbAssigned[i] = a + kf*(a-s.assigned[i])
 		ls.lbSent[i] += kf * (ls.lbSent[i] - s.sent[i])
 	}
-	growPaths(st, s.st, k, c.Landmark)
-	growPaths(nd, s.nd, k, c.Landmark)
 	return true
 }
 
@@ -167,21 +163,6 @@ func (r *Router) overloadSteady(ls *landmarkState, link int, a0, a1, s0, s1 floa
 		}
 	}
 	return true
-}
-
-// growPaths appends k cycles' worth of landmark lm to each packet's Path:
-// the cycle grew packet j's path by len(Path) minus its snapshot length.
-func growPaths(pkts []*sim.Packet, snap []bufEnt, k, lm int) {
-	for j, p := range pkts {
-		n := k * (len(p.Path) - snap[j].path)
-		if n == 0 {
-			continue
-		}
-		p.Path = slices.Grow(p.Path, n)
-		for range n {
-			p.Path = append(p.Path, lm)
-		}
-	}
 }
 
 // sameBuffer reports whether a snapshot matches a live buffer: the same
@@ -201,7 +182,7 @@ func sameBuffer(snap []bufEnt, pkts []*sim.Packet) bool {
 // appendBuffer appends the snapshot entries of a live buffer to dst.
 func appendBuffer(dst []bufEnt, pkts []*sim.Packet) []bufEnt {
 	for _, p := range pkts {
-		dst = append(dst, bufEnt{p: p, hop: p.NextHop, exp: p.ExpDelay, path: len(p.Path)})
+		dst = append(dst, bufEnt{p: p, hop: p.NextHop, exp: p.ExpDelay})
 	}
 	return dst
 }

@@ -29,7 +29,6 @@ type packetEnd struct {
 	ID                 int
 	NextHop            int
 	ExpDelay           float64
-	Path               []int
 	Delivered, Dropped bool
 }
 
@@ -60,7 +59,7 @@ func runCycle(sc *experiment.Scenario, cfg core.Config, seed int64, rate float64
 	out := cycleRun{Summary: sum, Debug: rec.Debug, skips: rec.CycleSkips()}
 	for _, p := range rec.pkts {
 		out.Packets = append(out.Packets, packetEnd{
-			ID: p.ID, NextHop: p.NextHop, ExpDelay: p.ExpDelay, Path: p.Path,
+			ID: p.ID, NextHop: p.NextHop, ExpDelay: p.ExpDelay,
 			Delivered: p.Delivered(), Dropped: p.Dropped(),
 		})
 	}
@@ -126,6 +125,26 @@ func TestCycleSkipMatchesPlainLoop(t *testing.T) {
 		t.Logf("%s: %d cycle skips", tc.name, skips.Load())
 		if tc.wantSkip && skips.Load() == 0 {
 			t.Errorf("%s: the fast-forward never fired", tc.name)
+		}
+	}
+}
+
+// TestBalancedRunLeavesPathsNil: only loop correction reads a packet's
+// landmark path, so a load-balanced Tiny DART run without it, whose
+// ping-pong contacts the fast-forward skips, must write no path at all.
+// Recording paths there costs O(transfers), k×Δ entries per skip.
+func TestBalancedRunLeavesPathsNil(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.LoadBalance = true
+	sc := experiment.DARTScenario(experiment.Tiny)
+	rec := &packetRecorder{Router: core.New(cfg)}
+	sim.New(sc.Trace, rec, sc.Workload(sc.RateDef), sc.Config(1)).Run()
+	if rec.CycleSkips() == 0 {
+		t.Fatal("the fast-forward never fired")
+	}
+	for _, p := range rec.pkts {
+		if p.Path != nil {
+			t.Fatalf("packet %d: path %v recorded with LoopFix off", p.ID, p.Path)
 		}
 	}
 }

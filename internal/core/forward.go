@@ -37,20 +37,28 @@ func (r *Router) uploadEligible(ns *nodeState, p *sim.Packet, lm int) bool {
 	return r.landmarks[lm].table.Delay(p.Dst) < 0.9*p.ExpDelay
 }
 
-// stationReceive runs when a packet lands in a station's buffer: it stamps
-// the landmark path, triggers loop detection (Section IV-E.2) and records
-// the packet against its assigned outgoing link for load balancing.
+// stationReceive runs when a packet lands in a station's buffer: with loop
+// correction on it stamps the landmark path and runs loop detection
+// (Section IV-E.2); it always records the packet against its assigned
+// outgoing link for load balancing.
 func (r *Router) stationReceive(ctx *sim.Context, lm int, p *sim.Packet) {
-	if p.Path == nil {
-		p.Path = make([]int, 0, 8) // skip the tiny append-growth steps
-	}
-	p.Path = append(p.Path, lm)
 	if r.cfg.LoopFix {
+		appendPath(p, lm)
 		if members, ok := routing.DetectLoop(p.Path); ok {
 			r.startCorrection(ctx, lm, p.Dst, members)
 		}
 	}
 	r.recordAssignment(r.landmarks[lm], p)
+}
+
+// appendPath appends landmark lm to p's path. Only loop correction reads
+// the path, so only it writes one: every other configuration leaves Path
+// nil.
+func appendPath(p *sim.Packet, lm int) {
+	if p.Path == nil {
+		p.Path = make([]int, 0, 8) // skip the tiny append-growth steps
+	}
+	p.Path = append(p.Path, lm)
 }
 
 // recordAssignment counts the packet toward the incoming rate of the link
@@ -426,8 +434,8 @@ func (r *Router) uploadBatch(ctx *sim.Context, c *sim.Contact) int {
 // the loop — arrivals and departures are events, and events do not nest.
 // Long contacts whose rounds settle into a repeating cycle skip whole
 // cycles at once (cycle.go) unless a probe or checker must observe every
-// transfer, LoopFix reads the grown paths, or NodeRouting delivers on its
-// own path.
+// transfer, LoopFix detects and corrects loops on every upload, or
+// NodeRouting delivers on its own path.
 func (r *Router) schedule(ctx *sim.Context, c *sim.Contact) {
 	lm := c.Landmark
 	st := ctx.Stations[lm]

@@ -237,6 +237,9 @@ func (r *Router) OnGenerate(ctx *sim.Context, p *sim.Packet) {
 	if r.cfg.NodeRouting && p.DstNode >= 0 {
 		r.assignNodeDest(p)
 	}
+	if r.cfg.LoopFix {
+		appendPath(p, p.Src)
+	}
 	ls := r.landmarks[p.Src]
 	r.recordAssignment(ls, p)
 	r.forwardPass(ctx, p.Src, nil)

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -35,28 +33,9 @@ func TestBalanceGoldenRuns(t *testing.T) {
 	for i, sc := range scens {
 		got[sc.Name] = sums[i]
 	}
-	path := goldenPath("BALANCE")
-	if *updateGolden {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
+	want := summaryCorpus(t, "BALANCE", got)
+	if want == nil {
 		return
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with scripts/golden.sh)", err)
-	}
-	want := map[string]metrics.Summary{}
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(scens) {
-		t.Fatalf("corpus has %d scenarios, want %d", len(want), len(scens))
 	}
 	for _, sc := range scens {
 		if got[sc.Name] != want[sc.Name] {

@@ -68,14 +68,14 @@ func runTable6(opt Options) *Report {
 	return rep
 }
 
-// injectLoops schedules x loop injections shortly after warmup.
+// injectLoops schedules x loop injections one time unit after warmup.
 func injectLoops(x int) func(*sim.Engine, sim.Router) {
 	return func(eng *sim.Engine, r sim.Router) {
 		router := r.(*core.Router)
 		ctx := eng.Context()
-		start, _ := ctx.Trace.Span()
-		at := start + ctx.Cfg.Warmup + ctx.Cfg.Unit
-		ctx.Schedule(at, func() {
+		// MeasureFrom, not the context trace's span: a streamed engine's
+		// context trace carries no visits.
+		ctx.Schedule(ctx.MeasureFrom()+ctx.Cfg.Unit, func() {
 			nL := ctx.NumLandmarks()
 			injected := 0
 			for d := 0; d < nL && injected < x; d++ {

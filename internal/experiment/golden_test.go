@@ -76,6 +76,37 @@ func loadGolden(t *testing.T, sc *Scenario) map[string]metrics.Summary {
 	return want
 }
 
+// summaryCorpus rewrites the named corpus file from got under
+// -update-golden and returns nil; otherwise it returns the checked-in
+// entries, which must be as many as got's.
+func summaryCorpus(t *testing.T, name string, got map[string]metrics.Summary) map[string]metrics.Summary {
+	t.Helper()
+	path := goldenPath(name)
+	if *updateGolden {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return nil
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with scripts/golden.sh)", err)
+	}
+	want := map[string]metrics.Summary{}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s corpus has %d entries, want %d", name, len(want), len(got))
+	}
+	return want
+}
+
 // TestGoldenRuns compares every method × Tiny scenario against the checked
 // in corpus, through Run.Execute and again through chunked streams at
 // three epoch lengths — epochs and chunking never change results, so the

@@ -1,0 +1,70 @@
+package experiment
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// The loop-fix golden corpus pins DTN-FLOW with loop detection and
+// correction (Section IV-E.2) under the Table VII fault injection: the
+// W-2 and W-3 configurations, two or three injected loops, on both Tiny
+// scenarios at seed 1 and the scenario's default rate. It is the only
+// corpus entry that records packet landmark paths and runs DetectLoop
+// and the correction rounds on them.
+
+// loopFixRouter is the Table VII W-x router: DTN-FLOW with loop fixing.
+var loopFixRouter = flowRouter(func(c *core.Config) { c.LoopFix = true })
+
+// TestLoopFixGoldenRuns compares the W-2 and W-3 runs on each Tiny
+// scenario against the checked-in corpus through Run.Execute, then
+// replays each through chunked streams at three epoch lengths.
+func TestLoopFixGoldenRuns(t *testing.T) {
+	type entry struct {
+		sc    *Scenario
+		loops int
+		key   string
+	}
+	var (
+		entries []entry
+		runs    []Run
+	)
+	for _, sc := range BothScenarios(Tiny) {
+		for _, x := range []int{2, 3} { // the W-2 and W-3 columns
+			entries = append(entries, entry{sc, x, fmt.Sprintf("%s/W-%d", sc.Name, x)})
+			runs = append(runs, Run{Scenario: sc, Router: loopFixRouter, Seed: 1, Setup: injectLoops(x)})
+		}
+	}
+	sums := Parallel(runs, 0)
+	got := make(map[string]metrics.Summary, len(entries))
+	for i, e := range entries {
+		got[e.key] = sums[i]
+	}
+	want := summaryCorpus(t, "LOOPFIX", got)
+	if want == nil {
+		return
+	}
+	for _, e := range entries {
+		if got[e.key] != want[e.key] {
+			t.Errorf("%s: run drifted from corpus:\ngot  %+v\nwant %+v", e.key, got[e.key], want[e.key])
+		}
+		for _, epoch := range []trace.Time{250, 0, e.sc.Trace.Duration() + 1} {
+			router := loopFixRouter()
+			s, err := sim.NewSharded(
+				func() trace.Source { return trace.NewSliceSource(e.sc.Trace, 512) },
+				router, e.sc.Workload(e.sc.RateDef), e.sc.Config(1), sim.ShardConfig{Epoch: epoch},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			injectLoops(e.loops)(s, router)
+			if sum := s.Run().Summary; sum != want[e.key] {
+				t.Errorf("%s: streamed run (epoch %d) drifted from corpus:\ngot  %+v\nwant %+v", e.key, epoch, sum, want[e.key])
+			}
+		}
+	}
+}

@@ -338,12 +338,6 @@ type Engine struct {
 	// disrupt is the scheduled disruption-action list (Config.Disrupt);
 	// cursors.nextDisrupt indexes the first not-yet-fired action.
 	disrupt []DisruptAction
-	// pathArena is the shared backing array packet Path slices are carved
-	// from in fixed-capacity pieces at generation time, replacing one small
-	// allocation (plus its append-growth steps) per packet with one arena
-	// allocation per pathArenaChunk packets. A path outgrowing its piece
-	// falls back to ordinary append growth.
-	pathArena []int
 
 	// Visit side (stream.go): the reader over the source, the departures
 	// waiting for their epoch, the built epoch being applied, and the
@@ -377,14 +371,6 @@ type cursors struct {
 	epochs      int // epochs built
 	events      int // events applied
 }
-
-// pathPieceCap is the Path capacity pre-carved per packet: routes longer
-// than 8 station hops are loop-dropped long before in practice. chunk is
-// the number of pieces per arena block.
-const (
-	pathPieceCap   = 8
-	pathArenaChunk = 256
-)
 
 // New assembles an engine for one run over a materialized trace, which
 // must be preprocessed (sorted, validated). The context trace is tr
@@ -564,14 +550,6 @@ func (e *Engine) apply(ev event) {
 			return
 		}
 		e.ctx.Probe.Queued(e.now, p.ID, p.Src, st.Buffer.Len())
-		if p.Path == nil {
-			if len(e.pathArena) == 0 {
-				e.pathArena = make([]int, pathPieceCap*pathArenaChunk)
-			}
-			p.Path = e.pathArena[:0:pathPieceCap]
-			e.pathArena = e.pathArena[pathPieceCap:]
-		}
-		p.Path = append(p.Path, p.Src)
 		e.router.OnGenerate(e.ctx, p)
 	case evUnit:
 		if prb := e.ctx.Probe; prb.Enabled() {

@@ -15,8 +15,9 @@ import (
 )
 
 // Packet is a single-copy data packet routed between landmarks
-// (Section III-A.2). Routers annotate NextHop/ExpDelay (DTN-FLOW) and Path
-// (loop detection); other routers may ignore them.
+// (Section III-A.2). DTN-FLOW annotates NextHop/ExpDelay and, with loop
+// correction on, Path; other routers ignore them, and the engine only
+// initialises NextHop/ExpDelay at generation.
 //
 // The fields are laid out data-oriented: everything a forwarding pass
 // touches per candidate — expiry, size, routing annotations, terminal
@@ -44,7 +45,9 @@ type Packet struct {
 	DstNode int // destination node for node-routing mode; -1 otherwise
 	Created trace.Time
 	// Path records the landmarks whose stations have held the packet, in
-	// order, for routing-loop detection (Section IV-E.2).
+	// order, for routing-loop detection (Section IV-E.2). DTN-FLOW owns
+	// it and writes it only when loop correction (core.Config.LoopFix) is
+	// on; otherwise it stays nil.
 	Path []int
 }
 
