@@ -1,21 +1,19 @@
-// Command dtnflow-fleet runs a sweep as a distributed fleet: a
-// coordinator decomposes the (scenario × method × seed) — or, with
-// -mults, (scenario × method × mult) — sweep into independent cells,
-// schedules them onto worker processes over localhost TCP, and assembles
-// the results deterministically: the output is byte-identical for any
-// worker count, including zero (in-process execution). With -store,
-// results are cached content-addressed by run fingerprint, so repeating
-// a sweep is pure cache hits and adding cells re-runs only the new ones.
+// Command dtnflow-fleet runs a sweep as independent cells: it decomposes
+// the (scenario × method × seed) — or, with -mults, (scenario × method ×
+// mult) — sweep into cells, executes them on a pool of -workers
+// goroutines, and assembles the results index-aligned with the cells, so
+// the output is byte-identical for any pool size. With -store, results
+// are cached content-addressed by run fingerprint, so repeating a sweep
+// is pure cache hits and adding cells re-runs only the new ones.
 //
 // Usage:
 //
-//	dtnflow-fleet                                  # Tiny sweep, 2 spawned workers
-//	dtnflow-fleet -workers 0                       # same cells, in-process
+//	dtnflow-fleet                                  # Tiny sweep on GOMAXPROCS goroutines
+//	dtnflow-fleet -workers 1                       # same cells, one at a time
 //	dtnflow-fleet -store results/fleet-store       # warm the result cache
 //	dtnflow-fleet -scenarios DART -methods DTN-FLOW,PROPHET -seeds 5
 //	dtnflow-fleet -mults 1,2,4                     # scale-tier cells (streamed populations)
 //	dtnflow-fleet -json > results.json             # index-aligned cell results
-//	dtnflow-fleet -join 127.0.0.1:9999             # run as a worker (internal)
 package main
 
 import (
@@ -34,8 +32,6 @@ import (
 
 func main() {
 	var (
-		join      = flag.String("join", "", "worker mode: dial this coordinator and serve cells")
-		name      = flag.String("name", "", "worker name (default pid)")
 		scenarios = flag.String("scenarios", "DART,DNET", "comma-separated scenarios")
 		scaleName = flag.String("scale", "tiny", "trace scale: tiny, quick or full")
 		methods   = flag.String("methods", "all", "comma-separated methods, or all")
@@ -43,32 +39,20 @@ func main() {
 		rate      = flag.Float64("rate", 0, "packets/day network-wide (0 = scenario default)")
 		mults     = flag.String("mults", "", "scale-tier population multipliers (switches to streamed scale cells)")
 		seed      = flag.Int64("seed", 1, "simulation seed for scale-tier cells")
-		workers   = flag.Int("workers", 2, "worker processes to spawn (0 = in-process)")
+		workers   = flag.Int("workers", 0, "cells executed at once (0 = GOMAXPROCS)")
 		storeDir  = flag.String("store", "", "content-addressed result store directory (empty = no cache)")
-		reportTo  = flag.String("report", "", "write the coordinator report JSON to this file")
+		reportTo  = flag.String("report", "", "write the run report JSON to this file")
 		asJSON    = flag.Bool("json", false, "emit the assembled cell results as JSON on stdout")
 		quiet     = flag.Bool("q", false, "suppress per-cell progress lines")
 	)
 	flag.Parse()
-
-	if *join != "" {
-		wname := *name
-		if wname == "" {
-			wname = fmt.Sprintf("pid%d", os.Getpid())
-		}
-		w := &fleet.Worker{Addr: *join, Name: wname}
-		if err := w.Run(); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	cells, err := buildCells(*scenarios, *scaleName, *methods, *seeds, *rate, *mults, *seed)
 	if err != nil {
 		fatal(err)
 	}
 
-	opt := fleet.Options{}
+	opt := fleet.Options{Workers: *workers}
 	if !*quiet {
 		opt.Progress = os.Stderr
 	}
@@ -80,37 +64,7 @@ func main() {
 		opt.Store = store
 	}
 
-	coord := fleet.NewCoordinator(opt)
-	var spawned *fleet.WorkerPool
-	if *workers > 0 {
-		addr, err := coord.Listen()
-		if err != nil {
-			fatal(err)
-		}
-		cmds, err := fleet.SpawnWorkers(*workers, []string{"-join", addr}, os.Stderr)
-		if err != nil {
-			fatal(err)
-		}
-		spawned = cmds
-	}
-
-	results, rep, runErr := coord.Run(cells)
-	if spawned != nil {
-		switch {
-		case runErr != nil:
-			spawned.Kill()
-		case rep.WorkersSeen == 0:
-			// The run completed (e.g. fully from the store) before any
-			// worker connected; the listener is closed now, so the spawned
-			// workers can never join — reap them instead of letting their
-			// dial retries fail noisily.
-			spawned.Kill()
-		default:
-			if err := spawned.Wait(); err != nil {
-				fmt.Fprintln(os.Stderr, "dtnflow-fleet:", err)
-			}
-		}
-	}
+	results, rep, runErr := fleet.Run(cells, opt)
 	if *reportTo != "" {
 		if err := writeReport(*reportTo, rep); err != nil {
 			fatal(err)
@@ -120,10 +74,8 @@ func main() {
 		fatal(runErr)
 	}
 
-	fmt.Fprintf(os.Stderr,
-		"dtnflow-fleet: %d cells in %.2fs (engine %s): %d cache hits, %d remote, %d local, %d retries, %d workers\n",
-		rep.Cells, rep.WallSec, sim.EngineVersion, rep.CacheHits, rep.RemoteCells, rep.LocalCells,
-		rep.Retries, rep.WorkersSeen)
+	fmt.Fprintf(os.Stderr, "dtnflow-fleet: %d cells in %.2fs (engine %s): %d cache hits, %d executed\n",
+		rep.Cells, rep.WallSec, sim.EngineVersion, rep.CacheHits, rep.Executed)
 
 	if *asJSON {
 		emitJSON(os.Stdout, results)
@@ -167,11 +119,6 @@ func buildCells(scenarios, scaleName, methods string, seeds int, rate float64, m
 			return nil, err
 		}
 		cells = experiment.SweepCells(scs, scale, ms, seeds, rate)
-	}
-	for i, c := range cells {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("dtnflow-fleet: cell %d: %w", i, err)
-		}
 	}
 	return cells, nil
 }

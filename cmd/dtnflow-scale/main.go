@@ -8,7 +8,7 @@
 // O(L²), so the scaling question the tier answers is "more devices over
 // the same infrastructure". Results are bit-identical across fill-worker
 // counts and epoch lengths, and equal to a run over the materialized
-// stream (pinned by experiment's TestScaleShardedMatchesClassic* tests).
+// stream (pinned by experiment's TestScaleStreamMatchesMaterialized* tests).
 //
 // Usage:
 //

@@ -9,11 +9,11 @@ import (
 )
 
 // A Cell is one independently executable unit of a sweep: a fully
-// serializable run request (scenario × method × seed × scale) that a
-// fleet worker can execute in another process and that fingerprints to a
-// stable content-address. Cells deliberately carry no closures — a Run
-// with a Tweak, Setup hook, probe or checker binds the run to its own
-// process and cannot be a cell.
+// serializable run request (scenario × method × seed × scale) that
+// fingerprints to a stable content-address, so its result can be stored
+// and reused by a later process. Cells deliberately carry no closures —
+// a Run with a Tweak, Setup hook, probe or checker cannot be named by
+// data alone and cannot be a cell.
 type Cell struct {
 	// Kind selects the execution path: CellRun (default when empty) is a
 	// paper-tier run over a materialized scenario trace; CellScale is a
@@ -77,8 +77,8 @@ func ValidMethod(name string) bool {
 }
 
 // ParseScale maps a scale name to its Scale, rejecting unknown names
-// (cells travel over the wire, so unknown values must be errors, not
-// silent defaults).
+// (cells come from flags and stored results, so unknown values must be
+// errors, not silent defaults).
 func ParseScale(name string) (Scale, error) {
 	switch Scale(name) {
 	case Full, Quick, Tiny:
@@ -88,7 +88,7 @@ func ParseScale(name string) (Scale, error) {
 	}
 }
 
-// ScenarioByName returns the memoized scenario for a wire name.
+// ScenarioByName returns the memoized scenario for a cell's scenario name.
 func ScenarioByName(name string, scale Scale) (*Scenario, error) {
 	switch name {
 	case "DART":
@@ -146,9 +146,9 @@ func (c Cell) Fingerprint() (string, error) {
 }
 
 // CellResult is a cell's deterministic outcome — exactly what the
-// content-addressed store holds. Timing and worker identity live in the
-// coordinator's report, never here: a repeated run must produce
-// byte-identical results.
+// content-addressed store holds. Timing and cache behaviour live in the
+// fleet's report, never here: a repeated run must produce byte-identical
+// results.
 type CellResult struct {
 	Cell        Cell            `json:"cell"`
 	Fingerprint string          `json:"fingerprint"`
@@ -160,8 +160,8 @@ type CellResult struct {
 
 // ExecuteCell runs one cell to completion in this process and returns
 // its deterministic result. Run cells attach a small telemetry recorder —
-// the probe path is verified result-neutral — so the coordinator's
-// progress report can surface per-cell counters without a replay.
+// the probe path is verified result-neutral — so each result carries its
+// exact per-cell counters without a replay.
 func ExecuteCell(c Cell) (*CellResult, error) {
 	fp, err := c.Fingerprint()
 	if err != nil {

@@ -106,7 +106,7 @@ func TestMergeAverages(t *testing.T) {
 // TestExecuteCellMatchesRun pins the fleet's execution path to the
 // single-process one: ExecuteCell (which attaches a telemetry recorder)
 // must produce the exact summary of a plain Run — the probe path is
-// result-neutral, so a fleet sweep byte-matches an in-process sweep.
+// result-neutral, so a fleet sweep byte-matches the golden corpus.
 func TestExecuteCellMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")

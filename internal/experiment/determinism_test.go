@@ -27,9 +27,9 @@ func determinismRuns() []Run {
 // parallelism must produce identical []metrics.Summary. Each run owns its
 // engine, router and seeded RNG; shared state is limited to the memoized
 // trace artifacts, which are read-only after construction. The comparison
-// is the canonical SummaryFingerprint — the same reduction the fleet's
-// content-addressed store and the golden compare use — with a DeepEqual
-// walk only to localize a diagnosis.
+// is the canonical SummaryFingerprint — the same reduction the validation
+// battery's neutrality checks use — with a DeepEqual walk only to
+// localize a diagnosis.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")

@@ -57,8 +57,8 @@ func FingerprintJSON(v any) (string, error) {
 // SummaryFingerprint reduces an ordered result set to one hash. Summary
 // holds only ints and float64s and encoding/json round-trips float64
 // exactly, so two fingerprints are equal iff every field of every summary
-// is bit-identical — the comparison the determinism tests, the validation
-// battery and the fleet's golden byte-compare all share.
+// is bit-identical — the comparison the determinism tests and the
+// validation battery share.
 func SummaryFingerprint(sums ...metrics.Summary) string {
 	fp, err := FingerprintJSON(sums)
 	if err != nil {

@@ -143,9 +143,8 @@ func TestGoldenRuns(t *testing.T) {
 				t.Fatalf("corpus has %d methods, want %d", len(want), len(MethodNames))
 			}
 			// Headline compare: one canonical fingerprint over the whole
-			// corpus entry — the same reduction fleet store keys and the
-			// fleet byte-compare use — then a per-method walk to localize
-			// any drift.
+			// corpus entry — the same helper fleet store keys are built
+			// on — then a per-method walk to localize any drift.
 			gotFP, err := FingerprintJSON(got)
 			if err != nil {
 				t.Fatal(err)

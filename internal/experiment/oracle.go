@@ -139,7 +139,7 @@ func (sc *Scenario) oracleSweep(opt Options, xs []float64, build func(x float64,
 	}
 	g := oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), opt.Workers)
 	cells := make([]oraclePoint, len(xs)*seeds)
-	parallelFor(len(cells), opt.Workers, func(i int) {
+	ParallelFor(len(cells), opt.Workers, func(i int) {
 		x, seed := xs[i/seeds], int64(i%seeds)+1
 		rate, tweak := build(x, seed)
 		if rate <= 0 {

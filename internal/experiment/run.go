@@ -96,12 +96,14 @@ func resolveWorkers(n, workers int) int {
 	return workers
 }
 
-// parallelFor runs fn(0..n-1) on a bounded worker pool. A panicking item
-// is recovered and recorded with its index and stack; the first panic is
-// re-thrown once after the pool has drained, so one bad item can neither
-// deadlock the feeder nor silently kill a worker while unrelated items are
-// still in flight.
-func parallelFor(n, workers int, fn func(i int)) {
+// ParallelFor runs fn(0..n-1) on a bounded pool of workers goroutines
+// (<= 0 means GOMAXPROCS, see resolveWorkers), handing items out in index
+// order, so callers that sort their work longest-first start the longest
+// items first. A panicking item is recovered and recorded with its index
+// and stack; the first panic is re-thrown once after the pool has
+// drained, so one bad item can neither deadlock the feeder nor silently
+// kill a worker while unrelated items are still in flight.
+func ParallelFor(n, workers int, fn func(i int)) {
 	if n == 0 {
 		return
 	}
@@ -146,7 +148,7 @@ func parallelFor(n, workers int, fn func(i int)) {
 // in input order.
 func Parallel(runs []Run, workers int) []metrics.Summary {
 	out := make([]metrics.Summary, len(runs))
-	parallelFor(len(runs), workers, func(i int) {
+	ParallelFor(len(runs), workers, func(i int) {
 		out[i] = runs[i].Execute()
 	})
 	return out
@@ -273,12 +275,12 @@ func Sweep(methods []string, xs []float64, opt Options, build func(method string
 	// Phase 1: warm each cell once. With a single seed a fork saves
 	// nothing over a fresh run, so the whole phase is skipped.
 	if seeds >= 2 {
-		parallelFor(len(cells), opt.Workers, func(ci int) { cells[ci].warm() })
+		ParallelFor(len(cells), opt.Workers, func(ci int) { cells[ci].warm() })
 	}
 	// Phase 2: every measured run, flat across cells so late cells don't
 	// wait on slow ones.
 	sums := make([]metrics.Summary, len(cells)*seeds)
-	parallelFor(len(sums), opt.Workers, func(i int) {
+	ParallelFor(len(sums), opt.Workers, func(i int) {
 		sums[i] = cells[i/seeds].execute(i % seeds)
 	})
 	points := make([]SweepPoint, len(xs))

@@ -76,10 +76,10 @@ func materializedRun(t *testing.T, spec ScaleSpec, method string) (metrics.Summa
 	return sim.New(tr, NewRouter(method), wl, cfg).Run().Summary, len(tr.Visits)
 }
 
-// TestScaleShardedMatchesClassicDNET is the scale tier's end-to-end A/B:
+// TestScaleStreamMatchesMaterializedDNET is the scale tier's end-to-end A/B:
 // the streaming path reproduces sim.New over the materialized stream bit
 // for bit, through the real routers.
-func TestScaleShardedMatchesClassicDNET(t *testing.T) {
+func TestScaleStreamMatchesMaterializedDNET(t *testing.T) {
 	spec := ScaleSpec{Scenario: "DNET", Mult: 1}
 	for _, method := range []string{"DTN-FLOW", "PROPHET"} {
 		want, visits := materializedRun(t, spec, method)
@@ -102,9 +102,9 @@ func TestScaleShardedMatchesClassicDNET(t *testing.T) {
 	}
 }
 
-// TestScaleShardedMatchesClassicDART covers the DART family at 1× — the
+// TestScaleStreamMatchesMaterializedDART covers the DART family at 1× — the
 // full paper population — so it only runs in long mode.
-func TestScaleShardedMatchesClassicDART(t *testing.T) {
+func TestScaleStreamMatchesMaterializedDART(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-population DART A/B; run without -short")
 	}

@@ -42,7 +42,7 @@ func TestResolveWorkersTracksGOMAXPROCS(t *testing.T) {
 func TestParallelForBound(t *testing.T) {
 	var inFlight, peak int64
 	var mu sync.Mutex
-	parallelFor(64, 3, func(i int) {
+	ParallelFor(64, 3, func(i int) {
 		n := atomic.AddInt64(&inFlight, 1)
 		mu.Lock()
 		if n > peak {

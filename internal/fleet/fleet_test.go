@@ -3,41 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"net"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
-
-// startWorkers runs n in-process workers against addr and returns a
-// channel that yields each worker's exit error.
-func startWorkers(n int, addr string) chan error {
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		w := &Worker{Addr: addr, Name: "test-worker", HeartbeatEvery: 50 * time.Millisecond}
-		go func() { errs <- w.Run() }()
-	}
-	return errs
-}
-
-func drainWorkers(t *testing.T, errs chan error, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Errorf("worker exited with error: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("worker did not exit after coordinator shutdown")
-		}
-	}
-}
 
 func resultsFingerprint(t *testing.T, results []*experiment.CellResult) string {
 	t.Helper()
@@ -48,57 +21,55 @@ func resultsFingerprint(t *testing.T, results []*experiment.CellResult) string {
 	return fp
 }
 
-// smallCells is a cheap three-cell sweep for scheduling-behaviour tests.
+// smallCells is a cheap three-cell sweep for the cache and failure tests.
 func smallCells() []experiment.Cell {
 	return experiment.SweepCells([]string{"DNET"}, experiment.Tiny, []string{"DTN-FLOW", "PROPHET", "SimBet"}, 1, 0)
 }
 
-// TestFleetGoldenByteMatch is the tentpole acceptance check: a fleet run
-// of the golden corpus cells over two workers, assembled per scenario,
-// must byte-match the checked-in corpus files that the single-process
-// TestGoldenRuns pins.
+// poolSizes are the pool sizes the determinism tests sweep; 0 means
+// GOMAXPROCS.
+var poolSizes = []int{1, 2, 0}
+
+// TestFleetGoldenByteMatch is the headline contract: a fleet run of the
+// golden corpus cells, assembled per scenario, must byte-match the
+// checked-in corpus files that the single-process TestGoldenRuns pins,
+// for every pool size.
 func TestFleetGoldenByteMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full golden corpus")
 	}
-	coord := NewCoordinator(Options{HeartbeatTimeout: 30 * time.Second})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := startWorkers(2, addr)
-	results, rep, err := coord.Run(experiment.GoldenCells())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainWorkers(t, errs, 2)
-	if rep.RemoteCells != rep.Cells {
-		t.Errorf("expected all %d cells on workers, got %d remote / %d local",
-			rep.Cells, rep.RemoteCells, rep.LocalCells)
-	}
-	if rep.WorkersSeen != 2 {
-		t.Errorf("saw %d workers, want 2", rep.WorkersSeen)
-	}
-	for scenario, got := range experiment.MergeByScenario(results) {
-		blob, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob = append(blob, '\n')
-		path := filepath.Join("..", "experiment", "testdata", "golden", scenario+".json")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (regenerate with scripts/golden.sh)", err)
-		}
-		if !bytes.Equal(blob, want) {
-			t.Errorf("%s: fleet corpus is not byte-identical to %s", scenario, path)
-		}
+	for _, workers := range poolSizes {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			results, rep, err := Run(experiment.GoldenCells(), Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Executed != rep.Cells || rep.CacheHits != 0 {
+				t.Errorf("executed %d of %d cells with %d cache hits, want all executed and no hits",
+					rep.Executed, rep.Cells, rep.CacheHits)
+			}
+			for scenario, got := range experiment.MergeByScenario(results) {
+				blob, err := json.MarshalIndent(got, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob = append(blob, '\n')
+				path := filepath.Join("..", "experiment", "testdata", "golden", scenario+".json")
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (regenerate with scripts/golden.sh)", err)
+				}
+				if !bytes.Equal(blob, want) {
+					t.Errorf("%s: fleet corpus is not byte-identical to %s", scenario, path)
+				}
+			}
+		})
 	}
 }
 
 // TestFleetCacheHits runs the same sweep twice against one store: the
 // second run must complete entirely from cache with byte-identical
-// results.
+// results. A third run with one added cell executes only that cell.
 func TestFleetCacheHits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")
@@ -109,8 +80,7 @@ func TestFleetCacheHits(t *testing.T) {
 	}
 	cells := smallCells()
 
-	first := NewCoordinator(Options{Store: store})
-	res1, rep1, err := first.Run(cells)
+	res1, rep1, err := Run(cells, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +88,7 @@ func TestFleetCacheHits(t *testing.T) {
 		t.Errorf("first run: %d hits / %d executed, want 0 / %d", rep1.CacheHits, rep1.Executed, len(cells))
 	}
 
-	second := NewCoordinator(Options{Store: store})
-	res2, rep2, err := second.Run(cells)
+	res2, rep2, err := Run(cells, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,240 +98,71 @@ func TestFleetCacheHits(t *testing.T) {
 	if resultsFingerprint(t, res1) != resultsFingerprint(t, res2) {
 		t.Error("cached results are not byte-identical to executed ones")
 	}
-}
 
-// killerWorker speaks just enough protocol to take a job and die
-// mid-cell: hello, receive one job, drop the connection.
-func killerWorker(t *testing.T, addr string) (gotJob experiment.Cell) {
-	t.Helper()
-	conn, err := dialRetry(addr, 5*time.Second)
+	grown := append(cells, experiment.Cell{Scenario: "DNET", Scale: "tiny", Method: "PER", Seed: 1})
+	res3, rep3, err := Run(grown, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(conn, &Envelope{Type: MsgHello, Hello: &Hello{
-		Proto: ProtoVersion, Engine: sim.EngineVersion, Name: "killer",
-	}}); err != nil {
-		t.Fatal(err)
+	if rep3.CacheHits != len(cells) || rep3.Executed != 1 {
+		t.Errorf("grown run: %d hits / %d executed, want %d / 1", rep3.CacheHits, rep3.Executed, len(cells))
 	}
-	env, err := readMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != MsgJob || env.Job == nil {
-		t.Fatalf("killer expected a job, got %s", env.Type)
-	}
-	conn.Close() // dies mid-cell, result never sent
-	return env.Job.Cell
-}
-
-// TestFleetWorkerKilledMidCell kills a worker after it accepts a cell
-// and checks the cell is re-dispatched and the final sweep result is
-// byte-identical to an undisturbed run.
-func TestFleetWorkerKilledMidCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full Tiny simulations")
-	}
-	cells := smallCells()
-
-	// Reference: undisturbed in-process run.
-	ref := NewCoordinator(Options{})
-	want, _, err := ref.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{
-		HeartbeatTimeout: 30 * time.Second,
-		RetryBackoff:     10 * time.Millisecond,
-	})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The killer takes one cell and dies before a healthy worker exists,
-	// so the lost cell must be re-dispatched to the survivor.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		killerWorker(t, addr)
-	}()
-	runDone := make(chan struct{})
-	var got []*experiment.CellResult
-	var rep Report
-	go func() {
-		defer close(runDone)
-		got, rep, err = coord.Run(cells)
-	}()
-	<-done // killer has died holding a dispatched cell
-	errs := startWorkers(1, addr)
-	<-runDone
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainWorkers(t, errs, 1)
-
-	if rep.Retries == 0 {
-		t.Error("killed worker produced no re-dispatch")
-	}
-	if resultsFingerprint(t, got) != resultsFingerprint(t, want) {
-		t.Error("sweep with a killed worker is not byte-identical to the undisturbed run")
+	if resultsFingerprint(t, res3[:len(cells)]) != resultsFingerprint(t, res1) {
+		t.Error("adding a cell changed the results of the cached ones")
 	}
 }
 
-// TestFleetInProcessFallback starts a listening coordinator that no
-// worker ever joins: after the grace window it must degrade to
-// in-process execution and still assemble the identical result.
-func TestFleetInProcessFallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full Tiny simulations")
-	}
-	cells := smallCells()
-	ref := NewCoordinator(Options{})
-	want, _, err := ref.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{WorkerWait: 50 * time.Millisecond})
-	if _, err := coord.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := coord.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LocalCells != len(cells) || rep.RemoteCells != 0 {
-		t.Errorf("fallback ran %d local / %d remote, want %d / 0", rep.LocalCells, rep.RemoteCells, len(cells))
-	}
-	if resultsFingerprint(t, got) != resultsFingerprint(t, want) {
-		t.Error("fallback run is not byte-identical to the plain in-process run")
-	}
-}
-
-// TestFleetRejectsVersionMismatch connects workers with a wrong protocol
-// or engine version and expects a reject.
-func TestFleetRejectsVersionMismatch(t *testing.T) {
-	coord := NewCoordinator(Options{})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.ln.Close() // Run is never called, so close the listener ourselves
-	for name, hello := range map[string]*Hello{
-		"proto":  {Proto: ProtoVersion + 1, Engine: sim.EngineVersion, Name: "w"},
-		"engine": {Proto: ProtoVersion, Engine: "other-engine/0", Name: "w"},
-	} {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeMsg(conn, &Envelope{Type: MsgHello, Hello: hello}); err != nil {
-			t.Fatal(err)
-		}
-		env, err := readMsg(conn)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if env.Type != MsgReject {
-			t.Errorf("%s: got %s, want reject", name, env.Type)
-		}
-		conn.Close()
-	}
-}
-
-// TestFleetCellErrorAborts dispatches a cell that fails identically
-// everywhere (simulated by a failing executor) and expects the run to
-// abort rather than burn retries.
-func TestFleetCellErrorAborts(t *testing.T) {
-	coord := NewCoordinator(Options{HeartbeatTimeout: 10 * time.Second})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &Worker{Addr: addr, Name: "broken", Exec: func(experiment.Cell) (*experiment.CellResult, error) {
-		return nil, os.ErrInvalid
-	}}
-	wdone := make(chan error, 1)
-	go func() { wdone <- w.Run() }()
-	_, _, runErr := coord.Run(smallCells())
-	if runErr == nil {
-		t.Fatal("run with a deterministically failing cell succeeded")
-	}
-	// The worker is dismissed via bye (clean) or connection close.
-	select {
-	case <-wdone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker did not exit after aborted run")
-	}
-}
-
-// TestFleetMalformedCellFailsFast must not need a worker at all.
+// TestFleetMalformedCellFailsFast places malformed cells after valid
+// ones: the run must fail before executing anything, whatever the pool
+// size, and the error must name the lowest malformed index.
 func TestFleetMalformedCellFailsFast(t *testing.T) {
-	coord := NewCoordinator(Options{})
-	_, _, err := coord.Run([]experiment.Cell{{Scenario: "MARS", Scale: "tiny", Method: "DTN-FLOW"}})
-	if err == nil {
-		t.Fatal("malformed cell accepted")
+	cells := append(smallCells(),
+		experiment.Cell{Scenario: "MARS", Scale: "tiny", Method: "DTN-FLOW"},
+		experiment.Cell{Scenario: "DNET", Scale: "tiny", Method: "PER", Seed: 1},
+		experiment.Cell{Scenario: "DNET", Scale: "huge", Method: "PER"},
+	)
+	for _, workers := range poolSizes {
+		store, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := Run(cells, Options{Store: store, Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: malformed cell accepted", workers)
+		}
+		if !strings.Contains(err.Error(), "cell 3:") {
+			t.Errorf("workers=%d: error %q does not name cell 3", workers, err)
+		}
+		if rep.Executed != 0 || store.Len() != 0 {
+			t.Errorf("workers=%d: %d cells executed and %d stored before the failure, want 0 / 0",
+				workers, rep.Executed, store.Len())
+		}
 	}
 }
 
-// TestFleetResultIntegrity feeds the coordinator a result whose payload
-// does not match the dispatched cell's fingerprint. The coordinator must
-// refuse the forged result, count a retry, drop the liar, and recover
-// the cell through the in-process fallback — final output identical to a
-// clean run.
-func TestFleetResultIntegrity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full Tiny simulation")
+// TestFleetLowestFailingIndex makes two cells fail during execution: the
+// run must report the lower index whatever the pool size, and still
+// store the results of the cells that succeeded.
+func TestFleetLowestFailingIndex(t *testing.T) {
+	defer func(orig func(experiment.Cell) (*experiment.CellResult, error)) { executeCell = orig }(executeCell)
+	executeCell = func(c experiment.Cell) (*experiment.CellResult, error) {
+		if c.Seed == 2 || c.Seed == 4 {
+			return nil, fmt.Errorf("seed %d fails", c.Seed)
+		}
+		return fakeResult(t, c.Seed), nil
 	}
-	cells := []experiment.Cell{{Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1}}
-	ref := NewCoordinator(Options{})
-	want, _, err := ref.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{
-		HeartbeatTimeout: 5 * time.Second,
-		RetryBackoff:     10 * time.Millisecond,
-	})
-	addr, err := coord.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	liarDone := make(chan struct{})
-	go func() {
-		defer close(liarDone)
-		conn, err := dialRetry(addr, 5*time.Second)
+	cells := experiment.SweepCells([]string{"DART"}, experiment.Tiny, []string{"DTN-FLOW"}, 5, 0)
+	for _, workers := range poolSizes {
+		store, err := OpenStore(t.TempDir())
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		writeMsg(conn, &Envelope{Type: MsgHello, Hello: &Hello{Proto: ProtoVersion, Engine: sim.EngineVersion, Name: "liar"}})
-		env, err := readMsg(conn)
-		if err != nil || env.Type != MsgJob {
-			t.Errorf("liar expected a job, got %v / %v", env, err)
-			return
+		_, rep, err := Run(cells, Options{Store: store, Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "cell 1 ") {
+			t.Errorf("workers=%d: error %v, want one naming cell 1", workers, err)
 		}
-		writeMsg(conn, &Envelope{Type: MsgResult, Result: &Result{
-			Seq: env.Job.Seq,
-			Res: &experiment.CellResult{Fingerprint: "0000", Summary: metrics.Summary{Generated: 1}},
-		}})
-		readMsg(conn) // coordinator drops us; wait for the close
-	}()
-	got, rep, err := coord.Run(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-liarDone
-	if rep.Retries == 0 {
-		t.Error("forged result did not count as a failed dispatch")
-	}
-	if got[0].Summary.Generated == 1 {
-		t.Fatal("forged result was recorded")
-	}
-	if resultsFingerprint(t, got) != resultsFingerprint(t, want) {
-		t.Error("run with a lying worker is not byte-identical to the clean run")
+		if rep.Executed != 3 || store.Len() != 3 {
+			t.Errorf("workers=%d: %d executed / %d stored, want 3 / 3", workers, rep.Executed, store.Len())
+		}
 	}
 }

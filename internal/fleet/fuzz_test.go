@@ -1,67 +1,12 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"os"
-	"reflect"
 	"testing"
-
-	"repro/internal/experiment"
 )
-
-// frame prefixes blob with the wire's big-endian length header.
-func frame(blob []byte) []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(blob)))
-	return append(hdr[:], blob...)
-}
-
-// FuzzReadMsg asserts the frame decoder never panics on an arbitrary
-// byte stream, and that every envelope it accepts has a type and
-// survives a write/read round trip unchanged.
-func FuzzReadMsg(f *testing.F) {
-	for _, env := range []*Envelope{
-		{Type: MsgHello, Hello: &Hello{Proto: ProtoVersion, Engine: "e", Name: "w1"}},
-		{Type: MsgJob, Job: &Job{Seq: 3, Cell: experiment.Cell{Scenario: "DNET", Scale: "tiny", Method: "PER", Seed: 2}}},
-		{Type: MsgResult, Result: &Result{Seq: 3, Res: fakeResult(f, 1), WallSec: 0.5}},
-		{Type: MsgBye},
-	} {
-		var buf bytes.Buffer
-		if err := writeMsg(&buf, env); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(frame([]byte(`{"type":""}`)))
-	f.Add(frame([]byte(`{"type":"job","job":{"seq":"x"}}`)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := readMsg(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if env.Type == "" {
-			t.Fatalf("accepted an envelope without a type: %q", data)
-		}
-		var buf bytes.Buffer
-		if err := writeMsg(&buf, env); err != nil {
-			return // re-encoding may outgrow the frame limit
-		}
-		again, err := readMsg(&buf)
-		if err != nil {
-			t.Fatalf("re-read of a written envelope failed: %v\ninput: %q", err, data)
-		}
-		if !reflect.DeepEqual(env, again) {
-			t.Fatalf("envelope did not round-trip:\n%+v\nvs\n%+v", env, again)
-		}
-	})
-}
 
 // genuineEntry reports whether blob is an intact store entry for fp: the
 // only bytes Get may serve as a hit.

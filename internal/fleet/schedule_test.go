@@ -39,7 +39,7 @@ func TestOrderQueue(t *testing.T) {
 }
 
 // TestOrderQueueDeterministic checks that a pre-shuffled queue converges to
-// the same order — the property the coordinator relies on when cache hits
+// the same order — the property Run relies on when cache hits
 // punch holes in the index sequence.
 func TestOrderQueueDeterministic(t *testing.T) {
 	cells := experiment.GoldenCells()

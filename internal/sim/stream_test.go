@@ -29,11 +29,11 @@ func epochRows(tr *trace.Trace) []trace.Time {
 	return []trace.Time{250, 0, tr.Duration() + 1}
 }
 
-// TestShardedMatchesClassic pins the one-callback-sequence contract at the
+// TestStreamMatchesMaterialized pins the one-callback-sequence contract at the
 // engine level: a stream chunked three visits at a time replays the exact
 // callback sequence and produces the exact summary of New over the
 // materialized trace, for every epoch length.
-func TestShardedMatchesClassic(t *testing.T) {
+func TestStreamMatchesMaterialized(t *testing.T) {
 	tr := twoHopTrace(30)
 	cfg := Config{Seed: 7, PacketSize: 1, NodeMemory: 100, TTL: 2000, Unit: 1000, LinkRate: 5}
 	mkWorkload := func() *Workload { return NewWorkload(3000, 1, 2000) }
@@ -55,10 +55,10 @@ func TestShardedMatchesClassic(t *testing.T) {
 	}
 }
 
-// TestShardedTimers checks router-scheduled timers fire at the same times
+// TestStreamTimers checks router-scheduled timers fire at the same times
 // through 250 s epochs of a chunked stream as through New's one-day
 // epochs, including timers scheduled across epoch boundaries.
-func TestShardedTimers(t *testing.T) {
+func TestStreamTimers(t *testing.T) {
 	tr := twoHopTrace(12) // spans 2400 time units
 	cfg := Config{Seed: 1, PacketSize: 1, NodeMemory: 10, TTL: 5000, Unit: 1 << 40, LinkRate: 1}
 	run := func(build func(r Router) interface{ Run() *Result }) []trace.Time {
@@ -93,11 +93,11 @@ func TestShardedTimers(t *testing.T) {
 	}
 }
 
-// TestShardedOnStream runs the engine over the streaming DART generator —
+// TestStreamOnGenerator runs the engine over the streaming DART generator —
 // the scale-tier composition — and checks every epoch length, each paired
 // with a different generation worker count, yields the summary of New over
 // the materialized stream.
-func TestShardedOnStream(t *testing.T) {
+func TestStreamOnGenerator(t *testing.T) {
 	gen := synth.DefaultDART()
 	gen.Nodes = 32
 	gen.Landmarks = 16
@@ -137,10 +137,10 @@ func TestShardedOnStream(t *testing.T) {
 	}
 }
 
-// TestShardedHeaderTrace documents the header-only contract: a streamed
+// TestStreamHeaderTrace documents the header-only contract: a streamed
 // engine's context trace carries dimensions and positions but no visit
 // slice.
-func TestShardedHeaderTrace(t *testing.T) {
+func TestStreamHeaderTrace(t *testing.T) {
 	tr := twoHopTrace(6)
 	s, err := NewSharded(func() trace.Source { return trace.NewSliceSource(tr, 2) },
 		&recordingRouter{}, nil, Config{Seed: 1, PacketSize: 1, NodeMemory: 10, TTL: 100, LinkRate: 1},
@@ -159,8 +159,8 @@ func TestShardedHeaderTrace(t *testing.T) {
 	s.Run()
 }
 
-// TestShardedRejectsBadStream checks the ingest-side order guard.
-func TestShardedRejectsBadStream(t *testing.T) {
+// TestStreamRejectsUnsorted checks the ingest-side order guard.
+func TestStreamRejectsUnsorted(t *testing.T) {
 	bad := &trace.Trace{Name: "bad", NumNodes: 2, NumLandmarks: 2, Visits: []trace.Visit{
 		{Node: 0, Landmark: 0, Start: 100, End: 200},
 		{Node: 0, Landmark: 1, Start: 50, End: 80}, // out of order: never sorted

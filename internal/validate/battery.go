@@ -132,8 +132,8 @@ func RunBattery(opt BatteryOptions) *Report {
 
 			// Neutrality: the watched run must be bit-identical to a plain
 			// one — the checker observes, never interferes. Compared by the
-			// canonical SummaryFingerprint, the same reduction the fleet
-			// store and the determinism tests use.
+			// canonical SummaryFingerprint, the same reduction the
+			// determinism tests use.
 			plain := experiment.Run{Scenario: sc, Router: routerFor(m), Rate: rate, Seed: 1}.Execute()
 			if experiment.SummaryFingerprint(plain) != experiment.SummaryFingerprint(checked) {
 				rep.add(name+": checker-neutral", false,

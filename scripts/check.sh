@@ -2,14 +2,14 @@
 # Pre-merge hygiene gate: formatting, vet, the race detector over the
 # packages that share state across goroutines (the parallel experiment
 # sweep, the engine it drives with its epoch prefetcher and forks, the
-# fleet coordinator/worker pair, and the routing table's pure reads after
+# fleet's pool-backed Run, and the routing table's pure reads after
 # Snapshot and after a full resolve), the validation battery — invariant
 # checker, checker-neutrality, fork equivalence, the O1-O4 paper-fidelity
 # checks at tiny scale, and the disrupted-scenario section (outage /
 # churn / storm presets, every method checker-clean and materialized ==
 # streamed) — and the fleet smoke
-# (2-worker sweep byte-compared against in-process plus the
-# 100%-cache-hit re-run).
+# (Tiny sweep byte-compared across pools of 1, 2 and GOMAXPROCS
+# goroutines plus the 100%-cache-hit re-run).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Fleet smoke gate: the distributed path must be invisible in the
-# results. Runs the default Tiny sweep through a coordinator with two
-# spawned workers and byte-compares it against the in-process run, then
-# repeats the fleet run against the warmed store and requires 100% cache
-# hits with, again, byte-identical output.
+# Fleet smoke gate: the pool size must be invisible in the results. Runs
+# the default Tiny sweep on pools of 1, 2 and GOMAXPROCS goroutines
+# (-workers 1, 2, 0) and byte-compares the -json output, then repeats the
+# 2-goroutine run against the warmed store and requires 100% cache hits
+# with, again, byte-identical output.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,24 +12,25 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 
 go build -o "$tmp/dtnflow-fleet" ./cmd/dtnflow-fleet
 
-echo "fleet-smoke: cold fleet run (2 workers, empty store)"
+echo "fleet-smoke: cold run (2 goroutines, empty store)"
 "$tmp/dtnflow-fleet" -q -json -workers 2 -store "$tmp/store" \
-    -report "$tmp/cold.json" > "$tmp/fleet.json"
+    -report "$tmp/cold.json" > "$tmp/w2.json"
 
-echo "fleet-smoke: reference in-process run"
-"$tmp/dtnflow-fleet" -q -json -workers 0 > "$tmp/local.json"
+for w in 1 0; do
+    echo "fleet-smoke: run with -workers $w"
+    "$tmp/dtnflow-fleet" -q -json -workers "$w" > "$tmp/w$w.json"
+    if ! cmp -s "$tmp/w2.json" "$tmp/w$w.json"; then
+        echo "fleet-smoke: FAIL: -workers $w output differs from -workers 2" >&2
+        diff "$tmp/w2.json" "$tmp/w$w.json" >&2 || true
+        exit 1
+    fi
+done
 
-if ! cmp -s "$tmp/fleet.json" "$tmp/local.json"; then
-    echo "fleet-smoke: FAIL: fleet output differs from in-process output" >&2
-    diff "$tmp/local.json" "$tmp/fleet.json" >&2 || true
-    exit 1
-fi
-
-echo "fleet-smoke: warm fleet run (same store)"
+echo "fleet-smoke: warm run (same store)"
 "$tmp/dtnflow-fleet" -q -json -workers 2 -store "$tmp/store" \
-    -report "$tmp/warm.json" > "$tmp/fleet2.json"
+    -report "$tmp/warm.json" > "$tmp/warm-out.json"
 
-if ! cmp -s "$tmp/fleet.json" "$tmp/fleet2.json"; then
+if ! cmp -s "$tmp/w2.json" "$tmp/warm-out.json"; then
     echo "fleet-smoke: FAIL: warm run output differs from cold run" >&2
     exit 1
 fi
@@ -44,4 +45,4 @@ if [ -z "$cells" ] || [ "$cells" -eq 0 ] || [ "$hits" != "$cells" ] || [ "$execu
     exit 1
 fi
 
-echo "fleet-smoke: OK ($cells cells byte-identical across 2-worker, in-process and cached runs)"
+echo "fleet-smoke: OK ($cells cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run)"
