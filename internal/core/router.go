@@ -166,6 +166,11 @@ func New(cfg Config) *Router {
 	if cfg.Order < 1 {
 		cfg.Order = 1
 	}
+	// ρ outside (0, 1] falls back to the paper's 0.5, once, for both of
+	// its readers: the bandwidth EWMA and the load-balancing rate fold.
+	if cfg.Rho <= 0 || cfg.Rho > 1 {
+		cfg.Rho = 0.5
+	}
 	name := "DTN-FLOW"
 	return &Router{cfg: cfg, name: name}
 }
@@ -183,10 +188,8 @@ func (r *Router) Init(ctx *sim.Context) {
 	r.nodes = make([]*nodeState, len(ctx.Nodes))
 	for i := range r.nodes {
 		acc := predict.NewAccuracyTracker()
-		pred := predict.NewMarkov(r.cfg.Order)
-		pred.SetDomain(nL)
 		r.nodes[i] = &nodeState{
-			pred:      pred,
+			pred:      predict.NewMarkov(r.cfg.Order),
 			acc:       acc,
 			predicted: -1,
 			predFrom:  -1,
@@ -196,14 +199,10 @@ func (r *Router) Init(ctx *sim.Context) {
 	}
 	r.landmarks = make([]*landmarkState, nL)
 	for i := range r.landmarks {
-		bw := routing.NewBandwidthTable(r.cfg.Rho)
-		bw.SetDomain(nL)
-		arrivals := routing.NewArrivalCounter()
-		arrivals.SetDomain(nL)
 		r.landmarks[i] = &landmarkState{
 			table:       routing.NewTable(i, nL),
-			bw:          bw,
-			arrivals:    arrivals,
+			bw:          routing.NewBandwidthTable(r.cfg.Rho, nL),
+			arrivals:    routing.NewArrivalCounter(nL),
 			pending:     make([]routing.BandwidthReport, nL),
 			hasPending:  make([]bool, nL),
 			version:     1,
@@ -285,9 +284,8 @@ func (r *Router) contactPrologue(ctx *sim.Context, c *sim.Contact) {
 	// informing the landmark (step 5 of the routing algorithm).
 	ns.pred.Observe(lm)
 	if next, p, ok := ns.pred.Predict(); ok && next != lm {
-		// p is exactly ProbabilityOf(next): the prediction is the head of
-		// the memoized distribution, which only changes on Observe — so
-		// the forwarding pass reads the cached copy instead of rescanning.
+		// p is the transit probability p_t of next. It only changes on
+		// Observe, so the forwarding pass reads this cached copy.
 		ns.predicted, ns.predFrom, ns.predProb = next, lm, p
 	} else {
 		ns.predicted, ns.predFrom, ns.predProb = -1, lm, 0

@@ -3,6 +3,8 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -32,7 +34,7 @@ func TestDistributionProbabilities(t *testing.T) {
 	for _, lm := range []int{0, 1, 0, 2, 0, 1, 0} {
 		m.Observe(lm)
 	}
-	d := m.Distribution()
+	d := rowDistribution(m)
 	if len(d) != 2 {
 		t.Fatalf("distribution = %v", d)
 	}
@@ -42,11 +44,8 @@ func TestDistributionProbabilities(t *testing.T) {
 	if d[1].Landmark != 2 || math.Abs(d[1].Probability-1.0/3.0) > 1e-12 {
 		t.Errorf("second = %+v, want l2 with 1/3", d[1])
 	}
-	if p := m.ProbabilityOf(1); math.Abs(p-2.0/3.0) > 1e-12 {
-		t.Errorf("ProbabilityOf(1) = %v", p)
-	}
-	if p := m.ProbabilityOf(9); p != 0 {
-		t.Errorf("ProbabilityOf(9) = %v, want 0", p)
+	if next, p, ok := m.Predict(); !ok || next != 1 || p != d[0].Probability {
+		t.Errorf("Predict = (%d, %v, %v), want the head %+v", next, p, ok, d[0])
 	}
 }
 
@@ -92,11 +91,8 @@ func TestObserveIgnoresDuplicates(t *testing.T) {
 	m.Observe(5)
 	m.Observe(5)
 	m.Observe(5)
-	if m.HistoryLen() != 1 {
-		t.Errorf("history length = %d, want 1", m.HistoryLen())
-	}
-	if m.Current() != 5 {
-		t.Errorf("current = %d", m.Current())
+	if !slices.Equal(m.last, []int32{5}) || len(m.rows) != 0 {
+		t.Errorf("window %v with %d rows, want [5] with none", m.last, len(m.rows))
 	}
 }
 
@@ -105,8 +101,8 @@ func TestEmptyPredictor(t *testing.T) {
 	if _, _, ok := m.Predict(); ok {
 		t.Error("empty predictor should not predict")
 	}
-	if m.Current() != -1 {
-		t.Error("empty current should be -1")
+	if len(m.last) != 0 || rowDistribution(m) != nil {
+		t.Error("empty predictor has a window or a row")
 	}
 }
 
@@ -114,14 +110,15 @@ func TestEmptyPredictor(t *testing.T) {
 // pathological histories that real traces produce — a node seen only
 // once, a node that never leaves its landmark, an arrival at a
 // never-before-visited landmark — and pins the contract for each: no
-// context means no prediction (ok == false, nil distribution), never a
-// panic or a fabricated probability.
+// context means no prediction (ok == false, no row read), never a
+// panic or a fabricated probability. The predictor keeps only the last k
+// landmarks of the history.
 func TestMarkovDegenerateHistories(t *testing.T) {
 	cases := []struct {
 		name    string
 		order   int
 		history []int
-		wantLen int  // expected HistoryLen after observing
+		wantLen int  // landmarks in the history, repeats dropped
 		wantOK  bool // expected Predict ok
 		wantLm  int  // expected prediction when ok
 	}{
@@ -138,19 +135,16 @@ func TestMarkovDegenerateHistories(t *testing.T) {
 			for _, lm := range tc.history {
 				m.Observe(lm)
 			}
-			if m.HistoryLen() != tc.wantLen {
-				t.Errorf("HistoryLen = %d, want %d", m.HistoryLen(), tc.wantLen)
+			if len(m.last) != min(tc.wantLen, tc.order) {
+				t.Errorf("window %v, want the last %d of %d landmarks", m.last, min(tc.wantLen, tc.order), tc.wantLen)
 			}
 			lm, p, ok := m.Predict()
 			if ok != tc.wantOK {
 				t.Fatalf("Predict ok = %v (lm=%d p=%v), want %v", ok, lm, p, tc.wantOK)
 			}
 			if !ok {
-				if d := m.Distribution(); d != nil {
-					t.Errorf("Distribution = %v, want nil without a matching context", d)
-				}
-				if q := m.ProbabilityOf(0); q != 0 {
-					t.Errorf("ProbabilityOf = %v, want 0 without a matching context", q)
+				if d := rowDistribution(m); d != nil {
+					t.Errorf("rows hold %v, want none without a matching context", d)
 				}
 				return
 			}
@@ -170,12 +164,9 @@ func TestMarkovUnseenTransitionProbability(t *testing.T) {
 		m.Observe(lm)
 	}
 	// Context is 0; its only observed successor is 1. Landmark 2 exists in
-	// the history but never follows 0.
-	if p := m.ProbabilityOf(2); p != 0 {
-		t.Errorf("ProbabilityOf(2) = %v, want 0 (2 never follows 0)", p)
-	}
-	if p := m.ProbabilityOf(1); p != 1 {
-		t.Errorf("ProbabilityOf(1) = %v, want 1", p)
+	// the history but never follows 0, so its row has no cell for 2.
+	if d := rowDistribution(m); !reflect.DeepEqual(d, []Prediction{{Landmark: 1, Probability: 1}}) {
+		t.Errorf("row of context 0 = %v, want only landmark 1 with probability 1", d)
 	}
 }
 
@@ -188,7 +179,8 @@ func TestNewMarkovPanicsOnBadOrder(t *testing.T) {
 	NewMarkov(0)
 }
 
-// Property: distributions are valid probability distributions.
+// Property: every row read back is a valid probability distribution whose
+// head is what Predict returns.
 func TestDistributionIsValid(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -197,9 +189,13 @@ func TestDistributionIsValid(t *testing.T) {
 		for i := 0; i < 5+r.Intn(100); i++ {
 			m.Observe(r.Intn(6))
 		}
-		d := m.Distribution()
+		d := rowDistribution(m)
+		next, p, ok := m.Predict()
 		if d == nil {
-			return true
+			return !ok
+		}
+		if !ok || next != d[0].Landmark || p != d[0].Probability {
+			return false
 		}
 		sum := 0.0
 		for i, p := range d {

@@ -7,7 +7,7 @@ package routing
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -27,194 +27,83 @@ const Infinite = math.MaxFloat64
 // arrives. The paper introduces the symmetric estimate first and the
 // report mechanism as its correction; combining them bootstraps routing on
 // links whose reverse reports travel slowly.
+//
+// Landmark indices are small and dense, so both estimates live in flat
+// per-neighbour arrays over the landmark domain.
 type BandwidthTable struct {
-	Rho float64 // EWMA weight ρ in (0, 1]
-
-	rep    map[int]float64
-	repSeq map[int]int
-	sym    map[int]float64
-	symSeq map[int]int
-
-	// Dense fast path, enabled by SetDomain: landmark indices are small
-	// and dense, so per-neighbor state lives in flat arrays instead of
-	// four maps — applyEWMA is the hottest routing read/write pair on the
-	// per-unit path and map hashing dominated it.
-	n      int
-	repV   []float64
-	symV   []float64
-	repS   []int
-	symS   []int
-	repHas []bool
-	symHas []bool
+	rho float64    // EWMA weight ρ
+	rep []estimate // reported, per neighbour
+	sym []estimate // symmetric fallback, per neighbour
 }
 
-// SetDomain declares the neighbor index domain [0, n), switching the table
-// to dense per-neighbor arrays. It must be called before any Apply and is
-// a no-op otherwise. Estimates are bit-identical to the map path: the same
-// EWMA folds in the same order, only the storage changes.
-func (t *BandwidthTable) SetDomain(n int) {
-	if n <= 0 || t.repV != nil || len(t.rep) > 0 || len(t.sym) > 0 {
-		return
-	}
-	t.n = n
-	t.repV = make([]float64, n)
-	t.symV = make([]float64, n)
-	t.repS = make([]int, n)
-	t.symS = make([]int, n)
-	t.repHas = make([]bool, n)
-	t.symHas = make([]bool, n)
+// estimate is one EWMA bandwidth estimate and the unit of its last fold.
+type estimate struct {
+	bw  float64
+	seq int
+	has bool // an estimate exists; seq and bw are meaningful
 }
 
-// NewBandwidthTable returns a table with weight rho (clamped into (0,1]).
-func NewBandwidthTable(rho float64) *BandwidthTable {
-	if rho <= 0 || rho > 1 {
-		rho = 0.5
-	}
-	return &BandwidthTable{
-		Rho:    rho,
-		rep:    map[int]float64{},
-		repSeq: map[int]int{},
-		sym:    map[int]float64{},
-		symSeq: map[int]int{},
-	}
+// NewBandwidthTable returns an empty table for neighbours [0, n) with EWMA
+// weight rho, which must lie in (0, 1].
+func NewBandwidthTable(rho float64, n int) *BandwidthTable {
+	return &BandwidthTable{rho: rho, rep: make([]estimate, n), sym: make([]estimate, n)}
 }
 
 // Apply folds a reported transit count for link me→nbr during time unit
 // unitSeq into the authoritative estimate. It reports whether the report
 // was fresh.
 func (t *BandwidthTable) Apply(nbr int, count float64, unitSeq int) bool {
-	if t.repV != nil {
-		return applyEWMADense(t.repV, t.repS, t.repHas, t.Rho, nbr, count, unitSeq)
-	}
-	return applyEWMA(t.rep, t.repSeq, t.Rho, nbr, count, unitSeq)
+	return t.rep[nbr].fold(t.rho, count, unitSeq)
 }
 
 // ApplySymmetric folds the locally observed reverse-direction count in as
 // the O3 fallback estimate.
 func (t *BandwidthTable) ApplySymmetric(nbr int, count float64, unitSeq int) bool {
-	if t.repV != nil {
-		return applyEWMADense(t.symV, t.symS, t.symHas, t.Rho, nbr, count, unitSeq)
-	}
-	return applyEWMA(t.sym, t.symSeq, t.Rho, nbr, count, unitSeq)
+	return t.sym[nbr].fold(t.rho, count, unitSeq)
 }
 
-func applyEWMADense(bw []float64, seq []int, has []bool, rho float64, nbr int, count float64, unitSeq int) bool {
-	if has[nbr] {
-		if unitSeq <= seq[nbr] {
-			return false
-		}
-		seq[nbr] = unitSeq
-		bw[nbr] = rho*count + (1-rho)*bw[nbr]
-		return true
-	}
-	has[nbr] = true
-	seq[nbr] = unitSeq
-	bw[nbr] = count
-	return true
-}
-
-func applyEWMA(bw map[int]float64, seq map[int]int, rho float64, nbr int, count float64, unitSeq int) bool {
-	if last, ok := seq[nbr]; ok && unitSeq <= last {
+// fold applies Eq. (4) for a count of unit unitSeq; the first count is
+// taken as is, a count not newer than the last is dropped.
+func (e *estimate) fold(rho, count float64, unitSeq int) bool {
+	switch {
+	case !e.has:
+		e.bw, e.has = count, true
+	case unitSeq <= e.seq:
 		return false
+	default:
+		e.bw = rho*count + (1-rho)*e.bw
 	}
-	seq[nbr] = unitSeq
-	if old, ok := bw[nbr]; ok {
-		bw[nbr] = rho*count + (1-rho)*old
-	} else {
-		bw[nbr] = count
-	}
+	e.seq = unitSeq
 	return true
 }
 
 // Clone returns an independent copy of the table (a pure read of the
 // receiver, safe to call concurrently on a frozen table).
 func (t *BandwidthTable) Clone() *BandwidthTable {
-	cp := &BandwidthTable{
-		Rho:    t.Rho,
-		rep:    make(map[int]float64, len(t.rep)),
-		repSeq: make(map[int]int, len(t.repSeq)),
-		sym:    make(map[int]float64, len(t.sym)),
-		symSeq: make(map[int]int, len(t.symSeq)),
-	}
-	for n, v := range t.rep {
-		cp.rep[n] = v
-	}
-	for n, s := range t.repSeq {
-		cp.repSeq[n] = s
-	}
-	for n, v := range t.sym {
-		cp.sym[n] = v
-	}
-	for n, s := range t.symSeq {
-		cp.symSeq[n] = s
-	}
-	if t.repV != nil {
-		cp.n = t.n
-		cp.repV = append([]float64(nil), t.repV...)
-		cp.symV = append([]float64(nil), t.symV...)
-		cp.repS = append([]int(nil), t.repS...)
-		cp.symS = append([]int(nil), t.symS...)
-		cp.repHas = append([]bool(nil), t.repHas...)
-		cp.symHas = append([]bool(nil), t.symHas...)
-	}
-	return cp
+	return &BandwidthTable{rho: t.rho, rep: slices.Clone(t.rep), sym: slices.Clone(t.sym)}
 }
 
 // Bandwidth returns the current estimate for link me→nbr: the reported
 // value when one exists, the symmetric fallback otherwise (0 when neither
 // is known).
 func (t *BandwidthTable) Bandwidth(nbr int) float64 {
-	if t.repV != nil {
-		if t.repHas[nbr] {
-			return t.repV[nbr]
-		}
-		if t.symHas[nbr] {
-			return t.symV[nbr]
-		}
-		return 0
+	if t.rep[nbr].has {
+		return t.rep[nbr].bw
 	}
-	if b, ok := t.rep[nbr]; ok {
-		return b
-	}
-	return t.sym[nbr]
+	return t.sym[nbr].bw
 }
 
 // Reported returns whether a real report has ever been applied for nbr.
-func (t *BandwidthTable) Reported(nbr int) bool {
-	if t.repV != nil {
-		return t.repHas[nbr]
-	}
-	_, ok := t.rep[nbr]
-	return ok
-}
+func (t *BandwidthTable) Reported(nbr int) bool { return t.rep[nbr].has }
 
 // Neighbors returns the neighbours with positive bandwidth, sorted.
 func (t *BandwidthTable) Neighbors() []int {
-	if t.repV != nil {
-		out := make([]int, 0, t.n)
-		for n := 0; n < t.n; n++ {
-			if (t.repHas[n] && t.repV[n] > 0) || (!t.repHas[n] && t.symHas[n] && t.symV[n] > 0) {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-	set := map[int]bool{}
-	for n, b := range t.rep {
-		if b > 0 {
-			set[n] = true
+	out := make([]int, 0, len(t.rep))
+	for n := range t.rep {
+		if t.Bandwidth(n) > 0 {
+			out = append(out, n)
 		}
 	}
-	for n, b := range t.sym {
-		if b > 0 && !t.Reported(n) {
-			set[n] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -233,57 +122,30 @@ func LinkDelay(bandwidth float64, unit trace.Time) float64 {
 // boundary yields the n_t(from→me) reports that travel back to each
 // neighbouring landmark inside departing nodes (Section IV-C.1).
 type ArrivalCounter struct {
-	counts map[int]int
+	cnt   []int32 // arrivals this unit, per previous landmark
+	known []bool  // Roll scratch: marks knownNeighbors during the sweep
 	// rep is the reusable report buffer handed out by Roll.
 	rep []BandwidthReport
-
-	// Dense fast path (SetDomain): arrivals are the single hottest router
-	// write — one map assign per contact — so the per-landmark counts
-	// live in a flat array once the domain is known.
-	cnt   []int32
-	known []bool // Roll scratch: marks knownNeighbors during the sweep
 }
 
-// NewArrivalCounter returns an empty counter.
-func NewArrivalCounter() *ArrivalCounter { return &ArrivalCounter{counts: map[int]int{}} }
-
-// SetDomain declares the previous-landmark domain [0, n), switching the
-// counter to a flat count array. Must be called while the counter is
-// empty; a no-op otherwise. Roll output is bit-identical: same reports,
-// same ascending-From order.
-func (c *ArrivalCounter) SetDomain(n int) {
-	if n <= 0 || c.cnt != nil || len(c.counts) > 0 {
-		return
-	}
-	c.cnt = make([]int32, n)
-	c.known = make([]bool, n)
+// NewArrivalCounter returns an empty counter for previous landmarks
+// [0, n).
+func NewArrivalCounter(n int) *ArrivalCounter {
+	return &ArrivalCounter{cnt: make([]int32, n), known: make([]bool, n)}
 }
 
 // Record notes one node arrival whose previous landmark was from.
 // Negative from (no previous landmark) is ignored.
 func (c *ArrivalCounter) Record(from int) {
-	if from < 0 {
-		return
-	}
-	if c.cnt != nil {
+	if from >= 0 {
 		c.cnt[from]++
-		return
 	}
-	c.counts[from]++
 }
 
 // Clone returns an independent copy of the counter (a pure read of the
 // receiver; the clone gets a fresh report scratch buffer).
 func (c *ArrivalCounter) Clone() *ArrivalCounter {
-	cp := &ArrivalCounter{counts: make(map[int]int, len(c.counts))}
-	for from, n := range c.counts {
-		cp.counts[from] = n
-	}
-	if c.cnt != nil {
-		cp.cnt = append([]int32(nil), c.cnt...)
-		cp.known = make([]bool, len(c.known))
-	}
-	return cp
+	return &ArrivalCounter{cnt: slices.Clone(c.cnt), known: make([]bool, len(c.known))}
 }
 
 // BandwidthReport carries a measured transit count for link From→To during
@@ -294,50 +156,23 @@ type BandwidthReport struct {
 	Seq      int
 }
 
-// Roll returns the reports for the completed time unit and resets the
-// counter. me is the landmark owning the counter; seq the completed unit.
-// Neighbours with zero arrivals this unit still get a report so their
-// bandwidth estimate decays (otherwise a dead link would keep its old
-// bandwidth forever). The returned slice is reused by the next Roll —
-// callers must consume or copy it before then.
+// Roll returns the reports for the completed time unit, in ascending From
+// order, and resets the counter. me is the landmark owning the counter;
+// seq the completed unit. Neighbours with zero arrivals this unit still
+// get a report so their bandwidth estimate decays (otherwise a dead link
+// would keep its old bandwidth forever). The returned slice is reused by
+// the next Roll — callers must consume or copy it before then.
 func (c *ArrivalCounter) Roll(me, seq int, knownNeighbors []int) []BandwidthReport {
 	out := c.rep[:0]
-	if c.cnt != nil {
-		// One ascending sweep realises the same sorted-by-From report set
-		// the map path builds: counted froms with their counts, plus
-		// zero-count reports for known neighbours that went quiet.
-		for _, from := range knownNeighbors {
-			c.known[from] = true
-		}
-		for from := range c.cnt {
-			if n := c.cnt[from]; n > 0 || c.known[from] {
-				out = append(out, BandwidthReport{From: from, To: me, Count: int(n), Seq: seq})
-				c.cnt[from] = 0
-			}
-			c.known[from] = false
-		}
-		c.rep = out
-		return out
-	}
-	for from, n := range c.counts {
-		out = append(out, BandwidthReport{From: from, To: me, Count: n, Seq: seq})
-	}
 	for _, from := range knownNeighbors {
-		if _, ok := c.counts[from]; !ok {
-			out = append(out, BandwidthReport{From: from, To: me, Count: 0, Seq: seq})
-		}
+		c.known[from] = true
 	}
-	clear(c.counts)
-	// Insertion sort by From: the map iteration order above is random, the
-	// report order must not be. Reports are few (one per incoming link).
-	for i := 1; i < len(out); i++ {
-		r := out[i]
-		j := i - 1
-		for j >= 0 && out[j].From > r.From {
-			out[j+1] = out[j]
-			j--
+	for from, n := range c.cnt {
+		if n > 0 || c.known[from] {
+			out = append(out, BandwidthReport{From: from, To: me, Count: int(n), Seq: seq})
+			c.cnt[from] = 0
 		}
-		out[j+1] = r
+		c.known[from] = false
 	}
 	c.rep = out
 	return out

@@ -236,7 +236,7 @@ func TestDetectLoop(t *testing.T) {
 }
 
 func TestBandwidthEWMA(t *testing.T) {
-	bt := NewBandwidthTable(0.5)
+	bt := NewBandwidthTable(0.5, 3)
 	if !bt.Apply(1, 10, 0) {
 		t.Fatal("first report rejected")
 	}
@@ -255,7 +255,7 @@ func TestBandwidthEWMA(t *testing.T) {
 }
 
 func TestBandwidthSymmetricFallback(t *testing.T) {
-	bt := NewBandwidthTable(0.5)
+	bt := NewBandwidthTable(0.5, 3)
 	bt.ApplySymmetric(2, 8, 0)
 	if b := bt.Bandwidth(2); b != 8 {
 		t.Errorf("fallback = %v, want 8", b)
@@ -282,7 +282,7 @@ func TestLinkDelay(t *testing.T) {
 }
 
 func TestArrivalCounterRoll(t *testing.T) {
-	c := NewArrivalCounter()
+	c := NewArrivalCounter(9)
 	c.Record(3)
 	c.Record(3)
 	c.Record(5)
