@@ -282,23 +282,22 @@ func BenchmarkTraceGeneration(b *testing.B) {
 }
 
 // BenchmarkTransitExtraction measures transit derivation on the full DART
-// trace. The trace comes from the shared scenario cache (so the benchmark
-// pays no generation cost), and ComputeTransits bypasses the memoized
-// Transits accessor — the point is to measure the extraction itself.
+// trace. The trace comes from the shared scenario cache, so the benchmark
+// pays no generation cost.
 func BenchmarkTransitExtraction(b *testing.B) {
 	tr := experiment.DARTScenario(experiment.Full).Trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(tr.ComputeTransits()) == 0 {
+		if len(tr.Transits()) == 0 {
 			b.Fatal("no transits")
 		}
 	}
 }
 
 // BenchmarkBandwidths measures the Fig. 3 statistic on the full DART trace
-// from the shared scenario cache. Transits are memoized on the trace, so
-// after the first iteration this isolates the counting and sorting work.
+// from the shared scenario cache: transit extraction, per-link counting
+// and sorting.
 func BenchmarkBandwidths(b *testing.B) {
 	tr := experiment.DARTScenario(experiment.Full).Trace
 	b.ReportAllocs()

@@ -177,13 +177,6 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks: %s ...)\n", *out, len(names), strings.Join(names[:min(3, len(names))], ", "))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchreport:", err)
 	os.Exit(1)

@@ -32,9 +32,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/disrupt"
+	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -46,7 +46,7 @@ import (
 func main() {
 	var (
 		traceArg   = flag.String("trace", "dart", "dart, dnet, campus, small, or a trace file path")
-		method     = flag.String("method", "DTN-FLOW", "DTN-FLOW, PER, SimBet, PROPHET, GeoComm, PGR")
+		method     = flag.String("method", "DTN-FLOW", strings.Join(experiment.MethodNames, ", "))
 		rate       = flag.Float64("rate", 500, "packets per day (network-wide)")
 		memoryKB   = flag.Int64("memory", 2000, "node memory in kB")
 		ttl        = flag.Duration("ttl", 0, "packet TTL (0 = per-trace default)")
@@ -65,6 +65,11 @@ func main() {
 		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
 	)
 	flag.Parse()
+
+	if !experiment.ValidMethod(*method) {
+		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
+		os.Exit(1)
+	}
 
 	tr, ttlDef, unit, err := loadTrace(*traceArg)
 	if err != nil {
@@ -114,26 +119,10 @@ func main() {
 	}
 
 	var router sim.Router
-	switch *method {
-	case "DTN-FLOW":
-		c := core.DefaultConfig()
-		if *extensions {
-			c = core.FullConfig()
-		}
-		router = core.New(c)
-	case "PER":
-		router = baselines.NewBase(baselines.NewPER())
-	case "SimBet":
-		router = baselines.NewBase(baselines.NewSimBet())
-	case "PROPHET":
-		router = baselines.NewBase(baselines.NewPROPHET())
-	case "GeoComm":
-		router = baselines.NewBase(baselines.NewGeoComm())
-	case "PGR":
-		router = baselines.NewBase(baselines.NewPGR())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
-		os.Exit(1)
+	if *method == "DTN-FLOW" && *extensions {
+		router = core.New(core.FullConfig())
+	} else {
+		router = experiment.NewRouter(*method)
 	}
 
 	w := sim.NewWorkload(*rate, cfg.PacketSize, cfg.TTL)

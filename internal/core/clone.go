@@ -56,7 +56,6 @@ func (r *Router) CloneRouter(ctx *sim.Context) sim.Router {
 	cp.directStamp = append([]int(nil), r.directStamp...)
 	cp.carrierBkt = make([][]carrierEnt, len(r.carrierBkt))
 	cp.reachEpoch = r.reachEpoch
-	cp.Debug = r.Debug
 	return cp
 }
 
@@ -79,9 +78,6 @@ func (ns *nodeState) clone() *nodeState {
 			v.vec = append([]float64(nil), v.vec...)
 			cp.vectors[i] = v
 		}
-	}
-	if len(ns.reports) > 0 {
-		cp.reports = append([]routing.BandwidthReport(nil), ns.reports...)
 	}
 	if len(ns.reportsShare) > 0 {
 		cp.reportsShare = append([]routing.BandwidthReport(nil), ns.reportsShare...)

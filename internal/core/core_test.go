@@ -244,10 +244,9 @@ func TestDeadEndTimerFiresOnLongStay(t *testing.T) {
 	p := &sim.Packet{ID: 0, Src: 0, Dst: 3, DstNode: -1, Size: 1, Created: 0, Expiry: 1 << 40, NextHop: -1, ExpDelay: 1}
 	ctx.Schedule(parkStart-10, func() { ctx.Nodes[0].Buffer.Add(p) })
 	eng.Run()
-	if r.Debug.DeadEndEvents == 0 {
-		t.Fatal("dead end never detected on a 1000x-average stay")
-	}
+	// Node 0 keeps the packet unless the dead end fires and hands it to
+	// the station: the second node arrives long after the parking began.
 	if ctx.Nodes[0].Buffer.Len() != 0 {
-		t.Error("dead-ended node still holds the packet")
+		t.Error("dead end never fired: the parked node still holds the packet")
 	}
 }

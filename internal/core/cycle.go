@@ -24,10 +24,10 @@ import "repro/internal/sim"
 // packets, so an unchanged nn means they gained none. When the
 // start-of-round state repeats the one two rounds back, those two rounds
 // form a cycle whose only other effect is a fixed increment Δ of the
-// budget, ForwardingOps, the forwarding Debug counters and lbAssigned/
-// lbSent. Packet paths are not among them: only loop correction writes
-// Path, and it keeps the plain loop because it detects and corrects loops
-// on every upload. So a skip costs O(buffer), not O(transfers skipped).
+// budget, ForwardingOps and lbAssigned/lbSent. Packet paths are not
+// among them: only loop correction writes Path, and it keeps the plain
+// loop because it detects and corrects loops on every upload. So a skip
+// costs O(buffer), not O(transfers skipped).
 // The cycle then repeats unchanged as long as (a) no transfer inside it
 // meets an exhausted budget and (b) every overload sub-predicate keeps
 // its value.
@@ -63,7 +63,6 @@ type roundState struct {
 	st, nd         []bufEnt // station and contact-node buffers, in order
 	budget         int
 	fwdOps         int64
-	debug          [4]int64 // see Router.fwdCounters
 	assigned, sent []float64
 }
 
@@ -76,11 +75,6 @@ type cycleState struct {
 	gen   int
 	skips int64
 	off   bool
-}
-
-// fwdCounters returns the Debug counters a forwarding pass advances.
-func (r *Router) fwdCounters() [4]*int64 {
-	return [4]*int64{&r.Debug.NoRoute, &r.Debug.NoCarrier, &r.Debug.Forwarded, &r.Debug.DirectDeliv}
 }
 
 // fastForward runs at the start of round (>= cycleWarmRounds) of c's
@@ -107,9 +101,6 @@ func (r *Router) fastForward(ctx *sim.Context, c *sim.Contact, mode string, nn, 
 	s.nd = appendBuffer(s.nd[:0], nd)
 	s.budget = c.Budget
 	s.fwdOps = ctx.Metrics.ForwardingOps
-	for i, p := range r.fwdCounters() {
-		s.debug[i] = *p
-	}
 	s.assigned = append(s.assigned[:0], ls.lbAssigned...)
 	s.sent = append(s.sent[:0], ls.lbSent...)
 }
@@ -141,9 +132,6 @@ func (r *Router) skipCycles(ctx *sim.Context, c *sim.Contact, s *roundState) boo
 	}
 	c.Budget -= k * cost
 	ctx.Metrics.ForwardedN(int64(k) * (ctx.Metrics.ForwardingOps - s.fwdOps))
-	for i, p := range r.fwdCounters() {
-		*p += int64(k) * (*p - s.debug[i])
-	}
 	for i, a := range ls.lbAssigned {
 		ls.lbAssigned[i] = a + kf*(a-s.assigned[i])
 		ls.lbSent[i] += kf * (ls.lbSent[i] - s.sent[i])

@@ -52,11 +52,6 @@ func (r *Router) armDeadEnd(ctx *sim.Context, c *sim.Contact) {
 			return
 		}
 		ns.deadEnded = true
-		r.Debug.DeadEndEvents++
-		r.Debug.DeadEndPackets += int64(n.Buffer.Len())
-		for _, p := range n.Buffer.Packets() {
-			r.Debug.DeadEndRemTTL += float64(p.Remaining(ctx.Now())) / float64(ctx.Cfg.TTL)
-		}
 		pkts := append([]*sim.Packet(nil), n.Buffer.Packets()...)
 		for _, p := range pkts {
 			if ctx.Upload(nil, n, p) && !p.Done() {

@@ -266,12 +266,7 @@ func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 			continue // node-destined packet waiting at its rendezvous
 		}
 		target, exp := r.route(ctx, lm, p, epoch)
-		if target < 0 {
-			r.Debug.NoRoute++
-			continue
-		}
-		if r.reachStamp[target] != epoch {
-			r.Debug.NoCarrier++
+		if target < 0 || r.reachStamp[target] != epoch {
 			continue
 		}
 		cands = append(cands, cand{p: p, target: target, exp: exp, feasible: exp < float64(p.Remaining(now))})
@@ -282,7 +277,6 @@ func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 	for _, cd := range cands {
 		carrier, _ := pickCarrier(r.carrierBkt[cd.target], cd.p)
 		if carrier == nil {
-			r.Debug.NoCarrier++
 			continue
 		}
 		var cc *sim.Contact
@@ -300,10 +294,6 @@ func (r *Router) forwardPass(ctx *sim.Context, lm int, c *sim.Contact) int {
 		cd.p.ExpDelay = cd.exp
 		ls.lbSent[cd.target]++
 		sent++
-		r.Debug.Forwarded++
-		if cd.target == cd.p.Dst {
-			r.Debug.DirectDeliv++
-		}
 	}
 	return sent
 }

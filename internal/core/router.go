@@ -41,17 +41,16 @@ type nodeState struct {
 	accVal    float64 // cached acc.Value(): read per present node per pass
 
 	vectors []carriedVector
-	// reports holds report copies this node owns (leftovers kept across an
-	// arrival); reportsShare is the pending-set snapshot taken at the last
+	// reportsShare is the pending-set snapshot taken at the last
 	// departure, shared read-only with the landmark and every other node
 	// that departed in the same unit.
-	reports      []routing.BandwidthReport
 	reportsShare []routing.BandwidthReport
 	notices      []correctionNotice
 
-	// stay-time statistics for dead-end detection (dense per landmark;
-	// sum and count share a struct so a departure touches one cache line —
-	// the split-slice layout was the hottest line in OnDepart at scale).
+	// stay-time statistics for dead-end detection. stay is dense per
+	// landmark and allocated only when dead-end prevention, its sole
+	// reader, is on; sum and count share a struct so a departure touches
+	// one cache line.
 	stay      []stayStat
 	totalSum  trace.Time
 	totalCnt  int
@@ -150,13 +149,6 @@ type Router struct {
 	// UnitHook, when set, runs after each time-unit boundary is
 	// processed; experiments use it to snapshot tables (Fig. 8).
 	UnitHook func(seq int)
-
-	// Debug counts forwarding-decision outcomes (diagnostics only).
-	Debug struct {
-		NoRoute, NoCarrier, Forwarded, DirectDeliv int64
-		DeadEndEvents, DeadEndPackets              int64
-		DeadEndRemTTL                              float64
-	}
 }
 
 var _ sim.Router = (*Router)(nil)
@@ -188,14 +180,17 @@ func (r *Router) Init(ctx *sim.Context) {
 	r.nodes = make([]*nodeState, len(ctx.Nodes))
 	for i := range r.nodes {
 		acc := predict.NewAccuracyTracker()
-		r.nodes[i] = &nodeState{
+		ns := &nodeState{
 			pred:      predict.NewMarkov(r.cfg.Order),
 			acc:       acc,
 			predicted: -1,
 			predFrom:  -1,
 			accVal:    acc.Value(),
-			stay:      make([]stayStat, nL),
 		}
+		if r.cfg.DeadEnd {
+			ns.stay = make([]stayStat, nL)
+		}
+		r.nodes[i] = ns
 	}
 	r.landmarks = make([]*landmarkState, nL)
 	for i := range r.landmarks {
@@ -312,9 +307,11 @@ func (r *Router) OnDepart(ctx *sim.Context, n *sim.Node, lm int) {
 	ns := r.nodes[n.ID]
 	ls := r.landmarks[lm]
 	stay := n.VisitEnd - n.VisitStart
-	st := &ns.stay[lm]
-	st.sum += stay
-	st.cnt++
+	if ns.stay != nil {
+		st := &ns.stay[lm]
+		st.sum += stay
+		st.cnt++
+	}
 	ns.totalSum += stay
 	ns.totalCnt++
 
@@ -369,7 +366,6 @@ func (r *Router) OnDepart(ctx *sim.Context, n *sim.Node, lm int) {
 	// unpopular landmarks, so every departing node carries the full
 	// pending set (reports are single entries) and delivers whichever
 	// matches the landmark it actually reaches.
-	ns.reports = ns.reports[:0]
 	ns.reportsShare = ls.sharedReports()
 
 	// Loop-correction notices spread through every departing node.
@@ -511,34 +507,20 @@ func (r *Router) deliverControl(ctx *sim.Context, ns *nodeState, lm int) {
 		}
 		ns.vectors = keep
 	}
-	if len(ns.reports) > 0 || len(ns.reportsShare) > 0 {
-		// Owned leftovers first (in practice empty: every departure resets
-		// them), then the shared snapshot taken at the last departure —
-		// the same application order as when each node carried its own
-		// copies.
-		keep := ns.reports[:0]
-		for _, rep := range ns.reports {
-			if rep.From == lm {
-				r.applyReport(ctx, ls, rep)
-			} else if rep.Seq >= r.unitSeq-2 {
-				keep = append(keep, rep) // still fresh; keep carrying
-			}
+	// The snapshot taken at the last departure is sorted by From with
+	// unique entries (it mirrors pendingList), so the one report addressed
+	// to this landmark — if any — is found by binary search instead of a
+	// full scan.
+	if sh := ns.reportsShare; len(sh) > 0 {
+		i := sort.Search(len(sh), func(i int) bool { return sh[i].From >= lm })
+		if i < len(sh) && sh[i].From == lm {
+			r.applyReport(ctx, ls, sh[i])
 		}
-		// The snapshot is sorted by From with unique entries (it mirrors
-		// pendingList), so the one report addressed to this landmark — if
-		// any — is found by binary search instead of a full scan.
-		if sh := ns.reportsShare; len(sh) > 0 {
-			i := sort.Search(len(sh), func(i int) bool { return sh[i].From >= lm })
-			if i < len(sh) && sh[i].From == lm {
-				r.applyReport(ctx, ls, sh[i])
-			}
-			// Undelivered snapshot entries are dropped, not carried on:
-			// arrivals and departures strictly alternate per node (trace
-			// visits are disjoint intervals), and the next departure
-			// rebuilds the carried set before the next arrival could read
-			// a retained copy — so keeping them is unobservable work.
-		}
-		ns.reports = keep
+		// Undelivered snapshot entries are dropped, not carried on:
+		// arrivals and departures strictly alternate per node (trace
+		// visits are disjoint intervals), and the next departure rebuilds
+		// the carried set before the next arrival could read a retained
+		// copy — so keeping them is unobservable work.
 		ns.reportsShare = nil
 	}
 	if len(ns.notices) > 0 {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // Real-deployment experiments (Section V-C): the nine-phone campus system
@@ -62,7 +63,7 @@ func runFig16(opt Options) *Report {
 		Heading: "(b) bandwidths of transit links (>= 0.14 transits/unit, unit=12h)",
 		Columns: []string{"link", "bandwidth"},
 	}
-	for _, lb := range sc.Trace.BandwidthsAt(sc.Unit) {
+	for _, lb := range trace.Bandwidths(sc.Trace, sc.Unit) {
 		if lb.Bandwidth < 0.14 {
 			break
 		}

@@ -77,7 +77,7 @@ func runFig3(opt Options) *Report {
 	rep := &Report{ID: "fig3", Title: "Bandwidth distribution of transit links", Paper: "Fig. 3"}
 	for _, sc := range BothScenarios(opt.Scale) {
 		unit := analysisUnit(sc)
-		bws := sc.Trace.BandwidthsAt(unit)
+		bws := trace.Bandwidths(sc.Trace, unit)
 		sec := Section{
 			Heading: sc.String() + fmt.Sprintf(" — %d transit links, unit=%s", len(bws), dur(unit)),
 			Columns: []string{"percentile", "bandwidth (transits/unit)"},
@@ -101,7 +101,7 @@ func runFig4(opt Options) *Report {
 	rep := &Report{ID: "fig4", Title: "Bandwidth of top-3 transit links over time", Paper: "Fig. 4"}
 	for _, sc := range BothScenarios(opt.Scale) {
 		unit := analysisUnit(sc)
-		bws := sc.Trace.BandwidthsAt(unit)
+		bws := trace.Bandwidths(sc.Trace, unit)
 		n := 3
 		if len(bws) < n {
 			n = len(bws)

@@ -33,11 +33,6 @@ type Config struct {
 // trace, snapshots the block/mutex profiles, and writes the heap profile
 // after a final GC. On error every collector already started is stopped
 // again.
-func Start(cpuPath, memPath, tracePath string) (func(), error) {
-	return Config{CPU: cpuPath, Mem: memPath, Trace: tracePath}.Start()
-}
-
-// Start begins the collectors named by the config.
 func (c Config) Start() (func(), error) {
 	var stops []func()
 	unwind := func(err error) (func(), error) {

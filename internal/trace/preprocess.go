@@ -35,7 +35,6 @@ func Preprocess(tr *Trace, opt PreprocessOptions) *Trace {
 	out.SortVisits()
 	if opt.MergeDistance > 0 && len(out.Positions) == out.NumLandmarks {
 		mergeLandmarksByDistance(out, opt.MergeDistance)
-		out.InvalidateDerived()
 	}
 	if opt.MergeGap >= 0 {
 		mergeNeighbouring(out, opt.MergeGap)
@@ -48,7 +47,6 @@ func Preprocess(tr *Trace, opt PreprocessOptions) *Trace {
 			}
 		}
 		out.Visits = kept
-		out.InvalidateDerived()
 		// Removal may expose new adjacent same-landmark pairs.
 		if opt.MergeGap >= 0 {
 			mergeNeighbouring(out, opt.MergeGap)
@@ -66,7 +64,6 @@ func Preprocess(tr *Trace, opt PreprocessOptions) *Trace {
 			}
 		}
 		out.Visits = kept
-		out.InvalidateDerived()
 		if opt.MergeGap >= 0 {
 			mergeNeighbouring(out, opt.MergeGap)
 		}
@@ -83,7 +80,6 @@ func Preprocess(tr *Trace, opt PreprocessOptions) *Trace {
 			}
 		}
 		out.Visits = kept
-		out.InvalidateDerived()
 	}
 	reindex(out)
 	out.SortVisits()

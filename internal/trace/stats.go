@@ -11,14 +11,8 @@ import (
 // distribution (Fig. 3, O2/O3) and bandwidth over time (Fig. 4, O4).
 
 // VisitCounts returns counts[l][n] = number of visits of node n to
-// landmark l. The result is memoized on the trace; callers must not
-// mutate it.
+// landmark l.
 func VisitCounts(tr *Trace) [][]int {
-	return tr.cachedVisitCounts()
-}
-
-// computeVisitCounts is the uncached VisitCounts computation.
-func computeVisitCounts(tr *Trace) [][]int {
 	counts := make([][]int, tr.NumLandmarks)
 	for i := range counts {
 		counts[i] = make([]int, tr.NumNodes)

@@ -56,19 +56,16 @@ type Transit struct {
 // Travel returns the time spent between the two landmarks.
 func (t Transit) Travel() Time { return t.Arrive - t.Depart }
 
-// Trace is a preprocessed mobility trace.
-//
-// Derived artifacts (Span, VisitsByNode, Transits, LandmarkSequences,
-// VisitCounts, BandwidthsAt) are memoized on first use and shared by all
-// readers — see derived.go for the aliasing and invalidation contract.
+// Trace is a preprocessed mobility trace. It is a plain value: derived
+// artifacts (Span, VisitsByNode, Transits, LandmarkSequences, VisitCounts)
+// are computed from Visits on each call and returned as fresh slices the
+// caller owns, so in-place edits to Visits are always reflected.
 type Trace struct {
 	Name         string
 	NumNodes     int
 	NumLandmarks int
 	Visits       []Visit     // sorted by Start, then Node
 	Positions    []geo.Point // optional landmark positions; len 0 or NumLandmarks
-
-	derived atomicDerived // lazily computed derived-data cache
 }
 
 // Clone returns a deep copy of the trace.
@@ -84,9 +81,21 @@ func (tr *Trace) Clone() *Trace {
 }
 
 // Span returns the first visit start and the last visit end. A trace with
-// no visits spans (0, 0). The result is memoized.
+// no visits spans (0, 0).
 func (tr *Trace) Span() (start, end Time) {
-	return tr.cachedSpan()
+	if len(tr.Visits) == 0 {
+		return 0, 0
+	}
+	start = tr.Visits[0].Start
+	for _, v := range tr.Visits {
+		if v.Start < start {
+			start = v.Start
+		}
+		if v.End > end {
+			end = v.End
+		}
+	}
+	return start, end
 }
 
 // Duration returns the total time spanned by the trace.
@@ -96,10 +105,8 @@ func (tr *Trace) Duration() Time {
 }
 
 // SortVisits sorts the visits by start time, breaking ties by node and then
-// landmark so the order is total and deterministic. It invalidates the
-// derived-data cache.
+// landmark so the order is total and deterministic.
 func (tr *Trace) SortVisits() {
-	tr.InvalidateDerived()
 	sort.Slice(tr.Visits, func(i, j int) bool {
 		return VisitBefore(tr.Visits[i], tr.Visits[j])
 	})
@@ -144,28 +151,77 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// VisitsByNode groups the visits per node, each group in time order. The
-// result is memoized; callers must not mutate the returned groups.
+// VisitsByNode groups the visits per node, each group in time order.
+// Visits with an out-of-range node index are skipped.
 func (tr *Trace) VisitsByNode() [][]Visit {
-	return tr.cachedVisitsByNode()
+	counts := make([]int, tr.NumNodes)
+	for _, v := range tr.Visits {
+		if v.Node >= 0 && v.Node < tr.NumNodes {
+			counts[v.Node]++
+		}
+	}
+	// One backing array shared by all groups: a single allocation for the
+	// visit data, with each node's group a capped sub-slice of it.
+	backing := make([]Visit, len(tr.Visits))
+	out := make([][]Visit, tr.NumNodes)
+	offset := 0
+	for n, c := range counts {
+		out[n] = backing[offset : offset : offset+c]
+		offset += c
+	}
+	for _, v := range tr.Visits {
+		if v.Node >= 0 && v.Node < tr.NumNodes {
+			out[v.Node] = append(out[v.Node], v)
+		}
+	}
+	return out
 }
 
-// Transits extracts every transit in the trace: for each node, consecutive
-// visits to different landmarks become one transit. Consecutive visits to
-// the same landmark do not produce a transit (preprocessing merges them,
-// but generators may still emit them). The result is memoized; callers
-// must not mutate the returned slice (use ComputeTransits for a fresh
-// copy).
+// Transits extracts every transit in the trace, ordered by arrival time
+// and then node: for each node, consecutive visits to different landmarks
+// become one transit. Consecutive visits to the same landmark do not
+// produce a transit (preprocessing merges them, but generators may still
+// emit them).
 func (tr *Trace) Transits() []Transit {
-	return tr.cachedTransits()
+	var out []Transit
+	for n, vs := range tr.VisitsByNode() {
+		for i := 1; i < len(vs); i++ {
+			if vs[i].Landmark == vs[i-1].Landmark {
+				continue
+			}
+			out = append(out, Transit{
+				Node:   n,
+				From:   vs[i-1].Landmark,
+				To:     vs[i].Landmark,
+				Depart: vs[i-1].End,
+				Arrive: vs[i].Start,
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Arrive != out[j].Arrive {
+			return out[i].Arrive < out[j].Arrive
+		}
+		return out[i].Node < out[j].Node
+	})
+	return out
 }
 
 // LandmarkSequences returns, for each node, the ordered sequence of
 // landmarks it visited (after merging, consecutive entries differ). This is
-// the input to the order-k Markov predictor of Section IV-B. The result is
-// memoized; callers must not mutate the returned sequences.
+// the input to the order-k Markov predictor of Section IV-B.
 func (tr *Trace) LandmarkSequences() [][]int {
-	return tr.cachedLandmarkSequences()
+	out := make([][]int, tr.NumNodes)
+	for n, vs := range tr.VisitsByNode() {
+		seq := make([]int, 0, len(vs))
+		for _, v := range vs {
+			if len(seq) == 0 || seq[len(seq)-1] != v.Landmark {
+				seq = append(seq, v.Landmark)
+			}
+		}
+		out[n] = seq
+	}
+	return out
 }
 
 // Characteristics summarizes a trace in the style of Table I.

@@ -199,3 +199,35 @@ func TestClone(t *testing.T) {
 		t.Error("Clone shares visit slice")
 	}
 }
+
+// TestDerivedReadsFollowEdits edits a trace in place between reads: every
+// derived artifact is computed from the current visits, so the second read
+// must see the appended visit and the edited one.
+func TestDerivedReadsFollowEdits(t *testing.T) {
+	tr := mkTrace(
+		Visit{Node: 0, Landmark: 0, Start: 0, End: 10},
+		Visit{Node: 1, Landmark: 1, Start: 5, End: 15},
+	)
+	if s, e := tr.Span(); s != 0 || e != 15 {
+		t.Fatalf("Span = (%d, %d), want (0, 15)", s, e)
+	}
+	if got := len(tr.VisitsByNode()[0]); got != 1 {
+		t.Fatalf("node 0 has %d visits, want 1", got)
+	}
+
+	tr.Visits = append(tr.Visits, Visit{Node: 0, Landmark: 1, Start: 20, End: 40})
+	if s, e := tr.Span(); s != 0 || e != 40 {
+		t.Errorf("after append: Span = (%d, %d), want (0, 40)", s, e)
+	}
+	if got := tr.VisitsByNode()[0]; len(got) != 2 || got[1].End != 40 {
+		t.Errorf("after append: node 0 visits = %+v, want 2 ending at 40", got)
+	}
+
+	tr.Visits[1].End = 50
+	if _, e := tr.Span(); e != 50 {
+		t.Errorf("after in-place edit: Span end = %d, want 50", e)
+	}
+	if got := tr.VisitsByNode()[1]; got[0].End != 50 {
+		t.Errorf("after in-place edit: node 1 visit = %+v, want End 50", got[0])
+	}
+}
