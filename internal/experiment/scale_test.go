@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"repro/internal/disrupt"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -119,6 +120,57 @@ func TestScaleStreamMatchesMaterializedDART(t *testing.T) {
 	}
 	if streamed.Visits != visits {
 		t.Errorf("streamed run saw %d visits, materialized trace has %d", streamed.Visits, visits)
+	}
+}
+
+// TestScaleSpanWithoutScan checks the scale path takes the Spanner fast
+// path: NewSharded opens an undisrupted generator stream once, the one it
+// runs, and a second time only for a disrupted stream, which is not a
+// Spanner and still needs the span scan. A wrapper that dropped Spanner
+// would bring the scan back unnoticed by every result-level test.
+func TestScaleSpanWithoutScan(t *testing.T) {
+	storm := func(sc string) *disrupt.Spec {
+		sp := ScaleSpec{Scenario: sc}
+		nodes, lms, _ := sp.Dims()
+		start, end, _ := sp.Span()
+		d, err := disrupt.Preset("storm", nodes, lms, start, end)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &d
+	}
+	for _, c := range []struct {
+		spec  ScaleSpec
+		opens int
+	}{
+		{ScaleSpec{Scenario: "DART"}, 1},
+		{ScaleSpec{Scenario: "DNET", Mult: 2}, 1},
+		{ScaleSpec{Scenario: "DNET", Disrupt: storm("DNET")}, 2},
+	} {
+		open, err := c.spec.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := c.spec.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl, err := c.spec.Workload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opens := 0
+		counted := func() trace.Source {
+			opens++
+			return open()
+		}
+		if _, err := sim.NewSharded(counted, NewRouter("DTN-FLOW"), wl, cfg, sim.ShardConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if opens != c.opens {
+			t.Errorf("%s ×%d (disrupted %v): NewSharded opened the stream %d times, want %d",
+				c.spec.Scenario, c.spec.mult(), c.spec.Disrupt != nil, opens, c.opens)
+		}
 	}
 }
 

@@ -393,7 +393,7 @@ func newEngine(tr *trace.Trace, src trace.Source, r Router, w *Workload, cfg Con
 		end:         end,
 		measureFrom: start + cfg.Warmup,
 		disrupt:     cfg.Disrupt,
-		rd:          visitReader{src: src, nodes: tr.NumNodes, lms: tr.NumLandmarks},
+		rd:          visitReader{src: src, nodes: tr.NumNodes, lms: tr.NumLandmarks, start: start, end: end},
 		departs:     departBuckets{start: start, epoch: epoch},
 		batch:       epochBatch{bound: start},
 		cursors:     cursors{epEnd: start + epoch, unitT: start + cfg.Unit},

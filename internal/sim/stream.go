@@ -43,12 +43,14 @@ type ShardStats struct {
 }
 
 // NewSharded assembles an engine over a visit stream. open must return a
-// fresh Source over the same stream on every call; when the first instance
-// does not implement trace.Spanner, a second instance is drained once
-// (ScanSpan) to learn the span — the span determines the measurement
-// boundary and the time-unit schedule, which must match New over the
-// materialized stream exactly. The context trace is a header without
-// visits.
+// fresh Source over the same stream on every call. The span determines
+// the measurement boundary, the time-unit schedule and the packet
+// schedule, which must match New over the materialized stream exactly: a
+// trace.Spanner source reports it (the streaming generators and
+// SliceSource), and only for any other source is a second instance
+// drained once (ScanSpan) to learn it — today that means disrupted
+// streams. The reader checks the claimed span against the stream it
+// drains. The context trace is a header without visits.
 func NewSharded(open func() trace.Source, r Router, w *Workload, cfg Config, sh ShardConfig) (*Engine, error) {
 	src := open()
 	var start, end trace.Time
@@ -139,16 +141,21 @@ func (q *departBuckets) clone() departBuckets {
 // enforcing the (Start, Node, Landmark) stream order and index bounds as
 // it goes — a malformed trace or generator fails loudly here instead of
 // corrupting the merge. count is the number of visits popped: the stream
-// position, and the sequence base of their events.
+// position, and the sequence base of their events. Once the stream is
+// drained, the span it covered (first start, largest end) must be the
+// span the engine was built with, which a Spanner claims unchecked.
 type visitReader struct {
-	src   trace.Source
-	nodes int
-	lms   int
-	chunk []trace.Visit
-	i     int
-	count int
-	prev  trace.Visit
-	done  bool
+	src        trace.Source
+	nodes      int
+	lms        int
+	start, end trace.Time // the engine's span
+	chunk      []trace.Visit
+	i          int
+	count      int
+	prev       trace.Visit
+	first      trace.Time // start of visit 0
+	maxEnd     trace.Time // largest end popped
+	done       bool
 }
 
 func (r *visitReader) peek() (trace.Visit, bool) {
@@ -159,6 +166,10 @@ func (r *visitReader) peek() (trace.Visit, bool) {
 		c, ok := r.src.Next()
 		if !ok {
 			r.done = true
+			if r.first != r.start || r.maxEnd != r.end {
+				panic(fmt.Sprintf("sim: source: %d visits span (%d, %d), engine built for (%d, %d)",
+					r.count, r.first, r.maxEnd, r.start, r.end))
+			}
 			return trace.Visit{}, false
 		}
 		r.chunk, r.i = c, 0
@@ -176,6 +187,10 @@ func (r *visitReader) pop() trace.Visit {
 		panic(fmt.Sprintf("sim: source: visit %d (n%d l%d @%d) out of order after (n%d l%d @%d)",
 			r.count, v.Node, v.Landmark, v.Start, r.prev.Node, r.prev.Landmark, r.prev.Start))
 	}
+	if r.count == 0 {
+		r.first = v.Start
+	}
+	r.maxEnd = max(r.maxEnd, v.End)
 	r.prev = v
 	r.count++
 	return v

@@ -178,3 +178,56 @@ func TestStreamRejectsUnsorted(t *testing.T) {
 	}()
 	s.Run()
 }
+
+// claimedSpan is a SliceSource that reports a span shifted by skew: a
+// trace.Spanner that lies about its stream when skew is non-zero.
+type claimedSpan struct {
+	*trace.SliceSource
+	skewStart, skewEnd trace.Time
+}
+
+func (c claimedSpan) Span() (start, end trace.Time) {
+	start, end = c.SliceSource.Span()
+	return start + c.skewStart, end + c.skewEnd
+}
+
+// TestStreamChecksClaimedSpan checks the reader holds a Spanner to its
+// word: NewSharded takes the claimed span without a scan, so a claim the
+// drained stream does not bear out must fail the run, and an honest one
+// must not.
+func TestStreamChecksClaimedSpan(t *testing.T) {
+	tr := twoHopTrace(6)
+	cfg := Config{Seed: 1, PacketSize: 1, NodeMemory: 10, TTL: 100, Unit: 500, LinkRate: 1}
+	run := func(skewStart, skewEnd trace.Time) (failed bool) {
+		open := func() trace.Source {
+			return claimedSpan{trace.NewSliceSource(tr, 2), skewStart, skewEnd}
+		}
+		s, err := NewSharded(open, &recordingRouter{}, NewWorkload(100, 1, 100), cfg, ShardConfig{Epoch: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { failed = recover() != nil }()
+		s.Run()
+		return false
+	}
+	if run(0, 0) {
+		t.Error("engine rejected an honest span")
+	}
+	for _, skew := range [][2]trace.Time{{0, 1}, {0, -1}, {1, 0}, {-1, 0}} {
+		if !run(skew[0], skew[1]) {
+			t.Errorf("engine accepted a span skewed by %v", skew)
+		}
+	}
+	empty := &trace.Trace{Name: "empty", NumNodes: 1, NumLandmarks: 1}
+	s, err := NewSharded(func() trace.Source { return claimedSpan{trace.NewSliceSource(empty, 0), 0, 1} },
+		&recordingRouter{}, nil, cfg, ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("engine accepted a non-empty span for an empty stream")
+		}
+	}()
+	s.Run()
+}

@@ -35,3 +35,34 @@ func FuzzSmall(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamSpan asserts the streaming generators' Span equals a scan of
+// the stream for arbitrary seeds, small populations and horizons, and
+// logging loss up to every visit.
+func FuzzStreamSpan(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(3), uint8(12), false)
+	f.Add(int64(2), uint8(5), uint8(1), uint8(90), true)
+	f.Add(int64(4), uint8(6), uint8(4), uint8(85), false)
+	f.Add(int64(3), uint8(3), uint8(2), uint8(100), false)
+	f.Fuzz(func(t *testing.T, seed int64, nodes, days, miss uint8, dnet bool) {
+		n, d, m := 1+int(nodes)%12, int(days)%5, float64(miss%101)/100
+		var open func() trace.Source
+		if dnet {
+			cfg := DefaultDNET()
+			cfg.Seed, cfg.Buses, cfg.Landmarks, cfg.Routes, cfg.Days, cfg.MissProb = seed, n, 10, 3, d, m
+			open = func() trace.Source { return DNETSource(cfg, StreamConfig{Workers: 1}) }
+		} else {
+			cfg := DefaultDART()
+			cfg.Seed, cfg.Nodes, cfg.Landmarks, cfg.Communities, cfg.Days, cfg.MissProb = seed, n, 20, 4, d, m
+			open = func() trace.Source { return DARTSource(cfg, StreamConfig{Workers: 1}) }
+		}
+		start, end := open().(trace.Spanner).Span()
+		ws, we, err := trace.ScanSpan(open())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start != ws || end != we {
+			t.Fatalf("Span = (%d, %d), ScanSpan = (%d, %d)", start, end, ws, we)
+		}
+	})
+}

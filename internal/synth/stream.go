@@ -22,6 +22,12 @@ import (
 // identical with, the materializing generators; within the family the
 // stream is fully deterministic: the same config yields the same visit
 // sequence for every Workers/Chunk/Window setting.
+//
+// Both sources are trace.Spanners. Span replays fresh walkers rather than
+// a second copy of the stream, relying on the horizon clamp every walker
+// keeps (walker.go): no visit ends after the generation horizon
+// (cfg.Days × Day), so once some visit ends exactly there the rest of the
+// stream cannot raise the span's end.
 
 // StreamConfig tunes a streaming generator. The zero value selects
 // sensible defaults.
@@ -124,6 +130,7 @@ type streamSource struct {
 	chunk   int
 	workers int
 
+	fresh   func(n int) nodeStream // node n's walker and RNG before any step
 	nodes   []nodeStream
 	batch   []trace.Visit // current window, merged and sorted
 	off     int           // emit offset into batch
@@ -133,6 +140,56 @@ type streamSource struct {
 
 // Info returns the stream's trace header.
 func (s *streamSource) Info() trace.SourceInfo { return s.info }
+
+// Span returns the stream's exact span — the first visit start and the
+// largest visit end, (0, 0) for an empty stream — without draining it. It
+// replays fresh walkers one node at a time and never advances the
+// source's own, so it may be called at any point of the stream.
+//
+// Each walker emits its node's visits in start order, so the first start
+// is the minimum over nodes of each node's first emitted start: a step or
+// two per node. The end is the running maximum End over whole walker runs,
+// and no End exceeds the horizon s.end, so once the maximum reaches s.end
+// the remaining nodes only need their first visit. Usually the first node
+// gets there (its last visit is clamped to the horizon); a node whose last
+// visit went unlogged leaves the search to the next node.
+func (s *streamSource) Span() (start, end trace.Time) {
+	start, end, _ = s.span()
+	return start, end
+}
+
+// span is Span plus the number of walkers it ran past their first visit.
+func (s *streamSource) span() (start, end trace.Time, ran int) {
+	found := false
+	var buf []trace.Visit
+	for n := range s.nodes {
+		ns := s.fresh(n)
+		done := false
+		for len(buf) == 0 && !done {
+			buf, done = ns.w.step(ns.rng, buf)
+		}
+		if len(buf) == 0 {
+			continue // the node never emits a visit
+		}
+		if !found || buf[0].Start < start {
+			start, found = buf[0].Start, true
+		}
+		for first := true; ; first = false {
+			for _, v := range buf {
+				end = max(end, v.End)
+			}
+			buf = buf[:0]
+			if done || end >= s.end {
+				break
+			}
+			if first {
+				ran++
+			}
+			buf, done = ns.w.step(ns.rng, buf)
+		}
+	}
+	return start, end, ran
+}
 
 // Next returns the next chunk of the merged visit stream.
 func (s *streamSource) Next() ([]trace.Visit, bool) {
@@ -224,6 +281,23 @@ func (s *streamSource) advance() {
 	}
 }
 
+// newStreamSource assembles a source over a population of fresh walkers.
+func newStreamSource(info trace.SourceInfo, days int, sc StreamConfig, fresh func(n int) nodeStream) *streamSource {
+	nodes := make([]nodeStream, info.NumNodes)
+	for n := range nodes {
+		nodes[n] = fresh(n)
+	}
+	return &streamSource{
+		info:    info,
+		end:     trace.Time(days) * trace.Day,
+		window:  sc.window(),
+		chunk:   sc.chunk(),
+		workers: sc.workers(),
+		fresh:   fresh,
+		nodes:   nodes,
+	}
+}
+
 // DARTSource returns a streaming DART generator: same campus topology as
 // DART(cfg), per-student streams derived from (cfg.Seed, node). Peak
 // memory is one merge window of visits plus per-student walker state,
@@ -231,24 +305,16 @@ func (s *streamSource) advance() {
 func DARTSource(cfg DARTConfig, sc StreamConfig) trace.Source {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tp := newDARTTopo(cfg, rng)
-	nodes := make([]nodeStream, cfg.Nodes)
-	for n := range nodes {
+	info := trace.SourceInfo{
+		Name:         "DART",
+		NumNodes:     cfg.Nodes,
+		NumLandmarks: cfg.Landmarks,
+		Positions:    tp.pos,
+	}
+	return newStreamSource(info, cfg.Days, sc, func(n int) nodeStream {
 		nrng := nodeRand(cfg.Seed, n)
-		nodes[n] = nodeStream{w: newDARTWalker(tp, n, nrng), rng: nrng}
-	}
-	return &streamSource{
-		info: trace.SourceInfo{
-			Name:         "DART",
-			NumNodes:     cfg.Nodes,
-			NumLandmarks: cfg.Landmarks,
-			Positions:    tp.pos,
-		},
-		end:     trace.Time(cfg.Days) * trace.Day,
-		window:  sc.window(),
-		chunk:   sc.chunk(),
-		workers: sc.workers(),
-		nodes:   nodes,
-	}
+		return nodeStream{w: newDARTWalker(tp, n, nrng), rng: nrng}
+	})
 }
 
 // DNETSource returns a streaming DNET generator: same town topology and
@@ -257,22 +323,14 @@ func DARTSource(cfg DARTConfig, sc StreamConfig) trace.Source {
 func DNETSource(cfg DNETConfig, sc StreamConfig) trace.Source {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tp := newDNETTopo(cfg, rng)
-	nodes := make([]nodeStream, cfg.Buses)
-	for b := range nodes {
+	info := trace.SourceInfo{
+		Name:         "DNET",
+		NumNodes:     cfg.Buses,
+		NumLandmarks: cfg.Landmarks,
+		Positions:    tp.pos,
+	}
+	return newStreamSource(info, cfg.Days, sc, func(b int) nodeStream {
 		brng := nodeRand(cfg.Seed, b)
-		nodes[b] = nodeStream{w: newDNETWalker(tp, b, brng), rng: brng}
-	}
-	return &streamSource{
-		info: trace.SourceInfo{
-			Name:         "DNET",
-			NumNodes:     cfg.Buses,
-			NumLandmarks: cfg.Landmarks,
-			Positions:    tp.pos,
-		},
-		end:     trace.Time(cfg.Days) * trace.Day,
-		window:  sc.window(),
-		chunk:   sc.chunk(),
-		workers: sc.workers(),
-		nodes:   nodes,
-	}
+		return nodeStream{w: newDNETWalker(tp, b, brng), rng: brng}
+	})
 }

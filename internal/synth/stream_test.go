@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -25,14 +27,131 @@ func smallDNET() DNETConfig {
 }
 
 // materializeStream drains a source and fails the test on any stream-order
-// violation.
+// violation or any visit ending past the generation horizon (the clamp
+// streamSource.Span relies on).
 func materializeStream(t *testing.T, src trace.Source) *trace.Trace {
 	t.Helper()
+	horizon := src.(*streamSource).end
 	tr, err := trace.Materialize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, v := range tr.Visits {
+		if v.End > horizon {
+			t.Fatalf("visit %d %+v ends past the horizon %d", i, v, horizon)
+		}
+	}
 	return tr
+}
+
+// checkSpan compares a fresh source's Span with a scan of another fresh
+// source over the same stream.
+func checkSpan(t *testing.T, name string, open func() trace.Source) (start, end trace.Time) {
+	t.Helper()
+	start, end = open().(trace.Spanner).Span()
+	ws, we, err := trace.ScanSpan(open())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if start != ws || end != we {
+		t.Errorf("%s: Span = (%d, %d), ScanSpan = (%d, %d)", name, start, end, ws, we)
+	}
+	return start, end
+}
+
+// TestSpanMatchesScan pins Span's exactness against a scan of the stream
+// for both models over several seeds, populations and horizons, including
+// the lossy logs where the last visits of nodes go unrecorded.
+func TestSpanMatchesScan(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 11} {
+		for _, mult := range []int{1, 3} {
+			for _, days := range []int{1, 10} {
+				for _, miss := range []float64{0, 0.12, 0.9} {
+					cfg := smallDART()
+					cfg.Seed, cfg.Days, cfg.MissProb = seed, days, miss
+					cfg.Nodes *= mult
+					cfg.Communities *= mult
+					checkSpan(t, fmt.Sprintf("DART %+v", cfg), func() trace.Source { return DARTSource(cfg, StreamConfig{}) })
+
+					dn := smallDNET()
+					dn.Seed, dn.Days, dn.MissProb = seed, days, miss
+					dn.Buses *= mult
+					checkSpan(t, fmt.Sprintf("DNET %+v", dn), func() trace.Source { return DNETSource(dn, StreamConfig{}) })
+				}
+			}
+		}
+	}
+	checkSpan(t, "DART default", func() trace.Source { return DARTSource(DefaultDART(), StreamConfig{}) })
+	checkSpan(t, "DNET default", func() trace.Source { return DNETSource(DefaultDNET(), StreamConfig{}) })
+}
+
+// TestSpanEmptyStream checks a stream with no logged visit spans (0, 0),
+// as ScanSpan reports it.
+func TestSpanEmptyStream(t *testing.T) {
+	cfg := smallDART()
+	cfg.MissProb = 1
+	if s, e := checkSpan(t, "DART MissProb 1", func() trace.Source { return DARTSource(cfg, StreamConfig{}) }); s != 0 || e != 0 {
+		t.Errorf("empty stream spans (%d, %d), want (0, 0)", s, e)
+	}
+	cfg.MissProb, cfg.Days = 0, 0
+	if s, e := checkSpan(t, "DART 0 days", func() trace.Source { return DARTSource(cfg, StreamConfig{}) }); s != 0 || e != 0 {
+		t.Errorf("zero-day stream spans (%d, %d), want (0, 0)", s, e)
+	}
+}
+
+// TestSpanStopsAtHorizon checks the early stop fires: once some visit ends
+// at the horizon, Span replays only the first visit of the other nodes
+// instead of every walker to the end.
+func TestSpanStopsAtHorizon(t *testing.T) {
+	for _, src := range []trace.Source{
+		DARTSource(DefaultDART(), StreamConfig{}),
+		DNETSource(DefaultDNET(), StreamConfig{}),
+	} {
+		ss := src.(*streamSource)
+		_, end, ran := ss.span()
+		if end != ss.end {
+			t.Errorf("%s: span ends at %d, before the horizon %d", ss.info.Name, end, ss.end)
+		}
+		if n := len(ss.nodes); ran*4 > n {
+			t.Errorf("%s: Span ran %d of %d walkers past their first visit", ss.info.Name, ran, n)
+		}
+	}
+}
+
+// TestSpanMidStream checks Span is a pure function of the configuration:
+// asking before and after a partial drain gives the same span, and the
+// rest of the stream is the one an unasked source emits.
+func TestSpanMidStream(t *testing.T) {
+	cfg := smallDART()
+	sc := StreamConfig{Chunk: 100}
+	ref := materializeStream(t, DARTSource(cfg, sc))
+
+	src := DARTSource(cfg, sc)
+	s0, e0 := src.(trace.Spanner).Span()
+	var got []trace.Visit
+	for i := 0; i < 5; i++ {
+		c, ok := src.Next()
+		if !ok {
+			t.Fatal("stream ended within five chunks")
+		}
+		got = append(got, c...)
+	}
+	if s1, e1 := src.(trace.Spanner).Span(); s1 != s0 || e1 != e0 {
+		t.Errorf("Span after a partial drain = (%d, %d), before = (%d, %d)", s1, e1, s0, e0)
+	}
+	for {
+		c, ok := src.Next()
+		if !ok {
+			break
+		}
+		got = append(got, c...)
+	}
+	if !slices.Equal(got, ref.Visits) {
+		t.Fatalf("asking Span changed the stream: %d visits, want %d", len(got), len(ref.Visits))
+	}
+	if ws, we := ref.Span(); s0 != ws || e0 != we {
+		t.Errorf("Span = (%d, %d), materialized span = (%d, %d)", s0, e0, ws, we)
+	}
 }
 
 // TestDARTSourceValid checks the streamed DART family is a structurally

@@ -18,6 +18,13 @@ import (
 // order the original generator loop did — including draws whose results
 // are discarded — so a given (topology, node RNG) pair always yields the
 // same visit sequence regardless of how step calls are batched.
+//
+// Horizon clamp: every emitted visit ends at or before the walker's end
+// (cfg.Days × Day) — each visit end is clamped to it (DART vEnd, DNET
+// vEnd and the garage return back) — and a walker stops once its clock
+// reaches it. streamSource.Span stops searching for the stream's largest
+// end as soon as some visit ends exactly there, so a walker that let an
+// End past the horizon would make that span wrong.
 
 // dartTopo is the shared DART campus layout: landmark positions, holiday
 // windows, and the community→place assignment. Building it consumes the
@@ -148,7 +155,7 @@ func (w *dartWalker) step(rng *rand.Rand, buf []trace.Visit) ([]trace.Visit, boo
 	}
 	vEnd := t + dwell
 	if vEnd > w.end {
-		vEnd = w.end
+		vEnd = w.end // horizon clamp
 	}
 	if rng.Float64() >= cfg.MissProb {
 		buf = append(buf, trace.Visit{Node: w.node, Landmark: w.cur, Start: t, End: vEnd})
@@ -279,7 +286,7 @@ func (w *dnetWalker) step(rng *rand.Rand, buf []trace.Visit) ([]trace.Visit, boo
 		}
 		vEnd := morning + trace.Time(rng.Intn(int(20*trace.Minute)))
 		if vEnd > w.end {
-			vEnd = w.end
+			vEnd = w.end // horizon clamp
 		}
 		buf = append(buf, trace.Visit{Node: w.node, Landmark: depot, Start: t, End: vEnd})
 		w.t = vEnd
@@ -294,7 +301,7 @@ func (w *dnetWalker) step(rng *rand.Rand, buf []trace.Visit) ([]trace.Visit, boo
 	dwell := clampTime(trace.Time(logNormal(rng, float64(5*trace.Minute), 0.4)), 2*trace.Minute, 20*trace.Minute)
 	vEnd := t + dwell
 	if vEnd > w.end {
-		vEnd = w.end
+		vEnd = w.end // horizon clamp
 	}
 	logged := w.cur
 	if rng.Float64() < cfg.NoiseProb {
@@ -314,7 +321,7 @@ func (w *dnetWalker) step(rng *rand.Rand, buf []trace.Visit) ([]trace.Visit, boo
 		depot := w.rt.cycle[0]
 		back := trace.Time(dayOf(vEnd)+2)*trace.Day + 6*trace.Hour
 		if back > w.end {
-			back = w.end
+			back = w.end // horizon clamp
 		}
 		travel := travelTime(rng, w.topo.pos[w.cur], w.topo.pos[depot], 7.0)
 		if vEnd+travel < back {
