@@ -22,7 +22,8 @@
 // outcomes in a window around the event (-window sets its length).
 //
 // -regret rebuilds the run's trace from the meta header (re-applying its
-// recorded -disrupt argument), solves the offline contact-graph oracle
+// recorded -disrupt argument; a trace whose node or landmark count differs
+// from the recording's is refused), solves the offline contact-graph oracle
 // for every recorded packet, and reports how far each delivery lagged
 // the provable optimum plus a per-landmark decision-quality table; see
 // DESIGN.md's "Oracle architecture" section.

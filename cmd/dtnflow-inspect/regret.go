@@ -12,10 +12,10 @@ import (
 	"sort"
 
 	"repro/internal/disrupt"
+	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/oracle"
 	"repro/internal/sim"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -23,7 +23,10 @@ import (
 // regretTrace rebuilds the trace a recording was produced on: the named
 // generator (or trace file) from the meta header, perturbed by the same
 // -disrupt argument the run used. traceArg overrides the meta scenario
-// (for recordings whose scenario names a file moved since the run).
+// (for recordings whose scenario names a file moved since the run). A
+// rebuilt trace whose population differs from the recorded one is
+// refused: the recording's node and landmark IDs would not mean the same
+// nodes and landmarks.
 func regretTrace(m telemetry.Meta, traceArg string) (*trace.Trace, error) {
 	name := traceArg
 	if name == "" {
@@ -32,36 +35,18 @@ func regretTrace(m telemetry.Meta, traceArg string) (*trace.Trace, error) {
 	if name == "" {
 		return nil, fmt.Errorf("recording has no scenario in its meta header; pass -trace")
 	}
-	var tr *trace.Trace
-	switch name {
-	case "dart":
-		tr = synth.DART(synth.DefaultDART())
-	case "dnet":
-		tr = synth.DNET(synth.DefaultDNET())
-	case "campus":
-		tr = synth.Campus(synth.DefaultCampus())
-	case "small":
-		tr = synth.Small(synth.DefaultSmall())
-	default:
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if tr, err = trace.Read(f); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", name, err)
-		}
+	tr, _, _, err := experiment.LoadTrace(name, 0)
+	if err != nil {
+		return nil, err
 	}
 	if m.DisruptArg != "" {
-		// Same derivation dtnflow-sim uses, so the perturbed trace is
-		// bit-identical to the one the engine routed on.
-		sp, err := disrupt.Parse(m.DisruptArg, tr.NumNodes, tr.NumLandmarks, 0, tr.Duration())
-		if err != nil {
-			return nil, fmt.Errorf("re-deriving disruption %q: %w", m.DisruptArg, err)
-		}
-		if tr, err = disrupt.Perturb(tr, &sp); err != nil {
+		if tr, _, err = disrupt.PerturbArg(tr, m.DisruptArg); err != nil {
 			return nil, fmt.Errorf("re-applying disruption %q: %w", m.DisruptArg, err)
 		}
+	}
+	if tr.NumNodes != m.Nodes || tr.NumLandmarks != m.Landmarks {
+		return nil, fmt.Errorf("trace %s has %d nodes and %d landmarks, the recording %d and %d",
+			name, tr.NumNodes, tr.NumLandmarks, m.Nodes, m.Landmarks)
 	}
 	return tr, nil
 }

@@ -15,7 +15,7 @@
 //	dtnflow-scale                             # 1× DART, DTN-FLOW
 //	dtnflow-scale -mult 32                    # 10,240-node DART
 //	dtnflow-scale -scenario DNET -mult 10
-//	dtnflow-scale -workers 8 -epoch-days 0.5  # tuning knobs
+//	dtnflow-scale -epoch-days 0.5             # engine merge epoch
 //	dtnflow-scale -disrupt storm              # disrupted population
 //	dtnflow-scale -json                       # machine-readable result
 package main
@@ -30,7 +30,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -39,7 +38,6 @@ func main() {
 		scenario   = flag.String("scenario", "DART", "scaled scenario: DART or DNET")
 		mult       = flag.Int("mult", 1, "population multiplier (landmarks stay fixed)")
 		method     = flag.String("method", "DTN-FLOW", "routing method")
-		workers    = flag.Int("workers", 0, "stream fill workers (0 = GOMAXPROCS)")
 		epochDays  = flag.Float64("epoch-days", 1, "engine merge epoch in days")
 		rate       = flag.Float64("rate", 0, "packets/day network-wide (0 = scenario default)")
 		disruptArg = flag.String("disrupt", "", "disruption preset (outage, link-sever, link-degrade, churn, drift, flash-crowd, storm) or a JSON spec file")
@@ -68,7 +66,6 @@ func main() {
 		Mult:     *mult,
 		Rate:     *rate,
 		Seed:     *seed,
-		Stream:   synth.StreamConfig{Workers: *workers},
 	}
 	if *disruptArg != "" {
 		nodes, landmarks, err := spec.Dims()

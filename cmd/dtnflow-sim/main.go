@@ -38,7 +38,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -71,7 +70,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	tr, ttlDef, unit, err := loadTrace(*traceArg)
+	tr, ttlDef, unit, err := experiment.LoadTrace(*traceArg, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -91,13 +90,7 @@ func main() {
 	// default measurement window must see.
 	var dsp *disrupt.Spec
 	if *disruptArg != "" {
-		sp, err := disrupt.Parse(*disruptArg, tr.NumNodes, tr.NumLandmarks, 0, tr.Duration())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtnflow-sim:", err)
-			os.Exit(1)
-		}
-		dsp = &sp
-		if tr, err = disrupt.Perturb(tr, dsp); err != nil {
+		if tr, dsp, err = disrupt.PerturbArg(tr, *disruptArg); err != nil {
 			fmt.Fprintln(os.Stderr, "dtnflow-sim:", err)
 			os.Exit(1)
 		}
@@ -133,23 +126,10 @@ func main() {
 	s := res.Summary
 
 	if rec != nil {
-		if err := writeRecording(rec, *telPath, telemetry.Meta{
-			Scenario:            *traceArg,
-			Method:              s.Method,
-			Seed:                *seed,
-			Nodes:               tr.NumNodes,
-			Landmarks:           tr.NumLandmarks,
-			Unit:                cfg.Unit,
-			TTL:                 cfg.TTL,
-			Warmup:              cfg.Warmup,
-			PacketSize:          cfg.PacketSize,
-			NodeMemory:          cfg.NodeMemory,
-			StationMemory:       cfg.StationMemory,
-			LinkRate:            cfg.LinkRate,
-			MaxContactTransfers: cfg.MaxContactTransfers,
-			DisruptArg:          *disruptArg,
-			Disruptions:         dsp.Events(),
-		}); err != nil {
+		meta := experiment.RunMeta(*traceArg, s.Method, tr, cfg)
+		meta.DisruptArg = *disruptArg
+		meta.Disruptions = dsp.Events()
+		if err := writeRecording(rec, *telPath, meta); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -226,27 +206,4 @@ func writeRecording(rec *telemetry.Recorder, path string, meta telemetry.Meta) e
 		err = cerr
 	}
 	return err
-}
-
-func loadTrace(arg string) (*trace.Trace, trace.Time, trace.Time, error) {
-	switch arg {
-	case "dart":
-		return synth.DART(synth.DefaultDART()), 20 * trace.Day, 3 * trace.Day, nil
-	case "dnet":
-		return synth.DNET(synth.DefaultDNET()), 4 * trace.Day, trace.Day / 2, nil
-	case "campus":
-		return synth.Campus(synth.DefaultCampus()), 3 * trace.Day, 12 * trace.Hour, nil
-	case "small":
-		return synth.Small(synth.DefaultSmall()), 2 * trace.Day, 12 * trace.Hour, nil
-	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("parsing %s: %w", arg, err)
-	}
-	return tr, 20 * trace.Day, 3 * trace.Day, nil
 }

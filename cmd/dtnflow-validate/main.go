@@ -30,14 +30,19 @@ func main() {
 		scale   = flag.String("scale", "tiny", "scenario scale: tiny, quick or full")
 		methods = flag.String("methods", "", "comma-separated methods (default: all)")
 		seeds   = flag.Int("seeds", 2, "seeds for the fork-equivalence check")
-		rate    = flag.Float64("rate", 0, "packets/day per node (0 = scenario default)")
+		rate    = flag.Float64("rate", 0, "packets/day network-wide (0 = scenario default)")
 		fuzz    = flag.Int("fuzz", 0, "random specs for the property fuzzer (0 = skip)")
 		verbose = flag.Bool("v", false, "log progress while running")
 	)
 	flag.Parse()
 
+	sc, err := experiment.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	opt := validate.BatteryOptions{
-		Scale:     experiment.Scale(*scale),
+		Scale:     sc,
 		Seeds:     *seeds,
 		Rate:      *rate,
 		FuzzSpecs: *fuzz,

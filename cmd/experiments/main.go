@@ -26,7 +26,7 @@ func main() {
 	var (
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		run     = flag.String("run", "", "comma-separated experiment IDs, or 'all'")
-		scale   = flag.String("scale", "full", "trace scale: full or quick")
+		scale   = flag.String("scale", "full", "trace scale: full, quick or tiny")
 		seeds   = flag.Int("seeds", 1, "independent seeds per data point")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
 		out     = flag.String("out", "", "directory to write per-experiment result files")
@@ -44,11 +44,12 @@ func main() {
 		return
 	}
 
-	opt := experiment.Options{
-		Scale:   experiment.Scale(*scale),
-		Seeds:   *seeds,
-		Workers: *workers,
+	sc, err := experiment.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
+	opt := experiment.Options{Scale: sc, Seeds: *seeds, Workers: *workers}
 	var ids []string
 	if *run == "all" {
 		for _, e := range experiment.All() {

@@ -1,6 +1,8 @@
 // Command tracegen generates the synthetic mobility traces and prints
 // their Table I characteristics, optionally writing them to disk in the
-// line format understood by the trace package.
+// line format understood by the trace package. -stats measures bandwidth
+// in the trace's time unit: 3 days for dart, half a day for dnet, 12
+// hours for campus and small.
 //
 // Usage:
 //
@@ -14,48 +16,23 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/experiment"
 	"repro/internal/predict"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		kind  = flag.String("kind", "dart", "trace kind: dart, dnet, campus, small")
+		kind  = flag.String("kind", "dart", "trace kind: dart, dnet, campus, small, or a trace file path")
 		seed  = flag.Int64("seed", 0, "override generator seed (0 = default)")
 		out   = flag.String("out", "", "write the trace to this file")
 		stats = flag.Bool("stats", false, "print trace-analysis statistics (O1-O4, Fig. 6)")
 	)
 	flag.Parse()
 
-	var tr *trace.Trace
-	switch *kind {
-	case "dart":
-		cfg := synth.DefaultDART()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		tr = synth.DART(cfg)
-	case "dnet":
-		cfg := synth.DefaultDNET()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		tr = synth.DNET(cfg)
-	case "campus":
-		cfg := synth.DefaultCampus()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		tr = synth.Campus(cfg)
-	case "small":
-		cfg := synth.DefaultSmall()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		tr = synth.Small(cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kind)
+	tr, _, unit, err := experiment.LoadTrace(*kind, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if err := tr.Validate(); err != nil {
@@ -65,10 +42,6 @@ func main() {
 	fmt.Println(tr.Summarize())
 
 	if *stats {
-		unit := 3 * trace.Day
-		if tr.Name == "DNET" {
-			unit = trace.Day / 2
-		}
 		bws := trace.Bandwidths(tr, unit)
 		fmt.Printf("transit links: %d, top bandwidth %.2f/unit, median %.2f/unit\n",
 			len(bws), bws[0].Bandwidth, bws[len(bws)/2].Bandwidth)

@@ -176,7 +176,9 @@ func RunExperiment(id string, opt ExperimentOptions) (string, error) {
 	}
 	o := experiment.DefaultOptions()
 	if opt.Scale != "" {
-		o.Scale = experiment.Scale(opt.Scale)
+		if o.Scale, err = experiment.ParseScale(opt.Scale); err != nil {
+			return "", err
+		}
 	}
 	if opt.Seeds > 0 {
 		o.Seeds = opt.Seeds

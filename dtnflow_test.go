@@ -46,6 +46,17 @@ func TestRunExperimentFacade(t *testing.T) {
 	}
 }
 
+// TestRunExperimentRejectsUnknownScale checks a misspelt scale is an
+// error: as a raw Scale it would build the Full traces while the sweeps
+// halve their x-values, a mix of two regimes.
+func TestRunExperimentRejectsUnknownScale(t *testing.T) {
+	for _, scale := range []string{"Quick", "TINY", "medium"} {
+		if _, err := RunExperiment("table1", ExperimentOptions{Scale: scale}); err == nil {
+			t.Errorf("scale %q accepted", scale)
+		}
+	}
+}
+
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
 	if len(ids) < 20 {

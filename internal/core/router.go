@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/predict"
@@ -170,9 +171,6 @@ func New(cfg Config) *Router {
 // Name implements sim.Router.
 func (r *Router) Name() string { return r.name }
 
-// SetName overrides the reported name (used by ablation variants).
-func (r *Router) SetName(s string) { r.name = s }
-
 // Init implements sim.Router.
 func (r *Router) Init(ctx *sim.Context) {
 	r.ctx = ctx
@@ -340,7 +338,7 @@ func (r *Router) OnDepart(ctx *sim.Context, n *sim.Node, lm int) {
 		// table generation proves the copy current without comparing it.
 		vec := ls.table.ToVector()
 		if g := ls.table.Gen(); ls.advVec == nil || g != ls.advGen {
-			if !equalFloats(ls.advVec, vec) {
+			if !slices.Equal(ls.advVec, vec) {
 				ls.advVec = append([]float64(nil), vec...)
 			}
 			ls.advGen = g
@@ -402,7 +400,7 @@ func (r *Router) OnTimeUnit(ctx *sim.Context, seq int) {
 		// allocates nothing.
 		ls.hopScratch = ls.table.AppendNextHops(ls.hopScratch[:0])
 		delays := ls.table.ToVector()
-		if !equalInts(ls.hopScratch, ls.lastHops) || delaysDrifted(delays, ls.lastDelays, 1.0) {
+		if !slices.Equal(ls.hopScratch, ls.lastHops) || delaysDrifted(delays, ls.lastDelays, 1.0) {
 			if ctx.Probe.Enabled() {
 				// Convergence delta: how many next hops moved and the
 				// largest relative delay drift since the last advertised
@@ -623,28 +621,4 @@ func maxRelativeDrift(last, cur []float64) float64 {
 		}
 	}
 	return max
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

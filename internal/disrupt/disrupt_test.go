@@ -70,7 +70,7 @@ func TestStreamInvariance(t *testing.T) {
 	t.Run("dart-stream", func(t *testing.T) {
 		cfg := synth.DefaultDART()
 		cfg.Nodes, cfg.Landmarks, cfg.Communities, cfg.Days = 24, 12, 4, 7
-		base, err := trace.Materialize(synth.DARTSource(cfg, synth.StreamConfig{}))
+		base, err := trace.Materialize(synth.DARTSource(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,23 +79,19 @@ func TestStreamInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ref *trace.Trace
-		for _, sc := range []synth.StreamConfig{
-			{},
-			{Workers: 1, Chunk: 1},
-			{Workers: 4, Window: 6 * trace.Hour, Chunk: 17},
-			{Workers: 2, Window: 3 * trace.Day, Chunk: 4096},
-		} {
-			got, err := trace.Materialize(NewSource(synth.DARTSource(cfg, sc), &sp))
+		// The generator's own chunks against the materialized stream in
+		// chunks of other sizes.
+		ref, err := trace.Materialize(NewSource(synth.DARTSource(cfg), &sp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 17, 4096} {
+			got, err := trace.Materialize(NewSource(trace.NewSliceSource(base, chunk), &sp))
 			if err != nil {
-				t.Fatalf("%+v: %v", sc, err)
-			}
-			if ref == nil {
-				ref = got
-				continue
+				t.Fatalf("chunk %d: %v", chunk, err)
 			}
 			if !reflect.DeepEqual(got.Visits, ref.Visits) {
-				t.Fatalf("%+v: perturbed stream differs across stream configs", sc)
+				t.Fatalf("chunk %d: perturbed stream differs from the perturbed generator", chunk)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package disrupt
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/trace"
@@ -9,8 +10,9 @@ import (
 // The perturbed-source wrapper. The transform is purely sequential over
 // the input stream — one visit in, zero or more pieces out — so the
 // perturbed stream depends only on the underlying visit sequence, never
-// on how it is chunked: stream-invariance across Workers/Chunk/Window
-// settings is inherited from the wrapped source, and chunk boundaries
+// on how it is chunked: stream-invariance across the generators' fill
+// workers, chunk sizes and merge windows is inherited from the wrapped
+// source, and chunk boundaries
 // (including ones landing exactly on a disruption window edge) cannot
 // change the output.
 //
@@ -92,6 +94,21 @@ func Perturb(tr *trace.Trace, sp *Spec) (*trace.Trace, error) {
 		return tr, nil
 	}
 	return trace.Materialize(NewSource(trace.NewSliceSource(tr, 0), sp))
+}
+
+// PerturbArg resolves a -disrupt argument (a preset name or a JSON spec
+// file; see Parse) against tr's population over [0, tr.Duration()) and
+// perturbs tr with it. dtnflow-sim and dtnflow-inspect -regret both call
+// it, so a recording is replayed on the very trace the engine routed on.
+func PerturbArg(tr *trace.Trace, arg string) (*trace.Trace, *Spec, error) {
+	sp, err := Parse(arg, tr.NumNodes, tr.NumLandmarks, 0, tr.Duration())
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr, err = Perturb(tr, &sp); err != nil {
+		return nil, nil, fmt.Errorf("disrupt: perturbed trace invalid: %w", err)
+	}
+	return tr, &sp, nil
 }
 
 // Info returns the underlying header, name-tagged "+disrupt".

@@ -8,8 +8,7 @@ import "sync"
 // the full synthetic trace from scratch. The generators are deterministic
 // — same kind and scale always yield byte-identical traces — so the
 // scenarios are memoized process-wide, keyed by (trace kind, scale), and
-// every caller shares one Scenario and one trace.Trace (whose own derived
-// artifacts are memoized per trace; see internal/trace/derived.go).
+// every caller shares one Scenario and one trace.Trace.
 //
 // Contract: cached Scenarios and their traces are shared across
 // experiments and across concurrently running simulations, and must be
@@ -35,9 +34,9 @@ var scenarioCache sync.Map // scenarioKey -> *scenarioEntry
 // cachedScenario returns the memoized scenario for (kind, scale),
 // building it at most once per process. Concurrent callers for the same
 // key block on the sync.Once until the build completes.
-func cachedScenario(kind string, scale Scale, build func(Scale) *Scenario) *Scenario {
+func cachedScenario(kind string, scale Scale, build func(Scale, int64) *Scenario) *Scenario {
 	v, _ := scenarioCache.LoadOrStore(scenarioKey{kind, scale}, &scenarioEntry{})
 	e := v.(*scenarioEntry)
-	e.once.Do(func() { e.sc = build(scale) })
+	e.once.Do(func() { e.sc = build(scale, 0) })
 	return e.sc
 }

@@ -88,20 +88,6 @@ func ParseScale(name string) (Scale, error) {
 	}
 }
 
-// ScenarioByName returns the memoized scenario for a cell's scenario name.
-func ScenarioByName(name string, scale Scale) (*Scenario, error) {
-	switch name {
-	case "DART":
-		return DARTScenario(scale), nil
-	case "DNET":
-		return DNETScenario(scale), nil
-	case "CAMPUS":
-		return CampusScenario(scale), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown scenario %q (want DART, DNET or CAMPUS)", name)
-	}
-}
-
 // Validate checks the cell without executing it; every execution and
 // fingerprinting path calls it first so a malformed cell fails the same
 // way everywhere.
@@ -118,7 +104,7 @@ func (c Cell) Validate() error {
 			return err
 		}
 	case CellScale:
-		if _, err := (ScaleSpec{Scenario: c.Scenario}).params(); err != nil {
+		if _, err := (ScaleSpec{Scenario: c.Scenario}).resolve(); err != nil {
 			return err
 		}
 	default:

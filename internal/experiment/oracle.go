@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"math/rand"
-
 	"repro/internal/disrupt"
 	"repro/internal/oracle"
 	"repro/internal/sim"
@@ -11,10 +9,10 @@ import (
 
 // This file threads the offline oracle (internal/oracle) into the
 // experiment layer: OracleFor reproduces the exact packet list an
-// engine run would generate — same seed, same warmup window, same
-// workload RNG draw order — and solves it over the scenario's contact
-// graph, so sweeps and reports can print the oracle's upper bound as a
-// seventh column beside the six methods.
+// engine run would generate — the engine's own draw, sim.PacketSchedule —
+// and solves it over the scenario's contact graph, so sweeps and reports
+// can print the oracle's upper bound as a seventh column beside the six
+// methods.
 
 // OracleSummary is the oracle's answer for one (scenario, seed, rate)
 // cell: the relaxed upper bound (what no method can beat) and the
@@ -36,16 +34,11 @@ type OracleSummary struct {
 	CommittedRate      float64 `json:"committed_rate"`
 }
 
-// OraclePackets reproduces the packet list an engine run on this
-// scenario would generate: the workload schedule is the engine RNG's
-// first draw (sim.New seeds the heap, then schedules), so seeding a
-// fresh RNG with cfg.Seed and calling Schedule over the measurement
-// window yields the identical slab.
+// OraclePackets reproduces the packet list an engine run on tr would
+// generate: sim.PacketSchedule is the engine's own draw.
 func (sc *Scenario) OraclePackets(cfg sim.Config, w *sim.Workload, tr *trace.Trace) []oracle.Packet {
 	start, end := tr.Span()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pkts := w.Schedule(rng, start+cfg.Warmup, end, tr.NumLandmarks)
-	return oracle.FromSim(pkts)
+	return oracle.FromSim(sim.PacketSchedule(w, cfg, start, end, tr.NumLandmarks))
 }
 
 // OracleFor solves the oracle for one (seed, rate) cell of this
@@ -61,15 +54,11 @@ func (sc *Scenario) OracleFor(seed int64, rate float64, workers int) (*oracle.Re
 // schedule, so the answer bounds the methods on the trace they actually
 // saw.
 func (sc *Scenario) OracleDisrupted(seed int64, rate float64, workers int, preset string) (*oracle.Result, OracleSummary, error) {
-	sp, err := disrupt.Preset(preset, sc.Trace.NumNodes, sc.Trace.NumLandmarks, 0, sc.Trace.Duration())
+	tr, sp, err := disrupt.PerturbArg(sc.Trace, preset)
 	if err != nil {
 		return nil, OracleSummary{}, err
 	}
-	tr, err := disrupt.Perturb(sc.Trace, &sp)
-	if err != nil {
-		return nil, OracleSummary{}, err
-	}
-	res, sum := sc.oracleRunOn(tr, seed, rate, workers, preset, &sp)
+	res, sum := sc.oracleRunOn(tr, seed, rate, workers, preset, sp)
 	return res, sum, nil
 }
 
@@ -98,8 +87,7 @@ func (sp ScaleSpec) OracleScale(workers int) (OracleSummary, error) {
 		return OracleSummary{}, err
 	}
 	start, end := tr.Span()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pkts := oracle.FromSim(w.Schedule(rng, start+cfg.Warmup, end, tr.NumLandmarks))
+	pkts := oracle.FromSim(sim.PacketSchedule(w, cfg, start, end, tr.NumLandmarks))
 	ocfg := oracle.ConfigFrom(cfg)
 	ocfg.Workers = workers
 	ocfg.SkipCommitted = true
@@ -107,7 +95,7 @@ func (sp ScaleSpec) OracleScale(workers int) (OracleSummary, error) {
 	sum := OracleSummary{
 		Scenario:    sp.Scenario,
 		Seed:        cfg.Seed,
-		Rate:        sp.rate(),
+		Rate:        w.Rate,
 		Packets:     len(res.Packets),
 		Deliverable: res.Deliverable,
 		MeanDelay:   res.MeanDelay,

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"time"
@@ -32,15 +31,13 @@ type ScaleSpec struct {
 	// landmarks are never scaled. < 1 means 1.
 	Mult int
 	// Rate is the network-wide packet rate per day; <= 0 means the Full
-	// scenario default (500). The workload measures routing under the
+	// scenario default. The workload measures routing under the
 	// paper's load — scale runs measure engine throughput on mobility
 	// events, so the rate does not scale with Mult by default.
 	Rate float64
 	// Seed seeds the simulation (workload schedule); <= 0 means 1. The
 	// trace seed is the generator default, as in the Full scenarios.
 	Seed int64
-	// Stream tunes the generation side (fill workers, merge window).
-	Stream synth.StreamConfig
 	// Disrupt perturbs the scenario (nil = steady state): the spec's
 	// trace effects wrap the streaming source, its churn flushes enter
 	// the engine config, and its flash crowds enter the workload — so a
@@ -60,33 +57,6 @@ func (sp ScaleSpec) seed() int64 {
 		return 1
 	}
 	return sp.Seed
-}
-
-func (sp ScaleSpec) rate() float64 {
-	if sp.Rate <= 0 {
-		return 500
-	}
-	return sp.Rate
-}
-
-// scaleParams are the per-scenario experiment settings, matching the Full
-// Scenario values (scenario.go) so a 1× scale run is the paper's regime.
-type scaleParams struct {
-	days   int
-	ttl    trace.Time
-	unit   trace.Time
-	memDiv int64
-}
-
-func (sp ScaleSpec) params() (scaleParams, error) {
-	switch sp.Scenario {
-	case "DART":
-		return scaleParams{days: synth.DefaultDART().Days, ttl: 20 * trace.Day, unit: 3 * trace.Day, memDiv: 120}, nil
-	case "DNET":
-		return scaleParams{days: synth.DefaultDNET().Days, ttl: 4 * trace.Day, unit: trace.Day / 2, memDiv: 60}, nil
-	default:
-		return scaleParams{}, fmt.Errorf("experiment: unknown scale scenario %q (want DART or DNET)", sp.Scenario)
-	}
 }
 
 func (sp ScaleSpec) dartConfig() synth.DARTConfig {
@@ -114,80 +84,56 @@ func (sp ScaleSpec) dnetConfig() synth.DNETConfig {
 
 // Dims returns the scaled population without building anything.
 func (sp ScaleSpec) Dims() (nodes, landmarks int, err error) {
-	switch sp.Scenario {
-	case "DART":
-		cfg := sp.dartConfig()
-		return cfg.Nodes, cfg.Landmarks, nil
-	case "DNET":
-		cfg := sp.dnetConfig()
-		return cfg.Buses, cfg.Landmarks, nil
-	default:
-		_, err = sp.params()
-		return 0, 0, err
-	}
+	r, err := sp.resolve()
+	return r.nodes, r.landmarks, err
 }
 
 // Open returns a factory of fresh streaming sources over the scaled
 // scenario — the form sim.NewSharded consumes. A disruption spec wraps
 // every source, so consumers always see the perturbed stream.
 func (sp ScaleSpec) Open() (func() trace.Source, error) {
-	var open func() trace.Source
-	switch sp.Scenario {
-	case "DART":
-		cfg := sp.dartConfig()
-		sc := sp.Stream
-		open = func() trace.Source { return synth.DARTSource(cfg, sc) }
-	case "DNET":
-		cfg := sp.dnetConfig()
-		sc := sp.Stream
-		open = func() trace.Source { return synth.DNETSource(cfg, sc) }
-	default:
-		_, err := sp.params()
+	r, err := sp.resolve()
+	if err != nil {
 		return nil, err
 	}
-	return disrupt.Wrap(open, sp.Disrupt), nil
+	return disrupt.Wrap(r.open, sp.Disrupt), nil
 }
 
 // Span returns the scenario's generation horizon [0, days × Day) — the
 // window disruption presets are placed in.
 func (sp ScaleSpec) Span() (start, end trace.Time, err error) {
-	p, err := sp.params()
-	if err != nil {
-		return 0, 0, err
-	}
-	return 0, trace.Time(p.days) * trace.Day, nil
+	r, err := sp.resolve()
+	return 0, trace.Time(r.days) * trace.Day, err
 }
 
-// Config returns the simulator configuration of the spec. The warmup
-// boundary is analytic — a quarter of the generation horizon (days × Day)
-// — rather than a quarter of the materialized span, so the streaming path
-// needs no extra scan and a run over the materialized stream measures the
-// same window.
+// Config returns the simulator configuration of the spec: the Full
+// scenario's settings over the generation horizon. The warmup boundary is
+// analytic — a quarter of days × Day — rather than a quarter of the
+// materialized span, so the streaming path needs no extra scan and a run
+// over the materialized stream measures the same window.
 func (sp ScaleSpec) Config() (sim.Config, error) {
-	p, err := sp.params()
+	r, err := sp.resolve()
 	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := sim.DefaultConfig(trace.Time(p.days) * trace.Day)
-	cfg.Seed = sp.seed()
-	cfg.TTL = p.ttl
-	cfg.Unit = p.unit
-	cfg.NodeMemory = 2000 * 1024 / p.memDiv // the Full scenarios' Memory(2000)
-	if cfg.NodeMemory < 1024 {
-		cfg.NodeMemory = 1024
-	}
+	cfg := r.base.config(trace.Time(r.days)*trace.Day, sp.seed())
 	sp.Disrupt.Apply(&cfg, nil)
 	return cfg, nil
 }
 
-// Workload returns the scaled scenario's workload, including any flash
-// crowds from the disruption spec.
+// Workload returns the scaled scenario's workload at the spec's rate
+// (<= 0 means the Full scenario default), including any flash crowds
+// from the disruption spec.
 func (sp ScaleSpec) Workload() (*sim.Workload, error) {
-	p, err := sp.params()
+	r, err := sp.resolve()
 	if err != nil {
 		return nil, err
 	}
-	w := sim.NewWorkload(sp.rate(), 1024, p.ttl)
+	rate := sp.Rate
+	if rate <= 0 {
+		rate = r.base.RateDef
+	}
+	w := r.base.Workload(rate)
 	sp.Disrupt.Apply(nil, w)
 	return w, nil
 }

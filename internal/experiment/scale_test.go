@@ -205,17 +205,36 @@ func TestScaleSweep(t *testing.T) {
 }
 
 // TestScaleConfigAnalyticWarmup checks the shared config is derived from
-// the generation horizon, not a materialized span.
+// the generation horizon, not a materialized span, and carries the Full
+// scenario's settings: TTL, unit, node memory (Memory(2000)) and rate.
 func TestScaleConfigAnalyticWarmup(t *testing.T) {
-	cfg, err := ScaleSpec{Scenario: "DART"}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	days := synth.DefaultDART().Days
-	if want := trace.Time(days) * trace.Day / 4; cfg.Warmup != want {
-		t.Errorf("Warmup = %d, want %d", cfg.Warmup, want)
-	}
-	if cfg.NodeMemory != 2000*1024/120 {
-		t.Errorf("NodeMemory = %d, want the Full DART scenario's %d", cfg.NodeMemory, 2000*1024/120)
+	for _, c := range []struct {
+		name      string
+		days      int
+		ttl, unit trace.Time
+		memory    int64
+	}{
+		{"DART", synth.DefaultDART().Days, 20 * trace.Day, 3 * trace.Day, 2000 * 1024 / 120},
+		{"DNET", synth.DefaultDNET().Days, 4 * trace.Day, trace.Day / 2, 2000 * 1024 / 60},
+	} {
+		sp := ScaleSpec{Scenario: c.name}
+		cfg, err := sp.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := trace.Time(c.days) * trace.Day / 4; cfg.Warmup != want {
+			t.Errorf("%s: Warmup = %d, want %d", c.name, cfg.Warmup, want)
+		}
+		if cfg.TTL != c.ttl || cfg.Unit != c.unit || cfg.NodeMemory != c.memory {
+			t.Errorf("%s: TTL %d, unit %d, memory %d; want the Full scenario's %d, %d, %d",
+				c.name, cfg.TTL, cfg.Unit, cfg.NodeMemory, c.ttl, c.unit, c.memory)
+		}
+		w, err := sp.Workload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Rate != 500 || w.TTL != c.ttl {
+			t.Errorf("%s: workload rate %v, TTL %d; want 500, %d", c.name, w.Rate, w.TTL, c.ttl)
+		}
 	}
 }

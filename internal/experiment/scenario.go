@@ -77,7 +77,13 @@ func (sc *Scenario) Memory(kb float64) int64 {
 // Config returns the simulator configuration for this scenario with the
 // paper's defaults (Section V-A.1).
 func (sc *Scenario) Config(seed int64) sim.Config {
-	cfg := sim.DefaultConfig(sc.Trace.Duration())
+	return sc.config(sc.Trace.Duration(), seed)
+}
+
+// config is Config for a trace of the given duration; the scale tier
+// passes its generation horizon instead of building the trace.
+func (sc *Scenario) config(duration trace.Time, seed int64) sim.Config {
+	cfg := sim.DefaultConfig(duration)
 	cfg.Seed = seed
 	cfg.TTL = sc.TTL
 	cfg.Unit = sc.Unit
@@ -93,15 +99,21 @@ func (sc *Scenario) Workload(rate float64) *sim.Workload {
 // Meta describes a run on this scenario for a telemetry recording
 // header (cmd/dtnflow-inspect labels its output from it).
 func (sc *Scenario) Meta(method string, seed int64) telemetry.Meta {
-	cfg := sc.Config(seed)
+	return RunMeta(sc.Name, method, sc.Trace, sc.Config(seed))
+}
+
+// RunMeta describes a run of method on tr under cfg for a telemetry
+// recording header: the run's identity and the physics dtnflow-inspect
+// -regret rebuilds the oracle from.
+func RunMeta(scenario, method string, tr *trace.Trace, cfg sim.Config) telemetry.Meta {
 	return telemetry.Meta{
-		Scenario:            sc.Name,
+		Scenario:            scenario,
 		Method:              method,
-		Seed:                seed,
-		Nodes:               sc.Trace.NumNodes,
-		Landmarks:           sc.Trace.NumLandmarks,
-		Unit:                sc.Unit,
-		TTL:                 sc.TTL,
+		Seed:                cfg.Seed,
+		Nodes:               tr.NumNodes,
+		Landmarks:           tr.NumLandmarks,
+		Unit:                cfg.Unit,
+		TTL:                 cfg.TTL,
 		Warmup:              cfg.Warmup,
 		PacketSize:          cfg.PacketSize,
 		NodeMemory:          cfg.NodeMemory,
@@ -119,16 +131,14 @@ func DARTScenario(scale Scale) *Scenario {
 }
 
 // buildDARTScenario constructs a fresh DART scenario, bypassing the
-// process-wide cache (the determinism test compares both paths).
-func buildDARTScenario(scale Scale) *Scenario {
+// process-wide cache (the determinism test compares both paths); a
+// nonzero seed replaces the generator's.
+func buildDARTScenario(scale Scale, seed int64) *Scenario {
 	cfg := synth.DefaultDART()
-	sc := &Scenario{
-		Name:    "DART",
-		TTL:     20 * trace.Day,
-		Unit:    3 * trace.Day,
-		RateDef: 500,
-		MemDiv:  120,
+	if seed != 0 {
+		cfg.Seed = seed
 	}
+	sc := fullSettings["DART"]
 	switch scale {
 	case Quick:
 		// Smaller topology but the same number of warmup time units, so
@@ -149,7 +159,7 @@ func buildDARTScenario(scale Scale) *Scenario {
 		sc.RateDef = 200
 	}
 	sc.Trace = synth.DART(cfg)
-	return sc
+	return &sc
 }
 
 // DNETScenario returns the DNET-like scenario: TTL 4 days, time unit half
@@ -161,16 +171,13 @@ func DNETScenario(scale Scale) *Scenario {
 }
 
 // buildDNETScenario constructs a fresh DNET scenario, bypassing the
-// process-wide cache.
-func buildDNETScenario(scale Scale) *Scenario {
+// process-wide cache; a nonzero seed replaces the generator's.
+func buildDNETScenario(scale Scale, seed int64) *Scenario {
 	cfg := synth.DefaultDNET()
-	sc := &Scenario{
-		Name:    "DNET",
-		TTL:     4 * trace.Day,
-		Unit:    trace.Day / 2,
-		RateDef: 500,
-		MemDiv:  60,
+	if seed != 0 {
+		cfg.Seed = seed
 	}
+	sc := fullSettings["DNET"]
 	switch scale {
 	case Quick:
 		cfg.Buses = 24
@@ -187,7 +194,7 @@ func buildDNETScenario(scale Scale) *Scenario {
 		sc.RateDef = 200
 	}
 	sc.Trace = synth.DNET(cfg)
-	return sc
+	return &sc
 }
 
 // CampusScenario returns the real-deployment scenario of Section V-C:
@@ -199,19 +206,18 @@ func CampusScenario(scale Scale) *Scenario {
 }
 
 // buildCampusScenario constructs a fresh campus scenario, bypassing the
-// process-wide cache.
-func buildCampusScenario(scale Scale) *Scenario {
+// process-wide cache; a nonzero seed replaces the generator's.
+func buildCampusScenario(scale Scale, seed int64) *Scenario {
 	cfg := synth.DefaultCampus()
+	if seed != 0 {
+		cfg.Seed = seed
+	}
 	if scale != Full {
 		cfg.Days = 7
 	}
-	return &Scenario{
-		Name:    "CAMPUS",
-		Trace:   synth.Campus(cfg),
-		TTL:     3 * trace.Day,
-		Unit:    12 * trace.Hour,
-		RateDef: 75,
-	}
+	sc := fullSettings["CAMPUS"]
+	sc.Trace = synth.Campus(cfg)
+	return &sc
 }
 
 // BothScenarios returns the DART and DNET scenarios.

@@ -21,14 +21,10 @@ func init() {
 	register(&Experiment{ID: "fig8", Title: "Routing table coverage and stability", Paper: "Fig. 8", Run: runFig8})
 }
 
-// analysisUnit returns the trace-analysis time unit: 3 days for DART and
-// half a day for DNET, as in Section III-B.3.
-func analysisUnit(sc *Scenario) trace.Time {
-	if sc.Name == "DNET" {
-		return trace.Day / 2
-	}
-	return 3 * trace.Day
-}
+// analysisUnit returns the trace-analysis time unit of Section III-B.3 at
+// every scale: the Full scenario's unit, 3 days for DART and half a day
+// for DNET.
+func analysisUnit(sc *Scenario) trace.Time { return fullSettings[sc.Name].Unit }
 
 func runTable1(opt Options) *Report {
 	rep := &Report{ID: "table1", Title: "Characteristics of mobility traces", Paper: "Table I"}
@@ -99,7 +95,11 @@ func runFig3(opt Options) *Report {
 
 func runFig4(opt Options) *Report {
 	rep := &Report{ID: "fig4", Title: "Bandwidth of top-3 transit links over time", Paper: "Fig. 4"}
-	for _, sc := range BothScenarios(opt.Scale) {
+	notes := []string{ // one per scenario of BothScenarios, in order
+		"O4 + holiday dips: DART shows two low-activity windows (holiday analogues)",
+		"O4: DNET bandwidth is more stable around its average than DART",
+	}
+	for i, sc := range BothScenarios(opt.Scale) {
 		unit := analysisUnit(sc)
 		bws := trace.Bandwidths(sc.Trace, unit)
 		n := 3
@@ -133,11 +133,7 @@ func runFig4(opt Options) *Report {
 			}
 			sec.AddRow(row...)
 		}
-		if sc.Name == "DART" {
-			sec.Notes = append(sec.Notes, "O4 + holiday dips: DART shows two low-activity windows (holiday analogues)")
-		} else {
-			sec.Notes = append(sec.Notes, "O4: DNET bandwidth is more stable around its average than DART")
-		}
+		sec.Notes = append(sec.Notes, notes[i])
 		rep.Sections = append(rep.Sections, sec)
 	}
 	return rep

@@ -9,18 +9,9 @@ import (
 // estimatedCost ranks a cell for longest-first dispatch. The scale only has
 // to order cells relative to each other, not predict wall time: scale-tier
 // cells grow linearly with the population multiplier and dwarf paper-tier
-// runs, and within a tier DART traces carry more visits than DNET, which
-// carries more than CAMPUS.
+// runs, and within a tier the scenario's RunCost orders them.
 func estimatedCost(c experiment.Cell) float64 {
-	sc := 1.0
-	switch c.Scenario {
-	case "DART":
-		sc = 3
-	case "DNET":
-		sc = 2
-	case "CAMPUS":
-		sc = 1.5
-	}
+	sc := experiment.RunCost(c.Scenario)
 	kind := c.Kind
 	if kind == "" {
 		kind = experiment.CellRun

@@ -29,22 +29,6 @@ func Nearest(p Point, pts []Point) int {
 	return best
 }
 
-// Centroid returns the arithmetic mean of pts. The zero Point is returned
-// for an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	c.X /= float64(len(pts))
-	c.Y /= float64(len(pts))
-	return c
-}
-
 // Voronoi assigns every point in samples to its nearest site, implementing
 // the paper's subarea rules: one landmark per subarea, the space between two
 // landmarks split evenly, no overlap. It returns the assignment indices.
@@ -54,20 +38,4 @@ func Voronoi(samples []Point, sites []Point) []int {
 		out[i] = Nearest(s, sites)
 	}
 	return out
-}
-
-// Bounds returns the bounding box of pts as (min, max). For an empty slice
-// both are the zero Point.
-func Bounds(pts []Point) (min, max Point) {
-	if len(pts) == 0 {
-		return Point{}, Point{}
-	}
-	min, max = pts[0], pts[0]
-	for _, p := range pts[1:] {
-		min.X = math.Min(min.X, p.X)
-		min.Y = math.Min(min.Y, p.Y)
-		max.X = math.Max(max.X, p.X)
-		max.Y = math.Max(max.Y, p.Y)
-	}
-	return min, max
 }

@@ -85,18 +85,3 @@ func TestVoronoi(t *testing.T) {
 		}
 	}
 }
-
-func TestCentroidAndBounds(t *testing.T) {
-	pts := []Point{{0, 0}, {2, 2}, {4, 0}}
-	c := Centroid(pts)
-	if c.X != 2 || math.Abs(c.Y-2.0/3.0) > 1e-12 {
-		t.Errorf("Centroid = %v", c)
-	}
-	min, max := Bounds(pts)
-	if min != (Point{0, 0}) || max != (Point{4, 2}) {
-		t.Errorf("Bounds = %v, %v", min, max)
-	}
-	if c := Centroid(nil); c != (Point{}) {
-		t.Errorf("Centroid(nil) = %v", c)
-	}
-}

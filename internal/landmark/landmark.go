@@ -97,11 +97,3 @@ func SelectFromTrace(tr *trace.Trace, maxCandidates int, minSep float64) (Select
 	out.SortVisits()
 	return sel, out
 }
-
-// Subareas assigns each sample point to its landmark's subarea by nearest
-// distance — the paper's division rules (one landmark per subarea, space
-// between two landmarks split evenly, no overlap) are exactly the Voronoi
-// diagram of the landmark positions.
-func Subareas(samples []geo.Point, landmarks []geo.Point) []int {
-	return geo.Voronoi(samples, landmarks)
-}

@@ -69,13 +69,3 @@ func TestSelectFromTraceRemaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSubareasIsVoronoi(t *testing.T) {
-	lms := []geo.Point{{X: 0}, {X: 100}}
-	samples := []geo.Point{{X: 10}, {X: 90}, {X: 49}, {X: 51}}
-	got := Subareas(samples, lms)
-	want := []int{0, 1, 0, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("subareas = %v, want %v", got, want)
-	}
-}

@@ -318,14 +318,8 @@ func (t *Table) LinkDelay(nbr int) float64 {
 }
 
 // Neighbors returns the landmarks with a finite local link delay as a
-// fresh slice. Hot-path callers should use AppendNeighbors.
+// fresh slice.
 func (t *Table) Neighbors() []int { return append([]int(nil), t.nbrs...) }
-
-// AppendNeighbors appends the landmarks with a finite local link delay to
-// dst, in index order, and returns it — the zero-copy variant of Neighbors
-// for callers with a reusable scratch buffer. The appended values are a
-// snapshot; they are not invalidated by later mutations.
-func (t *Table) AppendNeighbors(dst []int) []int { return append(dst, t.nbrs...) }
 
 // MergeVector installs the distance vector advertised by a neighbouring
 // landmark — vec[d] is the neighbour's overall delay to d (Infinite =

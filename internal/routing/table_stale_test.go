@@ -146,9 +146,6 @@ func TestTableAccessors(t *testing.T) {
 	if tb.LinkDelay(3) != 2 || tb.LinkDelay(2) != Infinite || tb.LinkDelay(-1) != Infinite || tb.LinkDelay(5) != Infinite {
 		t.Error("LinkDelay: wrong value for a linked, unlinked or out-of-range neighbour")
 	}
-	if got := tb.AppendNeighbors([]int{9}); !slices.Equal(got, []int{9, 1, 3}) {
-		t.Errorf("AppendNeighbors = %v, want [9 1 3]", got)
-	}
 	if got := tb.AppendNextHops(nil); !slices.Equal(got, []int{-1, 1, -1, 3, -1}) {
 		t.Errorf("AppendNextHops = %v, want [-1 1 -1 3 -1]", got)
 	}

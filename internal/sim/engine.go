@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/metrics"
@@ -75,7 +74,6 @@ type Context struct {
 	Cfg      Config
 	Nodes    []*Node
 	Stations []*Station
-	Rand     *rand.Rand
 	Metrics  *metrics.Collector
 	// Probe is the telemetry hook (nil when telemetry is off; every
 	// method is a nil-safe no-op, so callers never check).
@@ -401,7 +399,6 @@ func newEngine(tr *trace.Trace, src trace.Source, r Router, w *Workload, cfg Con
 	ctx := &Context{
 		Trace:   tr,
 		Cfg:     cfg,
-		Rand:    rand.New(rand.NewSource(cfg.Seed)),
 		Metrics: &metrics.Collector{},
 		Probe:   cfg.Probe,
 		Check:   cfg.Check,
@@ -415,11 +412,7 @@ func newEngine(tr *trace.Trace, src trace.Source, r Router, w *Workload, cfg Con
 	}
 	e.ctx = ctx
 	e.present = make([][]*Node, tr.NumLandmarks)
-	if w != nil {
-		// ctx.Rand is fresh and consumed only here, so the packet schedule
-		// depends on the seed and the span alone.
-		e.pkts = w.Schedule(ctx.Rand, e.measureFrom, end, tr.NumLandmarks)
-	}
+	e.pkts = PacketSchedule(w, cfg, start, end, tr.NumLandmarks)
 	return e
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"repro/internal/metrics"
@@ -138,13 +137,12 @@ func (r *visitReader) resumed(src *trace.SliceSource) visitReader {
 	return cp
 }
 
-// Fork builds a new engine whose state equals the snapshot's, schedules
-// the workload with a fresh seed-derived RNG, and returns it ready for
-// Run. The forked run's result is bit-identical to a fresh engine built
-// with the same trace, router, workload and seed and run end to end: the
-// warmup evolves identically (it never consumes the RNG and sees no
-// packets), and the workload schedule consumes the seeded RNG exactly as
-// it does at construction time. Forks share nothing mutable with the
+// Fork builds a new engine whose state equals the snapshot's, draws the
+// workload with PacketSchedule under the fork's seed, and returns it
+// ready for Run. The forked run's result is bit-identical to a fresh
+// engine built with the same trace, router, workload and seed and run end
+// to end: the warmup evolves identically (it draws no random numbers and
+// sees no packets), and the packet draw is the one construction makes. Forks share nothing mutable with the
 // snapshot or with each other, so any number may run concurrently.
 func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 	cfg := s.cfg
@@ -163,7 +161,6 @@ func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 	ctx := &Context{
 		Trace:   s.trace,
 		Cfg:     cfg,
-		Rand:    rand.New(rand.NewSource(seed)),
 		Metrics: s.metrics.Clone(),
 		Probe:   cfg.Probe,
 		Check:   cfg.Check,
@@ -194,9 +191,7 @@ func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 		e.present[lm] = set
 	}
 	e.router = s.router.CloneRouter(ctx)
-	if w != nil {
-		e.pkts = w.Schedule(ctx.Rand, e.measureFrom, e.end, s.trace.NumLandmarks)
-	}
+	e.pkts = PacketSchedule(w, cfg, s.start, s.end, s.trace.NumLandmarks)
 	return e
 }
 

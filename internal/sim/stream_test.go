@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/synth"
@@ -94,9 +93,8 @@ func TestStreamTimers(t *testing.T) {
 }
 
 // TestStreamOnGenerator runs the engine over the streaming DART generator —
-// the scale-tier composition — and checks every epoch length, each paired
-// with a different generation worker count, yields the summary of New over
-// the materialized stream.
+// the scale-tier composition — and checks every epoch length yields the
+// summary of New over the materialized stream.
 func TestStreamOnGenerator(t *testing.T) {
 	gen := synth.DefaultDART()
 	gen.Nodes = 32
@@ -104,7 +102,7 @@ func TestStreamOnGenerator(t *testing.T) {
 	gen.Days = 14
 	gen.Communities = 4
 
-	mat, err := trace.Materialize(synth.DARTSource(gen, synth.StreamConfig{}))
+	mat, err := trace.Materialize(synth.DARTSource(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,18 +112,15 @@ func TestStreamOnGenerator(t *testing.T) {
 
 	ref := New(mat, &recordingRouter{}, mkWorkload(), cfg).Run()
 
-	for i, epoch := range epochRows(mat) {
-		workers := []int{1, 2, runtime.NumCPU()}[i]
-		open := func() trace.Source {
-			return synth.DARTSource(gen, synth.StreamConfig{Workers: workers})
-		}
+	for _, epoch := range epochRows(mat) {
+		open := func() trace.Source { return synth.DARTSource(gen) }
 		s, err := NewSharded(open, &recordingRouter{}, mkWorkload(), cfg, ShardConfig{Epoch: epoch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := s.Run()
 		if !reflect.DeepEqual(res.Summary, ref.Summary) {
-			t.Errorf("epoch %d, fill workers %d: summary differs:\nstreamed %+v\nNew      %+v", epoch, workers, res.Summary, ref.Summary)
+			t.Errorf("epoch %d: summary differs:\nstreamed %+v\nNew      %+v", epoch, res.Summary, ref.Summary)
 		}
 		st := s.Stats()
 		if st.Visits != len(mat.Visits) {

@@ -33,8 +33,8 @@ type Workload struct {
 	// Surges adds flash-crowd traffic spikes on top of the base rate
 	// (internal/disrupt compiles them from a disruption spec). They are
 	// scheduled inside Schedule from the same RNG stream as the base
-	// workload, so New, NewSharded and Fork — all of which call Schedule
-	// with identical arguments — see identical packets.
+	// workload, so New, NewSharded and Fork — all of which draw with
+	// PacketSchedule — see identical packets.
 	Surges []Surge
 }
 
@@ -51,6 +51,19 @@ type Surge struct {
 // and destinations.
 func NewWorkload(ratePerDay float64, pktSize int64, ttl trace.Time) *Workload {
 	return &Workload{Rate: ratePerDay, PacketSize: pktSize, TTL: ttl, FixedDst: -1, FixedSrc: -1}
+}
+
+// PacketSchedule returns the packets a run with cfg generates over the
+// span [start, end): the workload schedule over the measurement window
+// [start+Warmup, end), drawn from a fresh RNG seeded with cfg.Seed. It is
+// the engine's own draw — New, NewSharded and Fork all call it — so the
+// oracle reproduces a run's packet list exactly by calling it too. A nil
+// workload generates nothing.
+func PacketSchedule(w *Workload, cfg Config, start, end trace.Time, numLandmarks int) []*Packet {
+	if w == nil {
+		return nil
+	}
+	return w.Schedule(rand.New(rand.NewSource(cfg.Seed)), start+cfg.Warmup, end, numLandmarks)
 }
 
 // Schedule materialises the packet arrivals in [from, to). Packets are

@@ -17,7 +17,7 @@ type DNETConfig struct {
 	Days       int
 	Routes     int     // number of distinct route templates buses share
 	NoiseProb  float64 // probability a record logs a neighbouring AP/landmark
-	MissProb   float64 // probability a record is missing entirely
+	MissProb   float64 // probability a stop record is missing entirely; depot and garage records are never dropped
 	GarageProb float64 // probability per transit a bus retires to the depot for ~1.5 days
 	TownSize   float64 // side of the square town area in meters
 }

@@ -50,11 +50,11 @@ func FuzzStreamSpan(f *testing.F) {
 		if dnet {
 			cfg := DefaultDNET()
 			cfg.Seed, cfg.Buses, cfg.Landmarks, cfg.Routes, cfg.Days, cfg.MissProb = seed, n, 10, 3, d, m
-			open = func() trace.Source { return DNETSource(cfg, StreamConfig{Workers: 1}) }
+			open = func() trace.Source { return tuning{workers: 1}.apply(DNETSource(cfg)) }
 		} else {
 			cfg := DefaultDART()
 			cfg.Seed, cfg.Nodes, cfg.Landmarks, cfg.Communities, cfg.Days, cfg.MissProb = seed, n, 20, 4, d, m
-			open = func() trace.Source { return DARTSource(cfg, StreamConfig{Workers: 1}) }
+			open = func() trace.Source { return tuning{workers: 1}.apply(DARTSource(cfg)) }
 		}
 		start, end := open().(trace.Spanner).Span()
 		ws, we, err := trace.ScanSpan(open())

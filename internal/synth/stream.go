@@ -21,7 +21,7 @@ import (
 // trace family is therefore statistically identical to, but not byte
 // identical with, the materializing generators; within the family the
 // stream is fully deterministic: the same config yields the same visit
-// sequence for every Workers/Chunk/Window setting.
+// sequence for every fill worker count, chunk size and merge window.
 //
 // Both sources are trace.Spanners. Span replays fresh walkers rather than
 // a second copy of the stream, relying on the horizon clamp every walker
@@ -29,41 +29,13 @@ import (
 // (cfg.Days × Day), so once some visit ends exactly there the rest of the
 // stream cannot raise the span's end.
 
-// StreamConfig tunes a streaming generator. The zero value selects
-// sensible defaults.
-type StreamConfig struct {
-	// Workers bounds the goroutines filling node walkers; <= 0 means
-	// GOMAXPROCS at the time of the call. Worker count never changes the
-	// emitted stream, only the fill parallelism.
-	Workers int
-	// Window is the merge granularity: visits are generated and sorted
-	// one [t, t+Window) slab at a time, so peak memory is one window of
-	// visits plus the walker states. <= 0 means one day.
-	Window trace.Time
-	// Chunk bounds the visit count per Next chunk; <= 0 means 4096.
-	Chunk int
-}
-
-func (sc StreamConfig) window() trace.Time {
-	if sc.Window <= 0 {
-		return trace.Day
-	}
-	return sc.Window
-}
-
-func (sc StreamConfig) chunk() int {
-	if sc.Chunk <= 0 {
-		return 4096
-	}
-	return sc.Chunk
-}
-
-func (sc StreamConfig) workers() int {
-	if sc.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return sc.Workers
-}
+// The fill runs on GOMAXPROCS goroutines and visits are merged one
+// streamWindow at a time and handed out streamChunk at a time; none of
+// the three changes the emitted stream (the package's tests vary them).
+const (
+	streamWindow = trace.Day
+	streamChunk  = 4096
+)
 
 // nodeSeed derives the per-node RNG seed from the scenario seed with a
 // splitmix64-style finalizer, so neighbouring node indices get
@@ -282,7 +254,7 @@ func (s *streamSource) advance() {
 }
 
 // newStreamSource assembles a source over a population of fresh walkers.
-func newStreamSource(info trace.SourceInfo, days int, sc StreamConfig, fresh func(n int) nodeStream) *streamSource {
+func newStreamSource(info trace.SourceInfo, days int, fresh func(n int) nodeStream) *streamSource {
 	nodes := make([]nodeStream, info.NumNodes)
 	for n := range nodes {
 		nodes[n] = fresh(n)
@@ -290,9 +262,9 @@ func newStreamSource(info trace.SourceInfo, days int, sc StreamConfig, fresh fun
 	return &streamSource{
 		info:    info,
 		end:     trace.Time(days) * trace.Day,
-		window:  sc.window(),
-		chunk:   sc.chunk(),
-		workers: sc.workers(),
+		window:  streamWindow,
+		chunk:   streamChunk,
+		workers: runtime.GOMAXPROCS(0),
 		fresh:   fresh,
 		nodes:   nodes,
 	}
@@ -302,7 +274,7 @@ func newStreamSource(info trace.SourceInfo, days int, sc StreamConfig, fresh fun
 // DART(cfg), per-student streams derived from (cfg.Seed, node). Peak
 // memory is one merge window of visits plus per-student walker state,
 // independent of cfg.Days and linear in cfg.Nodes.
-func DARTSource(cfg DARTConfig, sc StreamConfig) trace.Source {
+func DARTSource(cfg DARTConfig) trace.Source {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tp := newDARTTopo(cfg, rng)
 	info := trace.SourceInfo{
@@ -311,7 +283,7 @@ func DARTSource(cfg DARTConfig, sc StreamConfig) trace.Source {
 		NumLandmarks: cfg.Landmarks,
 		Positions:    tp.pos,
 	}
-	return newStreamSource(info, cfg.Days, sc, func(n int) nodeStream {
+	return newStreamSource(info, cfg.Days, func(n int) nodeStream {
 		nrng := nodeRand(cfg.Seed, n)
 		return nodeStream{w: newDARTWalker(tp, n, nrng), rng: nrng}
 	})
@@ -320,7 +292,7 @@ func DARTSource(cfg DARTConfig, sc StreamConfig) trace.Source {
 // DNETSource returns a streaming DNET generator: same town topology and
 // route templates as DNET(cfg), per-bus streams derived from
 // (cfg.Seed, bus).
-func DNETSource(cfg DNETConfig, sc StreamConfig) trace.Source {
+func DNETSource(cfg DNETConfig) trace.Source {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tp := newDNETTopo(cfg, rng)
 	info := trace.SourceInfo{
@@ -329,7 +301,7 @@ func DNETSource(cfg DNETConfig, sc StreamConfig) trace.Source {
 		NumLandmarks: cfg.Landmarks,
 		Positions:    tp.pos,
 	}
-	return newStreamSource(info, cfg.Days, sc, func(b int) nodeStream {
+	return newStreamSource(info, cfg.Days, func(b int) nodeStream {
 		brng := nodeRand(cfg.Seed, b)
 		return nodeStream{w: newDNETWalker(tp, b, brng), rng: brng}
 	})

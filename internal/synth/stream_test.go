@@ -71,18 +71,18 @@ func TestSpanMatchesScan(t *testing.T) {
 					cfg.Seed, cfg.Days, cfg.MissProb = seed, days, miss
 					cfg.Nodes *= mult
 					cfg.Communities *= mult
-					checkSpan(t, fmt.Sprintf("DART %+v", cfg), func() trace.Source { return DARTSource(cfg, StreamConfig{}) })
+					checkSpan(t, fmt.Sprintf("DART %+v", cfg), func() trace.Source { return DARTSource(cfg) })
 
 					dn := smallDNET()
 					dn.Seed, dn.Days, dn.MissProb = seed, days, miss
 					dn.Buses *= mult
-					checkSpan(t, fmt.Sprintf("DNET %+v", dn), func() trace.Source { return DNETSource(dn, StreamConfig{}) })
+					checkSpan(t, fmt.Sprintf("DNET %+v", dn), func() trace.Source { return DNETSource(dn) })
 				}
 			}
 		}
 	}
-	checkSpan(t, "DART default", func() trace.Source { return DARTSource(DefaultDART(), StreamConfig{}) })
-	checkSpan(t, "DNET default", func() trace.Source { return DNETSource(DefaultDNET(), StreamConfig{}) })
+	checkSpan(t, "DART default", func() trace.Source { return DARTSource(DefaultDART()) })
+	checkSpan(t, "DNET default", func() trace.Source { return DNETSource(DefaultDNET()) })
 }
 
 // TestSpanEmptyStream checks a stream with no logged visit spans (0, 0),
@@ -90,11 +90,11 @@ func TestSpanMatchesScan(t *testing.T) {
 func TestSpanEmptyStream(t *testing.T) {
 	cfg := smallDART()
 	cfg.MissProb = 1
-	if s, e := checkSpan(t, "DART MissProb 1", func() trace.Source { return DARTSource(cfg, StreamConfig{}) }); s != 0 || e != 0 {
+	if s, e := checkSpan(t, "DART MissProb 1", func() trace.Source { return DARTSource(cfg) }); s != 0 || e != 0 {
 		t.Errorf("empty stream spans (%d, %d), want (0, 0)", s, e)
 	}
 	cfg.MissProb, cfg.Days = 0, 0
-	if s, e := checkSpan(t, "DART 0 days", func() trace.Source { return DARTSource(cfg, StreamConfig{}) }); s != 0 || e != 0 {
+	if s, e := checkSpan(t, "DART 0 days", func() trace.Source { return DARTSource(cfg) }); s != 0 || e != 0 {
 		t.Errorf("zero-day stream spans (%d, %d), want (0, 0)", s, e)
 	}
 }
@@ -104,8 +104,8 @@ func TestSpanEmptyStream(t *testing.T) {
 // instead of every walker to the end.
 func TestSpanStopsAtHorizon(t *testing.T) {
 	for _, src := range []trace.Source{
-		DARTSource(DefaultDART(), StreamConfig{}),
-		DNETSource(DefaultDNET(), StreamConfig{}),
+		DARTSource(DefaultDART()),
+		DNETSource(DefaultDNET()),
 	} {
 		ss := src.(*streamSource)
 		_, end, ran := ss.span()
@@ -123,10 +123,10 @@ func TestSpanStopsAtHorizon(t *testing.T) {
 // rest of the stream is the one an unasked source emits.
 func TestSpanMidStream(t *testing.T) {
 	cfg := smallDART()
-	sc := StreamConfig{Chunk: 100}
-	ref := materializeStream(t, DARTSource(cfg, sc))
+	sc := tuning{chunk: 100}
+	ref := materializeStream(t, sc.apply(DARTSource(cfg)))
 
-	src := DARTSource(cfg, sc)
+	src := sc.apply(DARTSource(cfg))
 	s0, e0 := src.(trace.Spanner).Span()
 	var got []trace.Visit
 	for i := 0; i < 5; i++ {
@@ -158,7 +158,7 @@ func TestSpanMidStream(t *testing.T) {
 // valid trace sharing its topology with the materializing generator.
 func TestDARTSourceValid(t *testing.T) {
 	cfg := smallDART()
-	tr := materializeStream(t, DARTSource(cfg, StreamConfig{}))
+	tr := materializeStream(t, DARTSource(cfg))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDARTSourceValid(t *testing.T) {
 // TestDNETSourceValid is the DNET counterpart.
 func TestDNETSourceValid(t *testing.T) {
 	cfg := smallDNET()
-	tr := materializeStream(t, DNETSource(cfg, StreamConfig{}))
+	tr := materializeStream(t, DNETSource(cfg))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,21 +207,45 @@ func TestDNETSourceValid(t *testing.T) {
 	}
 }
 
+// tuning overrides a test source's fill worker count, merge window and
+// chunk size; a zero field keeps the default.
+type tuning struct {
+	workers int
+	window  trace.Time
+	chunk   int
+}
+
+// apply tunes src, a DARTSource or DNETSource not read from yet.
+func (tn tuning) apply(src trace.Source) trace.Source {
+	s := src.(*streamSource)
+	if tn.workers > 0 {
+		s.workers = tn.workers
+	}
+	if tn.window > 0 {
+		s.window = tn.window
+	}
+	if tn.chunk > 0 {
+		s.chunk = tn.chunk
+	}
+	return s
+}
+
 // TestStreamInvariance pins the streaming determinism contract: the emitted
-// visit sequence is identical for every Workers, Chunk and Window setting.
+// visit sequence is identical for every fill worker count, chunk size and
+// merge window.
 func TestStreamInvariance(t *testing.T) {
 	cfg := smallDART()
-	ref := materializeStream(t, DARTSource(cfg, StreamConfig{Workers: 1}))
-	variants := []StreamConfig{
-		{Workers: 2},
-		{Workers: 8},
-		{Workers: 1, Chunk: 1},
-		{Workers: 4, Chunk: 7},
-		{Workers: 4, Window: 6 * trace.Hour},
-		{Workers: 4, Window: 100 * trace.Day},
+	ref := materializeStream(t, tuning{workers: 1}.apply(DARTSource(cfg)))
+	variants := []tuning{
+		{workers: 2},
+		{workers: 8},
+		{workers: 1, chunk: 1},
+		{workers: 4, chunk: 7},
+		{workers: 4, window: 6 * trace.Hour},
+		{workers: 4, window: 100 * trace.Day},
 	}
 	for _, sc := range variants {
-		got := materializeStream(t, DARTSource(cfg, sc))
+		got := materializeStream(t, sc.apply(DARTSource(cfg)))
 		if len(got.Visits) != len(ref.Visits) {
 			t.Fatalf("%+v: %d visits, want %d", sc, len(got.Visits), len(ref.Visits))
 		}
@@ -233,8 +257,8 @@ func TestStreamInvariance(t *testing.T) {
 	}
 
 	dn := smallDNET()
-	dref := materializeStream(t, DNETSource(dn, StreamConfig{Workers: 1}))
-	dgot := materializeStream(t, DNETSource(dn, StreamConfig{Workers: 8, Chunk: 3, Window: 5 * trace.Hour}))
+	dref := materializeStream(t, tuning{workers: 1}.apply(DNETSource(dn)))
+	dgot := materializeStream(t, tuning{workers: 8, chunk: 3, window: 5 * trace.Hour}.apply(DNETSource(dn)))
 	if len(dgot.Visits) != len(dref.Visits) {
 		t.Fatalf("DNET: %d visits, want %d", len(dgot.Visits), len(dref.Visits))
 	}
@@ -251,7 +275,7 @@ func TestStreamScalesNodes(t *testing.T) {
 	cfg := smallDART()
 	cfg.Nodes *= 4
 	cfg.Communities *= 4
-	tr := materializeStream(t, DARTSource(cfg, StreamConfig{}))
+	tr := materializeStream(t, DARTSource(cfg))
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -163,30 +163,6 @@ func BandwidthSeries(tr *Trace, link Link, unit Time) []float64 {
 	return out
 }
 
-// StayTimes returns, for each node, the average visit duration at each
-// landmark it visited (landmark -> mean seconds). Dead-end prevention
-// (Section IV-E.1) compares current stays against these averages.
-func StayTimes(tr *Trace) []map[int]float64 {
-	sum := make([]map[int]Time, tr.NumNodes)
-	cnt := make([]map[int]int, tr.NumNodes)
-	for i := range sum {
-		sum[i] = map[int]Time{}
-		cnt[i] = map[int]int{}
-	}
-	for _, v := range tr.Visits {
-		sum[v.Node][v.Landmark] += v.Duration()
-		cnt[v.Node][v.Landmark]++
-	}
-	out := make([]map[int]float64, tr.NumNodes)
-	for n := range out {
-		out[n] = make(map[int]float64, len(sum[n]))
-		for lm, s := range sum[n] {
-			out[n][lm] = float64(s) / float64(cnt[n][lm])
-		}
-	}
-	return out
-}
-
 // Slice returns the sub-trace containing only visits that start within
 // [from, to). Visit intervals are not clipped; nodes and landmarks keep
 // their indices so slices remain comparable with the full trace.

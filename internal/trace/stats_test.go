@@ -79,17 +79,6 @@ func TestBandwidthSeries(t *testing.T) {
 	}
 }
 
-func TestStayTimes(t *testing.T) {
-	tr := statsTrace()
-	st := StayTimes(tr)
-	if math.Abs(st[0][0]-100) > 1e-9 {
-		t.Errorf("stay[0][0] = %v", st[0][0])
-	}
-	if math.Abs(st[1][2]-100) > 1e-9 {
-		t.Errorf("stay[1][2] = %v", st[1][2])
-	}
-}
-
 func TestLinkReverse(t *testing.T) {
 	l := Link{From: 3, To: 7}
 	if l.Reverse() != (Link{From: 7, To: 3}) {

@@ -53,9 +53,6 @@ type Transit struct {
 	Arrive Time
 }
 
-// Travel returns the time spent between the two landmarks.
-func (t Transit) Travel() Time { return t.Arrive - t.Depart }
-
 // Trace is a preprocessed mobility trace. It is a plain value: derived
 // artifacts (Span, VisitsByNode, Transits, LandmarkSequences, VisitCounts)
 // are computed from Visits on each call and returned as fresh slices the

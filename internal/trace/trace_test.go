@@ -95,9 +95,6 @@ func TestTransits(t *testing.T) {
 	if !reflect.DeepEqual(ts, want) {
 		t.Errorf("Transits = %+v, want %+v", ts, want)
 	}
-	if ts[0].Travel() != 3 {
-		t.Errorf("Travel = %d, want 3", ts[0].Travel())
-	}
 }
 
 func TestLandmarkSequences(t *testing.T) {

@@ -158,27 +158,22 @@ func RunBattery(opt BatteryOptions) *Report {
 		// engine-equivalent under three disruption presets — a pure
 		// outage, pure churn, and the all-families storm.
 		for _, preset := range []string{"outage", "churn", "storm"} {
-			sp, err := disrupt.Preset(preset, sc.Trace.NumNodes, sc.Trace.NumLandmarks, 0, sc.Trace.Duration())
+			tr, sp, err := disrupt.PerturbArg(sc.Trace, preset)
 			if err != nil {
 				rep.add(sc.Name+": disrupted["+preset+"]", false, err.Error())
-				continue
-			}
-			tr, err := disrupt.Perturb(sc.Trace, &sp)
-			if err != nil {
-				rep.add(sc.Name+": disrupted["+preset+"]", false, "perturbed trace invalid: "+err.Error())
 				continue
 			}
 			for _, m := range opt.Methods {
 				name := fmt.Sprintf("%s/%s: disrupted[%s]", sc.Name, m, preset)
 				opt.Log("  %s", name)
-				rep.Items = append(rep.Items, disruptedRun(name, sc, tr, &sp, m, rate))
+				rep.Items = append(rep.Items, disruptedRun(name, sc, tr, sp, m, rate))
 			}
 			if preset == "storm" {
 				// The oracle's bound must also dominate on the harshest
 				// perturbation — the oracle solves the same perturbed
 				// trace the methods ran on.
 				opt.Log("  %s: oracle-dominance [storm]", sc.Name)
-				rep.Items = append(rep.Items, oracleDominanceItem(sc, tr, &sp, rate, opt.Methods))
+				rep.Items = append(rep.Items, oracleDominanceItem(sc, tr, sp, rate, opt.Methods))
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package validate
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/disrupt"
 	"repro/internal/experiment"
@@ -25,17 +24,14 @@ import (
 // the checker knows each packet's terminal status and delivery time.
 
 // oraclePackets reproduces the exact packet list the engine generates
-// for this spec on the given (already perturbed) trace: the workload
-// schedule is the engine RNG's first draw, so a fresh RNG with the
-// spec's seed yields the identical slab, surges included.
+// for this spec on the given (already perturbed) trace, surges included:
+// sim.PacketSchedule is the engine's own draw.
 func (s ScenarioSpec) oraclePackets(tr *trace.Trace) ([]oracle.Packet, sim.Config) {
 	cfg := s.Config(tr.Duration())
 	w := sim.NewWorkload(float64(s.RatePerDay), cfg.PacketSize, cfg.TTL)
 	s.Disruption().Apply(&cfg, w)
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	start, end := tr.Span()
-	pkts := w.Schedule(rng, start+cfg.Warmup, end, tr.NumLandmarks)
-	return oracle.FromSim(pkts), cfg
+	return oracle.FromSim(sim.PacketSchedule(w, cfg, start, end, tr.NumLandmarks)), cfg
 }
 
 // propOracleDominance checks the relaxed bound against every method on
