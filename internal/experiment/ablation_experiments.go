@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
 // Ablations of DTN-FLOW's design choices, as indexed in DESIGN.md. Each
@@ -113,10 +112,10 @@ func runAblationLandmarks(opt Options) *Report {
 			cfg.Communities = 8
 		}
 		cfg.Landmarks = n
-		sc := &Scenario{Name: fmt.Sprintf("DART-%dL", n), Trace: synth.DART(cfg),
-			TTL: 20 * trace.Day, Unit: 3 * trace.Day, RateDef: 500}
-		scens = append(scens, sc)
-		runs = append(runs, Run{Scenario: sc, Router: flowRouter(nil), Seed: 1})
+		sc := fullSettings["DART"]
+		sc.Name, sc.Trace = fmt.Sprintf("DART-%dL", n), synth.DART(cfg)
+		scens = append(scens, &sc)
+		runs = append(runs, Run{Scenario: &sc, Router: flowRouter(nil), Seed: 1})
 	}
 	sums := Parallel(runs, opt.Workers)
 	for i, n := range counts {

@@ -16,12 +16,14 @@ import (
 // fullSettings are the paper's per-trace settings at Full scale, without
 // the trace: DART's 20-day TTL and 3-day unit and DNET's 4-day TTL and
 // half-day unit (Section V-A), and the campus deployment's 3-day TTL and
-// 12-hour unit (Section V-C). The reduced scales override some of them;
-// the scale tier reads them as they are.
+// 12-hour unit (Section V-C). SMALL is the toy trace's 2-day TTL and
+// 12-hour unit; only the command-line tools run it. The reduced scales
+// override some of them; the scale tier reads them as they are.
 var fullSettings = map[string]Scenario{
 	"DART":   {Name: "DART", TTL: 20 * trace.Day, Unit: 3 * trace.Day, RateDef: 500, MemDiv: 120},
 	"DNET":   {Name: "DNET", TTL: 4 * trace.Day, Unit: trace.Day / 2, RateDef: 500, MemDiv: 60},
 	"CAMPUS": {Name: "CAMPUS", TTL: 3 * trace.Day, Unit: 12 * trace.Hour, RateDef: 75},
+	"SMALL":  {Name: "SMALL", TTL: 2 * trace.Day, Unit: 12 * trace.Hour},
 }
 
 // runCost ranks the scenarios by the cost of a run: DART traces carry
@@ -55,32 +57,36 @@ func ScenarioByName(name string, scale Scale) (*Scenario, error) {
 }
 
 // LoadTrace resolves a command-line trace name to a trace with its packet
-// TTL and time unit: dart, dnet and campus are the Full scenarios, small
-// is the toy trace (2-day TTL, 12-hour unit), and any other name is a
-// trace file, run with DART's settings. A nonzero seed replaces the
-// generator's default seed; a trace file ignores it.
+// TTL and time unit: dart, dnet and campus are the Full scenarios' traces,
+// small is the toy trace, and any other name is a trace file. Every trace
+// runs with the Full settings of its trace name (a file's from its
+// header), and a trace name with no settings is refused. A nonzero seed
+// replaces the generator's default seed; a trace file ignores it.
 func LoadTrace(name string, seed int64) (tr *trace.Trace, ttl, unit trace.Time, err error) {
 	switch name {
 	case "dart", "dnet", "campus":
-		sc := builders[strings.ToUpper(name)](Full, seed)
-		return sc.Trace, sc.TTL, sc.Unit, nil
+		tr = builders[strings.ToUpper(name)](Full, seed).Trace
 	case "small":
 		cfg := synth.DefaultSmall()
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		return synth.Small(cfg), 2 * trace.Day, 12 * trace.Hour, nil
+		tr = synth.Small(cfg)
+	default:
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		defer f.Close()
+		if tr, err = trace.Read(f); err != nil {
+			return nil, 0, 0, fmt.Errorf("parsing %s: %w", name, err)
+		}
 	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, 0, 0, err
+	sc, ok := fullSettings[tr.Name]
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("%s: trace name %q has no settings (want DART, DNET, CAMPUS or SMALL)", name, tr.Name)
 	}
-	defer f.Close()
-	if tr, err = trace.Read(f); err != nil {
-		return nil, 0, 0, fmt.Errorf("parsing %s: %w", name, err)
-	}
-	dart := fullSettings["DART"]
-	return tr, dart.TTL, dart.Unit, nil
+	return tr, sc.TTL, sc.Unit, nil
 }
 
 // scaled is a scale-tier scenario resolved from the catalogue: its Full

@@ -13,7 +13,7 @@ import (
 // TestLoadTraceNames checks every loader name returns its generator's
 // trace with the paper's settings for it, under the default seed and an
 // overridden one, and that any other name is read as a trace file run
-// with DART's settings.
+// with the settings of the trace name in its header.
 func TestLoadTraceNames(t *testing.T) {
 	dnet7, small7 := synth.DefaultDNET(), synth.DefaultSmall()
 	dnet7.Seed, small7.Seed = 7, 7
@@ -62,10 +62,17 @@ func TestLoadTraceNames(t *testing.T) {
 	if !reflect.DeepEqual(tr.Visits, small.Visits) || tr.NumNodes != small.NumNodes || tr.NumLandmarks != small.NumLandmarks {
 		t.Error("trace file read back differs from the trace written")
 	}
-	if ttl != 20*trace.Day || unit != 3*trace.Day {
-		t.Errorf("trace file: TTL %d, unit %d; want DART's", ttl, unit)
+	if ttl != 2*trace.Day || unit != 12*trace.Hour {
+		t.Errorf("trace file: TTL %d, unit %d; want SMALL's", ttl, unit)
 	}
 	if _, _, _, err := LoadTrace(filepath.Join(t.TempDir(), "missing"), 0); err == nil {
 		t.Error("a missing trace file was accepted")
+	}
+	other := filepath.Join(t.TempDir(), "other.trace")
+	if err := os.WriteFile(other, []byte("# OTHER 1 1\n0 0 0 10\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadTrace(other, 0); err == nil {
+		t.Error("a trace file whose name has no settings was accepted")
 	}
 }

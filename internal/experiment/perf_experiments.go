@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Main comparison experiments: performance of the six methods under
 // varying node memory (Figs. 11–12) and packet rate (Figs. 13–14), each
@@ -139,5 +135,3 @@ func runRateSweep(opt Options, sc *Scenario, id, paper string) *Report {
 		"ORACLE: offline contact-graph relaxed bound — no method can exceed it (see DESIGN.md)")
 	return rep
 }
-
-var _ = fmt.Sprint // keep fmt for future cells

@@ -157,3 +157,37 @@ func TestTableMutatorsRejectBadInput(t *testing.T) {
 		t.Errorf("Len() = %d after rejected mutations, want 0", tb.Len())
 	}
 }
+
+// TestTableFoldGuard pins the cases where the bulk folds' guard (canMove)
+// must let a candidate through although its neighbour holds neither the
+// best nor the backup. Each case fails on one wrong guard: comparing
+// delays with < instead of beats, requiring a backup to exist, and
+// testing a stale row's candidates against its best instead of its bound.
+func TestTableFoldGuard(t *testing.T) {
+	t.Run("index tie with the backup", func(t *testing.T) {
+		// Candidates 2 via 1, 10 via 2, 3 via 3. Neighbour 2 drops to 3,
+		// equal to the backup's delay at a smaller index, and takes it.
+		f := newStaleFixture(t, 1, 9, 2)
+		f.expect(0, 1, 2, 3, 3)
+		f.advertise(2, 2)
+		f.expect(0, 1, 2, 2, 3)
+	})
+	t.Run("row without a backup", func(t *testing.T) {
+		// Only neighbour 1 reaches the row. Neighbour 2's vector arrives
+		// before its link; the link then makes its candidate 6, the backup.
+		f := newStaleFixture(t, 1)
+		f.advertise(2, 5)
+		f.expect(0, 1, 2, -1, Infinite)
+		f.tb.SetLinkDelay(2, 1)
+		f.expect(0, 1, 2, 2, 6)
+	})
+	t.Run("stale bound holder improves past the bound", func(t *testing.T) {
+		// Candidates 2, 3, 4; neighbour 2's worsening leaves the bound
+		// (3 via 2). Its candidate then drops to 2.5: behind the best,
+		// ahead of the bound, so it is the exact backup.
+		f := newStaleFixture(t, 1, 2, 3)
+		f.advertise(2, 9)
+		f.advertise(2, 1.5)
+		f.expect(0, 1, 2, 2, 2.5)
+	})
+}
