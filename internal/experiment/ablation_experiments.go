@@ -32,7 +32,6 @@ func ablationToggle(id, paper, onLabel, offLabel string, disable func(*core.Conf
 	return func(opt Options) *Report {
 		rep := &Report{ID: id, Title: onLabel + " vs " + offLabel, Paper: paper}
 		for _, sc := range BothScenarios(opt.Scale) {
-			sc := sc
 			runs := []Run{
 				{Scenario: sc, Router: flowRouter(nil), Seed: 1},
 				{Scenario: sc, Router: flowRouter(disable), Seed: 1},
@@ -52,11 +51,9 @@ func ablationToggle(id, paper, onLabel, offLabel string, disable func(*core.Conf
 func runAblationOrder(opt Options) *Report {
 	rep := &Report{ID: "ablation-order", Title: "Routing with order-k transit prediction", Paper: "IV-B ablation"}
 	for _, sc := range BothScenarios(opt.Scale) {
-		sc := sc
 		var runs []Run
 		ks := []int{1, 2, 3}
 		for _, k := range ks {
-			k := k
 			runs = append(runs, Run{Scenario: sc, Router: flowRouter(func(c *core.Config) { c.Order = k }), Seed: 1})
 		}
 		sums := Parallel(runs, opt.Workers)
@@ -75,10 +72,8 @@ func runAblationEWMA(opt Options) *Report {
 	rep := &Report{ID: "ablation-ewma", Title: "Bandwidth EWMA weight rho (Eq. 4)", Paper: "IV-C.1 ablation"}
 	rhos := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	for _, sc := range BothScenarios(opt.Scale) {
-		sc := sc
 		var runs []Run
 		for _, rho := range rhos {
-			rho := rho
 			runs = append(runs, Run{Scenario: sc, Router: flowRouter(func(c *core.Config) { c.Rho = rho }), Seed: 1})
 		}
 		sums := Parallel(runs, opt.Workers)

@@ -145,41 +145,84 @@ type CellResult struct {
 }
 
 // ExecuteCell runs one cell to completion in this process and returns
-// its deterministic result. Run cells attach a small telemetry recorder —
+// its deterministic result (see ExecuteCells).
+func ExecuteCell(c Cell) (res *CellResult, err error) {
+	ExecuteCells([]Cell{c}, 1, func(_ int, r *CellResult, e error) { res, err = r, e })
+	return res, err
+}
+
+// ExecuteCells runs cells on a pool of workers goroutines (<= 0 means
+// GOMAXPROCS) and calls done(i, result, err) once per cell, on the
+// goroutine that ran it. Run cells equal up to Seed form one seed group
+// and share one warmup (see Sweep); scale cells run alone; costlier cells
+// start first (cellCost). Run cells attach a small telemetry recorder —
 // the probe path is verified result-neutral — so each result carries its
-// exact per-cell counters without a replay.
-func ExecuteCell(c Cell) (*CellResult, error) {
-	fp, err := c.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	res := &CellResult{Cell: c, Fingerprint: fp}
-	switch c.kind() {
-	case CellRun:
-		scale, _ := ParseScale(c.Scale)
-		sc, err := ScenarioByName(c.Scenario, scale)
-		if err != nil {
-			return nil, err
+// exact counters. A result never depends on the pool size or grouping.
+func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, err error)) {
+	var groups []seedGroup
+	var members [][]int // cell indices of each group, in run order
+	byKey := make(map[Cell]int)
+	for i, c := range cells {
+		if err := c.Validate(); err != nil {
+			done(i, nil, err)
+			continue
 		}
-		rec := telemetry.NewRecorder(1 << 12)
-		res.Summary = Run{
-			Scenario: sc,
-			Router:   routerFactory(c.Method),
-			Rate:     c.Rate,
-			Seed:     c.seed(),
-			Probe:    telemetry.NewProbe(rec),
-		}.Execute()
-		counters := rec.Counters()
-		res.Counters = &counters
-	case CellScale:
-		sp := ScaleSpec{Scenario: c.Scenario, Mult: c.Mult, Rate: c.Rate, Seed: c.seed()}
-		sr, err := sp.RunSharded(c.Method, sim.ShardConfig{})
-		if err != nil {
-			return nil, err
+		g, ok := byKey[c.groupKey()]
+		if !ok || c.kind() == CellScale {
+			g = len(groups)
+			byKey[c.groupKey()] = g
+			groups = append(groups, seedGroup{cost: cellCost(c)})
+			members = append(members, nil)
 		}
-		res.Summary = sr.Summary
+		// A scale cell's group holds a placeholder run: a group of one is
+		// never warmed, and the sharded engine runs the cell instead.
+		var r Run
+		if c.kind() == CellRun {
+			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
+			r = Run{Scenario: sc, Router: routerFactory(c.Method), Rate: c.Rate,
+				Seed: c.seed(), Probe: telemetry.NewProbe(telemetry.NewRecorder(1 << 12))}
+		}
+		groups[g].runs = append(groups[g].runs, r)
+		members[g] = append(members[g], i)
 	}
-	return res, nil
+	runGroups(groups, workers, func(g, k int) {
+		i := members[g][k]
+		c := cells[i]
+		fp, _ := c.Fingerprint()
+		res := &CellResult{Cell: c, Fingerprint: fp}
+		if p := groups[g].runs[k].Probe; p != nil {
+			res.Summary = groups[g].execute(k)
+			counters := p.Recorder().Counters()
+			res.Counters = &counters
+		} else {
+			sp := ScaleSpec{Scenario: c.Scenario, Mult: c.Mult, Rate: c.Rate, Seed: c.seed()}
+			sr, err := sp.RunSharded(c.Method, sim.ShardConfig{})
+			if err != nil {
+				done(i, nil, err)
+				return
+			}
+			res.Summary = sr.Summary
+		}
+		done(i, res, nil)
+	})
+}
+
+// cellCost ranks a cell for longest-first dispatch; it only has to order
+// cells, not predict wall time. Scale cells grow with the multiplier and
+// outweigh every paper-tier run (a 1× scale run already covers the Full
+// trace); then come full, quick and tiny runs, each by the scenario's
+// RunCost.
+func cellCost(c Cell) float64 {
+	tier := 1.0
+	switch {
+	case c.kind() == CellScale:
+		tier = 100 * float64(max(c.Mult, 1))
+	case c.Scale == string(Full):
+		tier = 50
+	case c.Scale == string(Quick):
+		tier = 10
+	}
+	return tier * RunCost(c.Scenario)
 }
 
 // SweepCells decomposes a (scenario × method × seed) sweep at one scale
@@ -255,23 +298,24 @@ type CellGroup struct {
 	Averaged Averaged
 }
 
+// groupKey is the cell with its seed erased: cells with equal keys are
+// seeds of one configuration.
+func (c Cell) groupKey() Cell {
+	c.Kind, c.Seed = c.kind(), 0
+	return c
+}
+
 // MergeAverages groups index-aligned results by everything except the
 // seed (in first-appearance order) and averages each group — the fleet's
 // equivalent of Sweep's per-point Average fold.
 func MergeAverages(results []*CellResult) []CellGroup {
-	type key struct {
-		kind, scenario, scale, method string
-		rate                          float64
-		mult                          int
-	}
-	var order []key
-	groups := make(map[key][]metrics.Summary)
+	var order []Cell
+	groups := make(map[Cell][]metrics.Summary)
 	for _, r := range results {
 		if r == nil {
 			continue
 		}
-		c := r.Cell
-		k := key{c.kind(), c.Scenario, c.Scale, c.Method, c.Rate, c.Mult}
+		k := r.Cell.groupKey()
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -280,12 +324,7 @@ func MergeAverages(results []*CellResult) []CellGroup {
 	out := make([]CellGroup, 0, len(order))
 	for _, k := range order {
 		sums := groups[k]
-		out = append(out, CellGroup{
-			Scenario: k.scenario,
-			Method:   k.method,
-			Seeds:    len(sums),
-			Averaged: Average(sums),
-		})
+		out = append(out, CellGroup{Scenario: k.Scenario, Method: k.Method, Seeds: len(sums), Averaged: Average(sums)})
 	}
 	return out
 }

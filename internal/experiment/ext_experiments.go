@@ -1,12 +1,9 @@
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Extension experiments (Section V-B): dead-end prevention (Table VI),
@@ -37,10 +34,8 @@ func runTable6(opt Options) *Report {
 	rep := &Report{ID: "table6", Title: "Experimental results on dead-end prevention", Paper: "Table VI"}
 	gammas := []float64{0, 2, 3, 4, 5} // 0 = ORG (prevention off)
 	for _, sc := range BothScenarios(opt.Scale) {
-		sc := sc
 		var runs []Run
 		for _, g := range gammas {
-			g := g
 			runs = append(runs, Run{
 				Scenario: sc,
 				Router: flowRouter(func(c *core.Config) {
@@ -100,10 +95,8 @@ func runTable7(opt Options) *Report {
 		{"ORG-3", 3, false}, {"W-3", 3, true},
 	}
 	for _, sc := range BothScenarios(opt.Scale) {
-		sc := sc
 		var runs []Run
 		for _, c := range cfgs {
-			c := c
 			runs = append(runs, Run{
 				Scenario: sc,
 				Router:   flowRouter(func(fc *core.Config) { fc.LoopFix = c.fix }),
@@ -144,11 +137,9 @@ func runLoadBalance(opt Options, id, paper string, successTable bool) *Report {
 		rates = []float64{550, 650, 750}
 	}
 	for _, sc := range BothScenarios(opt.Scale) {
-		sc := sc
 		var runs []Run
 		for _, balance := range []bool{true, false} {
 			for _, rate := range rates {
-				balance, rate := balance, rate
 				runs = append(runs, Run{
 					Scenario: sc,
 					Router:   flowRouter(func(c *core.Config) { c.LoadBalance = balance }),
@@ -185,6 +176,3 @@ func runLoadBalance(opt Options, id, paper string, successTable bool) *Report {
 	}
 	return rep
 }
-
-var _ = fmt.Sprint
-var _ trace.Time

@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -47,6 +50,58 @@ func TestForkEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForkProbeIsolation checks that forks of a probed snapshot record
+// apart: two forks run concurrently must each end with the counters and
+// events of a fresh probed run of their seed, for every method on both
+// Tiny scenarios. Under -race, forks sharing one recorder would also race.
+func TestForkProbeIsolation(t *testing.T) {
+	const capacity = 1 << 16
+	for _, sc := range BothScenarios(Tiny) {
+		for _, m := range MethodNames {
+			cfg := sc.Config(1)
+			cfg.Probe = telemetry.NewProbe(telemetry.NewRecorder(capacity))
+			eng := sim.New(sc.Trace, NewRouter(m), nil, cfg)
+			eng.RunWarmup()
+			snap, err := eng.Snapshot()
+			if err != nil {
+				t.Fatalf("%s/%s: snapshot: %v", sc.Name, m, err)
+			}
+			wl := sc.Workload(sc.RateDef)
+			forks := make([]*telemetry.Recorder, 2)
+			var wg sync.WaitGroup
+			for k := range forks {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					e := sim.Fork(snap, wl, int64(k+1))
+					e.Run()
+					forks[k] = e.Context().Probe.Recorder()
+				}()
+			}
+			wg.Wait()
+			for k, got := range forks {
+				want := telemetry.NewRecorder(capacity)
+				Run{Scenario: sc, Router: routerFactory(m), Seed: int64(k + 1), Probe: telemetry.NewProbe(want)}.Execute()
+				if err := sameRecording(got, want); err != "" {
+					t.Errorf("%s/%s seed %d: fork %s", sc.Name, m, k+1, err)
+				}
+			}
+		}
+	}
+}
+
+// sameRecording describes how got differs from the fresh run's recorder
+// want, or returns "" when their counters and held events are equal.
+func sameRecording(got, want *telemetry.Recorder) string {
+	if gc, wc := got.Counters(), want.Counters(); !reflect.DeepEqual(gc, wc) {
+		return fmt.Sprintf("counters diverged from the fresh run:\nfork:  %+v\nfresh: %+v", gc, wc)
+	}
+	if !slices.Equal(got.Events(nil), want.Events(nil)) {
+		return "events diverged from the fresh run"
+	}
+	return ""
 }
 
 // freshSweep is the reference for Sweep: every run of methods × xs ×
@@ -130,12 +185,14 @@ func (c countingChecker) Scan(trace.Time, *sim.Context)                       {}
 func (c countingChecker) Finish(*sim.Context)                                 {}
 
 // TestSweepFallbackGates exercises every condition that must force a
-// Sweep cell off the warm-fork fast path and onto fresh per-seed runs: a
-// per-run probe, a per-run checker, a Setup hook, a Tweak that attaches
-// a checker at config level, and a router whose warm state Snapshot
-// refuses to clone. For each gate the sweep must (a) produce exactly the
-// fresh-run results and (b) demonstrably run the fresh path — the attached
-// observer sees every run, which a silently-forked cell would skip.
+// Sweep group off the warm-fork fast path and onto fresh per-seed runs: a
+// per-run checker, a Setup hook, a Tweak that attaches a checker at
+// config level, and a router whose warm state Snapshot refuses to clone.
+// For each gate the sweep must (a) produce exactly the fresh-run results
+// and (b) demonstrably run the fresh path — the attached observer sees
+// every run, which a silently-forked group would skip. A per-run probe is
+// no gate: its group forks, and every run's recorder must still end as
+// its fresh run's.
 func TestSweepFallbackGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")
@@ -158,20 +215,6 @@ func TestSweepFallbackGates(t *testing.T) {
 						Check: countingChecker{generated: counter}}
 				}
 			},
-		},
-		{
-			name: "per-run-probe",
-			build: func(counter *atomic.Int64) func(string, float64, int64) Run {
-				return func(m string, x float64, seed int64) Run {
-					rec := telemetry.NewRecorder(1 << 10)
-					return Run{Scenario: sc, Router: routerFactory(m), Rate: x, Seed: seed,
-						Probe: telemetry.NewProbe(rec),
-						// The probe itself proves nothing to the outside;
-						// piggyback a Setup hook purely as the run counter.
-						Setup: func(*sim.Engine, sim.Router) { counter.Add(1) }}
-				}
-			},
-			wantRuns: true,
 		},
 		{
 			name: "setup-hook",
@@ -226,6 +269,33 @@ func TestSweepFallbackGates(t *testing.T) {
 			}
 		})
 	}
+	t.Run("per-run-probe", func(t *testing.T) {
+		// Builds run serially, so each sweep's recorders land in seed order.
+		build := func(factoryCalls *atomic.Int64, recs *[]*telemetry.Recorder) func(string, float64, int64) Run {
+			return func(m string, x float64, seed int64) Run {
+				rec := telemetry.NewRecorder(1 << 10)
+				*recs = append(*recs, rec)
+				return Run{Scenario: sc, Rate: x, Seed: seed, Probe: telemetry.NewProbe(rec),
+					Router: func() sim.Router { factoryCalls.Add(1); return NewRouter(m) }}
+			}
+		}
+		var forkCalls, freshCalls atomic.Int64
+		var forkRecs, freshRecs []*telemetry.Recorder
+		forkedPoints := Sweep(methods, xs, Options{Scale: Tiny, Seeds: seeds}, build(&forkCalls, &forkRecs))
+		freshPoints := freshSweep(methods, xs, seeds, build(&freshCalls, &freshRecs))
+		if !reflect.DeepEqual(forkedPoints, freshPoints) {
+			t.Errorf("probed sweep diverged from fresh runs:\nforked: %+v\nfresh:  %+v", forkedPoints, freshPoints)
+		}
+		if groups := int64(len(methods) * len(xs)); forkCalls.Load() != groups {
+			t.Errorf("router factory called %d times for %d groups of %d seeds; the probed group did not fork",
+				forkCalls.Load(), groups, seeds)
+		}
+		for i := range forkRecs {
+			if err := sameRecording(forkRecs[i], freshRecs[i]); err != "" {
+				t.Errorf("run %d: %s", i, err)
+			}
+		}
+	})
 }
 
 // TestSnapshotGates checks that Snapshot refuses engines it cannot fork

@@ -8,13 +8,13 @@ import "repro/internal/sim"
 
 func init() {
 	register(&Experiment{ID: "fig11", Title: "Performance vs memory size (DART)", Paper: "Fig. 11",
-		Run: func(opt Options) *Report { return runMemorySweep(opt, DARTScenario(opt.Scale), "fig11", "Fig. 11") }})
+		Run: func(opt Options) *Report { return runPerfSweep(opt, DARTScenario, "fig11", "Fig. 11", true) }})
 	register(&Experiment{ID: "fig12", Title: "Performance vs memory size (DNET)", Paper: "Fig. 12",
-		Run: func(opt Options) *Report { return runMemorySweep(opt, DNETScenario(opt.Scale), "fig12", "Fig. 12") }})
+		Run: func(opt Options) *Report { return runPerfSweep(opt, DNETScenario, "fig12", "Fig. 12", true) }})
 	register(&Experiment{ID: "fig13", Title: "Performance vs packet rate (DART)", Paper: "Fig. 13",
-		Run: func(opt Options) *Report { return runRateSweep(opt, DARTScenario(opt.Scale), "fig13", "Fig. 13") }})
+		Run: func(opt Options) *Report { return runPerfSweep(opt, DARTScenario, "fig13", "Fig. 13", false) }})
 	register(&Experiment{ID: "fig14", Title: "Performance vs packet rate (DNET)", Paper: "Fig. 14",
-		Run: func(opt Options) *Report { return runRateSweep(opt, DNETScenario(opt.Scale), "fig14", "Fig. 14") }})
+		Run: func(opt Options) *Report { return runPerfSweep(opt, DNETScenario, "fig14", "Fig. 14", false) }})
 }
 
 // memorySizes returns the paper's sweep: 1200–3000 kB in 200 kB steps
@@ -96,42 +96,27 @@ func sweepReport(id, title, paper, xname string, methods []string, points []Swee
 	return rep
 }
 
-func runMemorySweep(opt Options, sc *Scenario, id, paper string) *Report {
-	xs := memorySizes(opt)
-	points := Sweep(MethodNames, xs, opt, func(m string, kb float64, seed int64) Run {
-		return Run{
-			Scenario: sc,
-			Router:   func() sim.Router { return NewRouter(m) },
-			Seed:     seed,
-			Tweak:    func(c *sim.Config) { c.NodeMemory = sc.Memory(kb) },
+// runPerfSweep runs one of Figs. 11–14: the six methods and the oracle
+// over node memory (memory) or packet rate (otherwise).
+func runPerfSweep(opt Options, scenario func(Scale) *Scenario, id, paper string, memory bool) *Report {
+	sc := scenario(opt.Scale)
+	xs, axis, xname := packetRates(opt), "packet rates", "rate(pkt/day)"
+	note := "paper shape: success decreases and delay increases as the packet rate grows; DTN-FLOW stays best"
+	at := func(rate float64, _ int64) (float64, func(*sim.Config)) { return rate, nil }
+	if memory {
+		xs, axis, xname = memorySizes(opt), "memory sizes", "memory(kB)"
+		note = "paper shape: DTN-FLOW highest success and lowest delay; success grows with memory; PGR lowest success"
+		at = func(kb float64, _ int64) (float64, func(*sim.Config)) {
+			return 0, func(c *sim.Config) { c.NodeMemory = sc.Memory(kb) }
 		}
+	}
+	points := Sweep(MethodNames, xs, opt, func(m string, x float64, seed int64) Run {
+		rate, tweak := at(x, seed)
+		return Run{Scenario: sc, Router: routerFactory(m), Rate: rate, Seed: seed, Tweak: tweak}
 	})
-	orc := sc.oracleSweep(opt, xs, func(kb float64, seed int64) (float64, func(*sim.Config)) {
-		return 0, func(c *sim.Config) { c.NodeMemory = sc.Memory(kb) }
-	})
-	rep := sweepReport(id, "Performance with different memory sizes ("+sc.Name+")", paper, "memory(kB)", MethodNames, points, orc)
-	rep.Sections[0].Notes = append(rep.Sections[0].Notes,
-		"paper shape: DTN-FLOW highest success and lowest delay; success grows with memory; PGR lowest success",
-		"ORACLE: offline contact-graph relaxed bound — no method can exceed it (see DESIGN.md)")
-	return rep
-}
-
-func runRateSweep(opt Options, sc *Scenario, id, paper string) *Report {
-	xs := packetRates(opt)
-	points := Sweep(MethodNames, xs, opt, func(m string, rate float64, seed int64) Run {
-		return Run{
-			Scenario: sc,
-			Router:   func() sim.Router { return NewRouter(m) },
-			Rate:     rate,
-			Seed:     seed,
-		}
-	})
-	orc := sc.oracleSweep(opt, xs, func(rate float64, seed int64) (float64, func(*sim.Config)) {
-		return rate, nil
-	})
-	rep := sweepReport(id, "Performance with different packet rates ("+sc.Name+")", paper, "rate(pkt/day)", MethodNames, points, orc)
-	rep.Sections[0].Notes = append(rep.Sections[0].Notes,
-		"paper shape: success decreases and delay increases as the packet rate grows; DTN-FLOW stays best",
+	orc := sc.oracleSweep(opt, xs, at)
+	rep := sweepReport(id, "Performance with different "+axis+" ("+sc.Name+")", paper, xname, MethodNames, points, orc)
+	rep.Sections[0].Notes = append(rep.Sections[0].Notes, note,
 		"ORACLE: offline contact-graph relaxed bound — no method can exceed it (see DESIGN.md)")
 	return rep
 }

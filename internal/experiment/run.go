@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 
 	"repro/internal/baselines"
@@ -54,25 +55,37 @@ type Run struct {
 	// parallel sweeps must build one per run.
 	Check sim.Checker
 	// Setup runs after engine construction but before Run (fault
-	// injection, hooks). A non-nil Setup keeps a Sweep cell on fresh
+	// injection, hooks). A non-nil Setup keeps a Sweep group on fresh
 	// per-seed runs, since the hook needs each run's own engine.
 	Setup func(*sim.Engine, sim.Router)
 }
 
-// Execute performs one run and returns its summary.
-func (r Run) Execute() metrics.Summary {
+// config returns the run's engine configuration: the scenario's, with
+// the probe and checker attached and the tweak applied.
+func (r Run) config() sim.Config {
 	cfg := r.Scenario.Config(r.Seed)
 	cfg.Probe = r.Probe
 	cfg.Check = r.Check
 	if r.Tweak != nil {
 		r.Tweak(&cfg)
 	}
+	return cfg
+}
+
+// workload returns the run's workload at its rate (the scenario default
+// when unset).
+func (r Run) workload() *sim.Workload {
 	rate := r.Rate
 	if rate <= 0 {
 		rate = r.Scenario.RateDef
 	}
+	return r.Scenario.Workload(rate)
+}
+
+// Execute performs one run and returns its summary.
+func (r Run) Execute() metrics.Summary {
 	router := r.Router()
-	eng := sim.New(r.Scenario.Trace, router, r.Scenario.Workload(rate), cfg)
+	eng := sim.New(r.Scenario.Trace, router, r.workload(), r.config())
 	if r.Setup != nil {
 		r.Setup(eng, router)
 	}
@@ -197,99 +210,111 @@ type SweepPoint struct {
 	Results []Averaged // aligned with the method list used
 }
 
-// sweepCell is one (x, method) cell of a sweep: the per-seed runs of one
-// data point, which share everything except the workload seed. When the
-// cell is forkable, its warmup is simulated once and every seed's measured
-// run forks from the shared end-of-warmup snapshot.
-type sweepCell struct {
-	runs []Run // seeds runs, identical up to Seed
+// seedGroup is the executor's unit: runs identical apart from the
+// workload seed, such as the seeds of one (x, method) point of a sweep or
+// the fleet cells that differ only in Seed. A warmed group simulates its
+// warmup once and forks every run from the end-of-warmup snapshot.
+type seedGroup struct {
+	runs []Run
+	cost float64 // dispatch rank: costlier groups start first
 	snap *sim.Snapshot
-	wl   *sim.Workload
 }
 
-// warm simulates the cell's warmup once (no workload — packets only exist
-// from the warmup boundary onward) and snapshots the engine. It leaves the
-// cell on the fresh path when the cell cannot be forked: a per-run probe,
-// checker or setup hook binds a run to its own engine, and Snapshot itself
-// rejects routers without Cloner support or warm state that is not safely
-// clonable (pending protocol timers).
-func (c *sweepCell) warm() {
-	r := c.runs[0]
-	if r.Probe != nil || r.Check != nil || r.Setup != nil {
+// warm simulates the group's warmup once (no workload — packets only
+// exist from the warmup boundary onward) into a copy of the first run's
+// recorder and snapshots the engine. A group of one gains nothing from a
+// fork; a Setup hook needs each run's own engine, and a checker would see
+// the warmup twice once Snapshot refuses it. Snapshot itself refuses
+// routers without Cloner support and pending protocol timers.
+func (g *seedGroup) warm() {
+	r := g.runs[0]
+	if len(g.runs) < 2 || r.Setup != nil {
 		return
 	}
-	cfg := r.Scenario.Config(r.Seed)
-	if r.Tweak != nil {
-		r.Tweak(&cfg)
-	}
-	if cfg.Probe != nil || cfg.Check != nil {
+	cfg := r.config()
+	if cfg.Check != nil {
 		return
+	}
+	if cfg.Probe != nil {
+		cfg.Probe = telemetry.NewProbe(cfg.Probe.Recorder().Clone())
 	}
 	eng := sim.New(r.Scenario.Trace, r.Router(), nil, cfg)
 	eng.RunWarmup()
-	snap, err := eng.Snapshot()
-	if err != nil {
-		return
+	if snap, err := eng.Snapshot(); err == nil {
+		g.snap = snap
 	}
-	rate := r.Rate
-	if rate <= 0 {
-		rate = r.Scenario.RateDef
-	}
-	c.snap = snap
-	c.wl = r.Scenario.Workload(rate)
 }
 
-// execute performs the cell's i-th seeded run: a fork of the shared
-// snapshot when the cell is warmed, a full fresh run otherwise. Both paths
-// produce bit-identical summaries (see sim.Fork).
-func (c *sweepCell) execute(i int) metrics.Summary {
-	if c.snap == nil {
-		return c.runs[i].Execute()
+// execute performs the group's i-th run: a fork of the shared snapshot
+// when the group is warmed, a full fresh run otherwise. Both paths give
+// bit-identical summaries and recorders (see sim.Fork).
+func (g *seedGroup) execute(i int) metrics.Summary {
+	r := g.runs[i]
+	if g.snap == nil {
+		return r.Execute()
 	}
-	return sim.Fork(c.snap, c.wl, c.runs[i].Seed).Run().Summary
+	eng := sim.Fork(g.snap, r.workload(), r.Seed)
+	sum := eng.Run().Summary
+	if p := r.config().Probe; p != nil {
+		*p.Recorder() = *eng.Context().Probe.Recorder()
+	}
+	return sum
+}
+
+// runGroups executes every run of every group on a pool of workers
+// goroutines and calls done(g, i) after run i of group g, on the goroutine
+// that ran it. Groups go to the pool costliest first, input index
+// breaking ties: phase 1 warms each group, phase 2 runs every run, flat
+// across groups so late groups do not wait on slow ones.
+func runGroups(groups []seedGroup, workers int, done func(g, i int)) {
+	order := make([]int, len(groups))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return groups[order[a]].cost > groups[order[b]].cost })
+	var jobs [][2]int
+	for _, g := range order {
+		for i := range groups[g].runs {
+			jobs = append(jobs, [2]int{g, i})
+		}
+	}
+	ParallelFor(len(order), workers, func(k int) { groups[order[k]].warm() })
+	ParallelFor(len(jobs), workers, func(k int) { done(jobs[k][0], jobs[k][1]) })
 }
 
 // Sweep runs methods × xs × seeds in parallel. build returns the Run for
 // (method, x, seed); everything in the returned Run except the workload
 // seed must depend only on (method, x) — the contract that makes seeds
 // averageable, and that warm-state forking relies on to share one warmup
-// per (x, method) cell across all seeds. Multi-seed sweeps fork each
-// cell's measured runs from a single end-of-warmup snapshot; results are
-// bit-identical to fresh per-seed runs. A Run with a Setup hook (even a
-// no-op one) keeps its cell on the fresh path.
+// per (x, method) group across all seeds. Multi-seed sweeps fork each
+// group's measured runs from a single end-of-warmup snapshot; summaries
+// and probe recorders are bit-identical to fresh per-seed runs. A Run
+// with a Setup hook (even a no-op one) or a checker keeps its group on
+// the fresh path.
 func Sweep(methods []string, xs []float64, opt Options, build func(method string, x float64, seed int64) Run) []SweepPoint {
 	seeds := opt.Seeds
 	if seeds < 1 {
 		seeds = 1
 	}
-	cells := make([]sweepCell, 0, len(xs)*len(methods))
+	groups := make([]seedGroup, 0, len(xs)*len(methods))
 	for _, x := range xs {
 		for _, m := range methods {
-			c := sweepCell{runs: make([]Run, seeds)}
+			g := seedGroup{runs: make([]Run, seeds)}
 			for s := 0; s < seeds; s++ {
-				c.runs[s] = build(m, x, int64(s+1))
+				g.runs[s] = build(m, x, int64(s+1))
 			}
-			cells = append(cells, c)
+			groups = append(groups, g)
 		}
 	}
-	// Phase 1: warm each cell once. With a single seed a fork saves
-	// nothing over a fresh run, so the whole phase is skipped.
-	if seeds >= 2 {
-		ParallelFor(len(cells), opt.Workers, func(ci int) { cells[ci].warm() })
-	}
-	// Phase 2: every measured run, flat across cells so late cells don't
-	// wait on slow ones.
-	sums := make([]metrics.Summary, len(cells)*seeds)
-	ParallelFor(len(sums), opt.Workers, func(i int) {
-		sums[i] = cells[i/seeds].execute(i % seeds)
+	sums := make([]metrics.Summary, len(groups)*seeds)
+	runGroups(groups, opt.Workers, func(g, i int) {
+		sums[g*seeds+i] = groups[g].execute(i)
 	})
 	points := make([]SweepPoint, len(xs))
-	i := 0
 	for xi, x := range xs {
 		points[xi].X = x
-		for range methods {
-			points[xi].Results = append(points[xi].Results, Average(sums[i:i+seeds]))
-			i += seeds
+		for g := xi * len(methods); g < (xi+1)*len(methods); g++ {
+			points[xi].Results = append(points[xi].Results, Average(sums[g*seeds:(g+1)*seeds]))
 		}
 	}
 	return points

@@ -168,7 +168,6 @@ func runFig6(opt Options) *Report {
 func runFig8(opt Options) *Report {
 	rep := &Report{ID: "fig8", Title: "Routing table coverage and stability", Paper: "Fig. 8"}
 	for _, sc := range BothScenarios(opt.Scale) {
-		sc := sc
 		nL := sc.Trace.NumLandmarks
 		start, end := sc.Trace.Span()
 		obs := 10

@@ -1,13 +1,14 @@
-// Package fleet runs a sweep as independent cells (experiment.Cell) on
-// the in-process worker pool and caches their results in a
+// Package fleet runs a sweep as independent cells (experiment.Cell)
+// through experiment.ExecuteCells and caches their results in a
 // content-addressed store keyed by the canonical run fingerprint (Store),
 // so re-running a sweep is pure cache hits and adding cells re-runs only
 // the new ones.
 //
-// Determinism contract: every cell runs through experiment.ExecuteCell,
-// the single-process path the golden corpus pins, owns its engine and
-// seeded RNG, and lands at its input index — so the assembled results
-// are byte-identical for any pool size, completion order or cache state.
+// Determinism contract: every cell's result is the one
+// experiment.ExecuteCell gives it alone — the single-process path the
+// golden corpus pins — and lands at its input index, so the assembled
+// results are byte-identical for any pool size, completion order, seed
+// grouping or cache state.
 package fleet
 
 import (
@@ -32,9 +33,9 @@ type Options struct {
 	Progress io.Writer
 }
 
-// executeCell runs one cell; tests swap it to make cells fail during
-// execution, which no valid cell does.
-var executeCell = experiment.ExecuteCell
+// executeCells runs the cells the store misses; tests swap it to make
+// cells fail during execution, which no valid cell does.
+var executeCells = experiment.ExecuteCells
 
 // Report summarizes one Run for progress output and the fleet-smoke
 // gate. It carries the nondeterministic facts (timing, cache behaviour)
@@ -49,9 +50,10 @@ type Report struct {
 // Run executes cells and returns their results in input order. It
 // fingerprints every cell before executing any, so a malformed cell
 // fails before anything runs; serves the cells the store holds; executes
-// the rest longest-first (orderQueue) on experiment.ParallelFor; and
-// stores each executed result. If cells fail, Run returns the error of
-// the lowest failing index, whatever the pool size.
+// the rest with experiment.ExecuteCells, which shares one warmup among
+// the seeds of a group and starts the costliest groups first; and stores
+// each executed result. If cells fail, Run returns the error of the
+// lowest failing index, whatever the pool size.
 func Run(cells []experiment.Cell, opt Options) ([]*experiment.CellResult, Report, error) {
 	t0 := time.Now()
 	rep := Report{Cells: len(cells)}
@@ -66,7 +68,8 @@ func Run(cells []experiment.Cell, opt Options) ([]*experiment.CellResult, Report
 	}
 
 	results := make([]*experiment.CellResult, len(cells))
-	var queue []int
+	var misses []int // indices of the cells in pending
+	var pending []experiment.Cell
 	for i, c := range cells {
 		fp, err := c.Fingerprint()
 		if err != nil {
@@ -79,23 +82,16 @@ func Run(cells []experiment.Cell, opt Options) ([]*experiment.CellResult, Report
 				continue
 			}
 		}
-		queue = append(queue, i)
+		misses, pending = append(misses, i), append(pending, c)
 	}
 	if rep.CacheHits > 0 {
 		logf("%d/%d cells already in store", rep.CacheHits, len(cells))
 	}
 
-	// Longest-first: with heterogeneous cells (a 32× scale run next to a
-	// tiny golden cell) input order can start one expensive straggler last
-	// and let it dominate the makespan. Results are index-aligned, so the
-	// order never changes the assembled output.
-	orderQueue(queue, cells)
 	errs := make([]error, len(cells))
 	var mu sync.Mutex
-	experiment.ParallelFor(len(queue), opt.Workers, func(k int) {
-		i := queue[k]
-		start := time.Now()
-		res, err := executeCell(cells[i])
+	executeCells(pending, opt.Workers, func(k int, res *experiment.CellResult, err error) {
+		i := misses[k]
 		if err != nil {
 			errs[i] = fmt.Errorf("fleet: cell %d (%s): %w", i, cells[i], err)
 			return
@@ -112,9 +108,8 @@ func Run(cells []experiment.Cell, opt Options) ([]*experiment.CellResult, Report
 		}
 		rep.Executed++
 		s := res.Summary
-		logf("[%d/%d] %s in %.2fs: generated=%d delivered=%d forwarded=%d",
-			rep.CacheHits+rep.Executed, len(cells), res.Cell, time.Since(start).Seconds(),
-			s.Generated, s.Delivered, s.Forwarding)
+		logf("[%d/%d] %s: generated=%d delivered=%d forwarded=%d",
+			rep.CacheHits+rep.Executed, len(cells), res.Cell, s.Generated, s.Delivered, s.Forwarding)
 	})
 	for _, err := range errs {
 		if err != nil {

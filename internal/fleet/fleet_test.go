@@ -144,12 +144,17 @@ func TestFleetMalformedCellFailsFast(t *testing.T) {
 // run must report the lower index whatever the pool size, and still
 // store the results of the cells that succeeded.
 func TestFleetLowestFailingIndex(t *testing.T) {
-	defer func(orig func(experiment.Cell) (*experiment.CellResult, error)) { executeCell = orig }(executeCell)
-	executeCell = func(c experiment.Cell) (*experiment.CellResult, error) {
-		if c.Seed == 2 || c.Seed == 4 {
-			return nil, fmt.Errorf("seed %d fails", c.Seed)
-		}
-		return fakeResult(t, c.Seed), nil
+	defer func(orig func([]experiment.Cell, int, func(int, *experiment.CellResult, error))) {
+		executeCells = orig
+	}(executeCells)
+	executeCells = func(cells []experiment.Cell, workers int, done func(int, *experiment.CellResult, error)) {
+		experiment.ParallelFor(len(cells), workers, func(i int) {
+			if c := cells[i]; c.Seed == 2 || c.Seed == 4 {
+				done(i, nil, fmt.Errorf("seed %d fails", c.Seed))
+			} else {
+				done(i, fakeResult(t, c.Seed), nil)
+			}
+		})
 	}
 	cells := experiment.SweepCells([]string{"DART"}, experiment.Tiny, []string{"DTN-FLOW"}, 5, 0)
 	for _, workers := range poolSizes {
@@ -163,6 +168,32 @@ func TestFleetLowestFailingIndex(t *testing.T) {
 		}
 		if rep.Executed != 3 || store.Len() != 3 {
 			t.Errorf("workers=%d: %d executed / %d stored, want 3 / 3", workers, rep.Executed, store.Len())
+		}
+	}
+}
+
+// TestFleetSeedGroupsMatchExecuteCell checks the fork path of the fleet:
+// the cells of a 3-seed sweep share one warmup per (scenario, method)
+// group, and each result — summary and counters — must be byte-identical
+// to the cell executed alone.
+func TestFleetSeedGroupsMatchExecuteCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full Tiny simulations")
+	}
+	cells := experiment.SweepCells([]string{"DART", "DNET"}, experiment.Tiny, []string{"DTN-FLOW", "PROPHET"}, 3, 0)
+	results, _, err := Run(cells, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		alone, err := experiment.ExecuteCell(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(results[i])
+		want, _ := json.Marshal(alone)
+		if !bytes.Equal(got, want) {
+			t.Errorf("cell %d (%s): grouped result differs from the cell run alone:\ngrouped: %s\nalone:   %s", i, c, got, want)
 		}
 	}
 }

@@ -25,9 +25,8 @@ import (
 // and behaviour-neutral).
 //
 // A checker, like the engine it watches, serves one run on one goroutine.
-// Parallel sweeps must give each run its own checker; Sweep falls back to
-// fresh (unforked) runs for checked cells for the same reason it does for
-// probed cells.
+// Parallel sweeps must give each run its own checker, and Snapshot
+// refuses a checked engine, so checked runs are never forked.
 type Checker interface {
 	// Generated is called when a packet appears at its source station,
 	// before the engine stores, delivers or drops it.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -33,12 +34,12 @@ type Cloner interface {
 }
 
 // Snapshot is a frozen engine at the end of warmup. It retains the
-// engine's router, nodes, stations and metrics, and its position in the
-// event order: the reader's place in the trace's visit slice, the pending
-// departures, the built epoch's unapplied events and the cursors. Fork
-// deep-clones the mutable parts per seeded run, so one snapshot serves any
-// number of concurrent forks. The snapshotted engine must not be run
-// further.
+// engine's router, nodes, stations, metrics and telemetry recorder, and
+// its position in the event order: the reader's place in the trace's
+// visit slice, the pending departures, the built epoch's unapplied events
+// and the cursors. Fork deep-clones the mutable parts per seeded run, so
+// one snapshot serves any number of concurrent forks. The snapshotted
+// engine must not be run further.
 type Snapshot struct {
 	trace       *trace.Trace
 	cfg         Config
@@ -142,11 +143,17 @@ func (r *visitReader) resumed(src *trace.SliceSource) visitReader {
 // ready for Run. The forked run's result is bit-identical to a fresh
 // engine built with the same trace, router, workload and seed and run end
 // to end: the warmup evolves identically (it draws no random numbers and
-// sees no packets), and the packet draw is the one construction makes. Forks share nothing mutable with the
-// snapshot or with each other, so any number may run concurrently.
+// sees no packets), and the packet draw is the one construction makes.
+// Forks share nothing mutable with the snapshot or with each other, so
+// any number may run concurrently. A probed snapshot gives each fork a
+// probe over its own copy of the warm recorder (Context().Probe), which
+// ends equal to the fresh run's recorder.
 func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 	cfg := s.cfg
 	cfg.Seed = seed
+	if cfg.Probe != nil {
+		cfg.Probe = telemetry.NewProbe(cfg.Probe.Recorder().Clone())
+	}
 	e := &Engine{
 		start:       s.start,
 		end:         s.end,

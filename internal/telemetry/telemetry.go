@@ -13,6 +13,8 @@
 package telemetry
 
 import (
+	"slices"
+
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -286,6 +288,17 @@ func (r *Recorder) add(ev Event) {
 		r.next = 0
 		r.wrapped = true
 	}
+}
+
+// Clone returns a deep copy of the recorder: same capacity, held events,
+// counters and histograms, sharing nothing that either copy writes. A
+// forked engine records on from a clone of its snapshot's recorder.
+func (r *Recorder) Clone() *Recorder {
+	cp := *r
+	cp.ring = slices.Clone(r.ring)
+	cp.delay.counts = slices.Clone(r.delay.counts)
+	cp.depth.counts = slices.Clone(r.depth.counts)
+	return &cp
 }
 
 // Len returns the number of events currently held.

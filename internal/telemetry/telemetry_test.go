@@ -68,6 +68,35 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// TestRecorderClone checks that a clone carries the recorder's whole
+// state and shares nothing written: the same events recorded into the
+// original and its clone, across a ring wrap, leave both equal to a
+// recorder that saw them all, and a write to one is not seen by the other.
+func TestRecorderClone(t *testing.T) {
+	record := func(p *Probe, from, to int) {
+		for i := from; i < to; i++ {
+			p.Queued(trace.Time(i), i, 0, i)
+			p.Delivered(trace.Time(i), i, 1, trace.Time(10*i))
+			p.QueueDepth(trace.Time(i), 2, i)
+		}
+	}
+	orig, whole := NewRecorder(8), NewRecorder(8)
+	record(NewProbe(orig), 0, 2)
+	record(NewProbe(whole), 0, 5)
+	cp := orig.Clone()
+	record(NewProbe(orig), 2, 5)
+	record(NewProbe(cp), 2, 5)
+	for name, r := range map[string]*Recorder{"original": orig, "clone": cp} {
+		if !reflect.DeepEqual(r.Counters(), whole.Counters()) || !reflect.DeepEqual(r.Events(nil), whole.Events(nil)) {
+			t.Errorf("%s diverged from the recorder that saw every event:\ngot  %+v\nwant %+v", name, r.Counters(), whole.Counters())
+		}
+	}
+	NewProbe(cp).Delivered(9, 9, 1, 1<<20)
+	if !reflect.DeepEqual(orig.Counters(), whole.Counters()) || !reflect.DeepEqual(orig.Events(nil), whole.Events(nil)) {
+		t.Error("a write to the clone reached the original")
+	}
+}
+
 func TestCountersAndHistograms(t *testing.T) {
 	rec := NewRecorder(64)
 	p := NewProbe(rec)

@@ -3,7 +3,9 @@
 # the default Tiny sweep on pools of 1, 2 and GOMAXPROCS goroutines
 # (-workers 1, 2, 0) and byte-compares the -json output, then repeats the
 # 2-goroutine run against the warmed store and requires 100% cache hits
-# with, again, byte-identical output.
+# with, again, byte-identical output. A -seeds 2 leg, whose seeds fork
+# from one warmup per (scenario, method) group, does the same on pools of
+# 1 and GOMAXPROCS goroutines and a warm-store rerun.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,19 @@ for w in 1 0; do
     fi
 done
 
+# warm_check REPORT: the run behind REPORT must be all cache hits.
+warm_check() {
+    # The report JSON is indented one field per line; pull the counters out.
+    cells=$(sed -n 's/.*"cells": \([0-9]*\).*/\1/p' "$1")
+    hits=$(sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' "$1")
+    executed=$(sed -n 's/.*"executed": \([0-9]*\).*/\1/p' "$1")
+    if [ -z "$cells" ] || [ "$cells" -eq 0 ] || [ "$hits" != "$cells" ] || [ "$executed" != "0" ]; then
+        echo "fleet-smoke: FAIL: warm run not fully cached (cells=$cells hits=$hits executed=$executed)" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
+
 echo "fleet-smoke: warm run (same store)"
 "$tmp/dtnflow-fleet" -q -json -workers 2 -store "$tmp/store" \
     -report "$tmp/warm.json" > "$tmp/warm-out.json"
@@ -34,15 +49,23 @@ if ! cmp -s "$tmp/w2.json" "$tmp/warm-out.json"; then
     echo "fleet-smoke: FAIL: warm run output differs from cold run" >&2
     exit 1
 fi
+warm_check "$tmp/warm.json"
+one=$cells
 
-# The report JSON is indented one field per line; pull the counters out.
-cells=$(sed -n 's/.*"cells": \([0-9]*\).*/\1/p' "$tmp/warm.json")
-hits=$(sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' "$tmp/warm.json")
-executed=$(sed -n 's/.*"executed": \([0-9]*\).*/\1/p' "$tmp/warm.json")
-if [ -z "$cells" ] || [ "$cells" -eq 0 ] || [ "$hits" != "$cells" ] || [ "$executed" != "0" ]; then
-    echo "fleet-smoke: FAIL: warm run not fully cached (cells=$cells hits=$hits executed=$executed)" >&2
-    cat "$tmp/warm.json" >&2
-    exit 1
-fi
+echo "fleet-smoke: -seeds 2 cold run (1 goroutine, empty store)"
+"$tmp/dtnflow-fleet" -q -json -seeds 2 -workers 1 -store "$tmp/store2" > "$tmp/s2-w1.json"
+echo "fleet-smoke: -seeds 2 run with -workers 0"
+"$tmp/dtnflow-fleet" -q -json -seeds 2 -workers 0 > "$tmp/s2-w0.json"
+echo "fleet-smoke: -seeds 2 warm run (same store)"
+"$tmp/dtnflow-fleet" -q -json -seeds 2 -workers 0 -store "$tmp/store2" \
+    -report "$tmp/s2-warm.json" > "$tmp/s2-warm-out.json"
+for f in s2-w0 s2-warm-out; do
+    if ! cmp -s "$tmp/s2-w1.json" "$tmp/$f.json"; then
+        echo "fleet-smoke: FAIL: -seeds 2 output $f differs from the 1-goroutine cold run" >&2
+        diff "$tmp/s2-w1.json" "$tmp/$f.json" >&2 || true
+        exit 1
+    fi
+done
+warm_check "$tmp/s2-warm.json"
 
-echo "fleet-smoke: OK ($cells cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run)"
+echo "fleet-smoke: OK ($one cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run; $cells -seeds 2 cells across 1 and GOMAXPROCS goroutines and the cached run)"
