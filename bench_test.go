@@ -208,7 +208,6 @@ func BenchmarkSimulateCheckerOn(b *testing.B) {
 func BenchmarkSimulateBaselines(b *testing.B) {
 	sc := experiment.DARTScenario(experiment.Tiny)
 	for _, m := range experiment.MethodNames[1:] {
-		m := m
 		b.Run(m, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

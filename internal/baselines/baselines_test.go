@@ -123,15 +123,23 @@ func TestPERHittingMonotoneInSteps(t *testing.T) {
 	m := NewPER()
 	m.Init(ctx)
 	n := ctx.Nodes[0]
-	for i := 0; i < 12; i++ {
-		m.OnVisit(ctx, n, []int{0, 1, 2, 3}[i%4])
+	for _, lm := range []int{0, 1, 2, 3, 0, 2, 1, 3, 0, 1, 3, 2, 0} {
+		m.OnVisit(ctx, n, lm)
 	}
-	// More steps reach further around the cycle.
-	v2 := m.hitting(ctx, 0, 1, nil)
-	v8 := m.hitting(ctx, 0, 3, nil)
-	for d := 0; d < 4; d++ {
-		if v8[d]+1e-12 < v2[d] {
-			t.Errorf("hitting probability decreased with more steps at %d: %v -> %v", d, v2[d], v8[d])
+	// One walk to the deepest bucket fills all five; more steps reach
+	// further, so no destination's probability falls from one bucket to
+	// the next.
+	m.hitting(ctx, 0, perBuckets-1)
+	if m.cacheUpTo[0] != perBuckets {
+		t.Fatalf("walk to bucket %d left %d buckets valid, want %d", perBuckets-1, m.cacheUpTo[0], perBuckets)
+	}
+	nLm := ctx.NumLandmarks()
+	for d := 0; d < nLm; d++ {
+		for bk := 1; bk < perBuckets; bk++ {
+			lo, hi := m.cache[0][(bk-1)*nLm+d], m.cache[0][bk*nLm+d]
+			if hi < lo {
+				t.Errorf("dst %d: hitting probability fell from %v at %d steps to %v at %d steps", d, lo, 1<<(bk-1), hi, 1<<bk)
+			}
 		}
 	}
 }

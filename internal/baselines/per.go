@@ -19,11 +19,13 @@ type PER struct {
 	last     []int
 	lastTime []trace.Time
 
-	// cache: hitting probabilities for (node, current landmark), one
-	// vector per destination; invalidated on every move.
-	cacheLm   []int
-	cacheProb [][]float64
-	cacheStep []int
+	// cache: hitting probabilities from each node's current landmark, one
+	// vector over destinations per step bucket, stored flat (bucket b at
+	// [b*L, (b+1)*L)). cacheUpTo counts the valid buckets, 0..perBuckets;
+	// every visit resets it. The slice is allocated on the node's first
+	// Score, so warmed snapshots, which make no Score calls, carry none.
+	cache     [][]float64
+	cacheUpTo []int
 
 	// scratch buffers for hitting.
 	occ, nxt           []float64
@@ -54,9 +56,13 @@ func (r *transRow) bump(lm int) {
 }
 
 // perMaxSteps caps the depth of PER's hitting-probability recursion over
-// the semi-Markov model (Section V-A.2); it is also the largest
-// power-of-two step bucket Score quantises to.
-const perMaxSteps = 16
+// the semi-Markov model (Section V-A.2). Score rounds a packet's step
+// budget up to one of perBuckets power-of-two buckets, 1, 2, 4, 8 and 16
+// steps, the last of which is perMaxSteps.
+const (
+	perMaxSteps = 1 << (perBuckets - 1)
+	perBuckets  = 5
+)
 
 // NewPER returns a PER instance.
 func NewPER() *PER { return &PER{} }
@@ -69,13 +75,11 @@ func (m *PER) Name() string { return "PER" }
 // buffers start fresh (hitting re-sizes them on demand).
 func (m *PER) Clone() Method {
 	cp := &PER{
-		stepSum:  append([]trace.Time(nil), m.stepSum...),
-		stepCnt:  append([]int(nil), m.stepCnt...),
-		last:     append([]int(nil), m.last...),
-		lastTime: append([]trace.Time(nil), m.lastTime...),
-		cacheLm:  append([]int(nil), m.cacheLm...),
-		cacheStep: append([]int(nil),
-			m.cacheStep...),
+		stepSum:   append([]trace.Time(nil), m.stepSum...),
+		stepCnt:   append([]int(nil), m.stepCnt...),
+		last:      append([]int(nil), m.last...),
+		lastTime:  append([]trace.Time(nil), m.lastTime...),
+		cacheUpTo: append([]int(nil), m.cacheUpTo...),
 	}
 	cp.trans = make([][]transRow, len(m.trans))
 	for i, rows := range m.trans {
@@ -89,10 +93,10 @@ func (m *PER) Clone() Method {
 		}
 		cp.trans[i] = cprows
 	}
-	cp.cacheProb = make([][]float64, len(m.cacheProb))
-	for i, probs := range m.cacheProb {
+	cp.cache = make([][]float64, len(m.cache))
+	for i, probs := range m.cache {
 		if probs != nil {
-			cp.cacheProb[i] = append([]float64(nil), probs...)
+			cp.cache[i] = append([]float64(nil), probs...)
 		}
 	}
 	return cp
@@ -109,12 +113,10 @@ func (m *PER) Init(ctx *sim.Context) {
 	m.stepCnt = make([]int, nN)
 	m.last = make([]int, nN)
 	m.lastTime = make([]trace.Time, nN)
-	m.cacheLm = make([]int, nN)
-	m.cacheProb = make([][]float64, nN)
-	m.cacheStep = make([]int, nN)
+	m.cache = make([][]float64, nN)
+	m.cacheUpTo = make([]int, nN)
 	for i := range m.last {
 		m.last[i] = -1
-		m.cacheLm[i] = -1
 	}
 }
 
@@ -128,7 +130,7 @@ func (m *PER) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {
 	}
 	m.last[id] = lm
 	m.lastTime[id] = ctx.Now()
-	m.cacheLm[id] = -1 // moving invalidates the prediction
+	m.cacheUpTo[id] = 0 // moving invalidates the prediction
 }
 
 // meanStep returns the node's mean per-transit time.
@@ -140,29 +142,32 @@ func (m *PER) meanStep(node int) trace.Time {
 }
 
 // hitting computes, for every destination, the probability that the node's
-// Markov walk from its current landmark reaches it within steps moves.
-// It runs one pass per step over the occupancy distribution and
-// accumulates first-visit mass (slightly overestimating on revisits, which
-// is acceptable for ranking). Dense scratch buffers keep the hot path
-// allocation-light.
-func (m *PER) hitting(ctx *sim.Context, node, steps int, visited []float64) []float64 {
+// Markov walk from its current landmark reaches it within 1<<want steps,
+// and caches the vector of every bucket up to want on the way: the
+// vector after k steps does not depend on how far the walk goes on. It
+// runs one pass per step over the occupancy distribution and accumulates
+// first-visit mass (slightly overestimating on revisits, which is
+// acceptable for ranking). A walk whose mass runs out early has reached
+// its final vector, so it fills every deeper bucket too. Dense scratch
+// buffers keep the hot path allocation-light.
+func (m *PER) hitting(ctx *sim.Context, node, want int) {
 	nLm := ctx.NumLandmarks()
 	if len(m.occ) != nLm {
 		m.occ = make([]float64, nLm)
 		m.nxt = make([]float64, nLm)
 	}
-	if len(visited) != nLm {
-		visited = make([]float64, nLm)
-	} else {
-		for i := range visited {
-			visited[i] = 0
-		}
+	cache := m.cache[node]
+	if len(cache) != perBuckets*nLm {
+		cache = make([]float64, perBuckets*nLm)
+		m.cache[node] = cache
 	}
 	occ, nxt := m.occ, m.nxt
 	active := m.active[:0]
 	occ[m.last[node]] = 1
 	active = append(active, m.last[node])
-	for k := 0; k < steps && len(active) > 0; k++ {
+	bk, visited := 0, cache[:nLm]
+	clear(visited)
+	for k := 0; k < 1<<want && len(active) > 0; k++ {
 		nextActive := m.nextActive[:0]
 		for _, at := range active {
 			mass := occ[at]
@@ -186,40 +191,44 @@ func (m *PER) hitting(ctx *sim.Context, node, steps int, visited []float64) []fl
 		occ, nxt = nxt, occ
 		active, nextActive = nextActive, active
 		m.active, m.nextActive = active, nextActive
+		if k+1 == 1<<bk && bk < want {
+			// Bucket bk is complete; the walk goes on in bucket bk+1.
+			bk++
+			next := cache[bk*nLm : (bk+1)*nLm]
+			copy(next, visited)
+			visited = next
+		}
 	}
+	upTo := want + 1
+	if len(active) == 0 {
+		upTo = perBuckets
+	}
+	for bk++; bk < upTo; bk++ {
+		copy(cache[bk*nLm:(bk+1)*nLm], visited)
+	}
+	m.cacheUpTo[node] = upTo
 	for _, at := range active {
 		occ[at] = 0
 	}
 	m.occ, m.nxt = occ, nxt
-	return visited
 }
 
 // Score implements Method: the probability of visiting dst before the
 // remaining-TTL deadline, with the step budget derived from the node's
-// mean per-transit time (the semi-Markov sojourn model).
+// mean per-transit time (the semi-Markov sojourn model). The budget is
+// rounded up to a power-of-two bucket and clamped to 1..perMaxSteps, so
+// the node's per-bucket cache serves every packet until the node moves.
 func (m *PER) Score(ctx *sim.Context, node, dst int, remaining trace.Time) float64 {
 	if m.last[node] < 0 {
 		return 0
 	}
-	steps := int(remaining / m.meanStep(node))
-	if steps < 1 {
-		steps = 1
+	steps := min(int(remaining/m.meanStep(node)), perMaxSteps)
+	bk := 0
+	for 1<<bk < steps {
+		bk++
 	}
-	if steps > perMaxSteps {
-		steps = perMaxSteps
+	if m.cacheUpTo[node] <= bk {
+		m.hitting(ctx, node, bk)
 	}
-	// Quantise to power-of-two buckets so the per-(node, landmark) cache
-	// is effective across packets with similar deadlines.
-	for _, b := range [...]int{1, 2, 4, 8, 16} {
-		if steps <= b {
-			steps = b
-			break
-		}
-	}
-	if m.cacheLm[node] != m.last[node] || m.cacheStep[node] != steps {
-		m.cacheProb[node] = m.hitting(ctx, node, steps, m.cacheProb[node])
-		m.cacheLm[node] = m.last[node]
-		m.cacheStep[node] = steps
-	}
-	return m.cacheProb[node][dst]
+	return m.cache[node][bk*ctx.NumLandmarks()+dst]
 }

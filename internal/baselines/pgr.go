@@ -16,7 +16,12 @@ type PGR struct {
 	trans [][]map[int]int // node -> landmark -> next-landmark counts
 	last  []int           // node -> current landmark
 
-	// cache: predicted route per node, invalidated when the node moves.
+	// cache: each node's predicted route and the landmark it was predicted
+	// at. OnVisit does not invalidate it: the route is recomputed only
+	// when Score runs while the node is at another landmark, so a node
+	// that leaves and comes back between two scorings keeps a route built
+	// from older counts, and PGR's output depends on which Score calls
+	// happen.
 	cacheAt    []int
 	cacheRoute [][]int
 }
@@ -31,10 +36,10 @@ func NewPGR() *PGR { return &PGR{} }
 // Name implements Method.
 func (m *PGR) Name() string { return "PGR" }
 
-// Clone implements Method. Predicted-route caches are carried over: the
-// route choice is deterministic (highest count, ties to the lowest
-// landmark), so a clone recomputing from the copied counts would produce
-// the same routes.
+// Clone implements Method. Predicted-route caches are copied with the
+// counts: a cached route may predate the latest counts (see the cache
+// field), so a clone that recomputed it could score differently from
+// the original.
 func (m *PGR) Clone() Method {
 	cp := &PGR{
 		last:    append([]int(nil), m.last...),
@@ -91,8 +96,9 @@ func (m *PGR) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {
 }
 
 // predictedRoute follows the most likely transition from the node's
-// current landmark for pgrHorizon steps. The route is cached until the node
-// moves (the transition counts change slowly).
+// current landmark for pgrHorizon steps. The route is reused while the
+// node is scored at the landmark it was computed at, even after the node
+// has moved away and back (the transition counts change slowly).
 func (m *PGR) predictedRoute(node int) []int {
 	cur := m.last[node]
 	if cur < 0 {

@@ -16,7 +16,6 @@ func TestSmokeAllBaselines(t *testing.T) {
 	cfg.TTL = 2 * trace.Day
 	cfg.Unit = 12 * trace.Hour
 	for _, m := range []Method{NewPROPHET(), NewSimBet(), NewPGR(), NewGeoComm(), NewPER()} {
-		m := m
 		t.Run(m.Name(), func(t *testing.T) {
 			w := sim.NewWorkload(200, cfg.PacketSize, cfg.TTL)
 			res := sim.New(tr, NewBase(m), w, cfg).Run()

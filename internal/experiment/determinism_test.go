@@ -12,7 +12,6 @@ import (
 func determinismRuns() []Run {
 	var runs []Run
 	for _, sc := range []*Scenario{DARTScenario(Tiny), DNETScenario(Tiny)} {
-		sc := sc
 		for _, m := range []string{"DTN-FLOW", "PROPHET", "SimBet"} {
 			for seed := int64(1); seed <= 2; seed++ {
 				runs = append(runs, Run{Scenario: sc, Router: routerFactory(m), Seed: seed})

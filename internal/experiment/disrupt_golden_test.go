@@ -72,7 +72,6 @@ func disruptedStreamedRun(t *testing.T, sc *Scenario, method string, sh sim.Shar
 // all must reproduce the materialized run's fingerprint exactly.
 func TestDisruptedGoldenRuns(t *testing.T) {
 	for _, sc := range BothScenarios(Tiny) {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			got := make(map[string]metrics.Summary, len(MethodNames))
 			for _, m := range MethodNames {

@@ -113,7 +113,6 @@ func summaryCorpus(t *testing.T, name string, got map[string]metrics.Summary) ma
 // replays pass without regeneration.
 func TestGoldenRuns(t *testing.T) {
 	for _, sc := range BothScenarios(Tiny) {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			got := goldenRuns(sc)
 			path := goldenPath(sc.Name)

@@ -14,11 +14,9 @@ func TestHeadlineOrdering(t *testing.T) {
 	// delay assertion uses the overall delay, which charges failures with
 	// the full experiment duration (the paper's Table VII metric).
 	for _, sc := range BothScenarios(Full) {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			var runs []Run
 			for _, m := range MethodNames {
-				m := m
 				runs = append(runs, Run{Scenario: sc, Router: routerFactory(m), Seed: 1})
 			}
 			sums := Parallel(runs, 0)

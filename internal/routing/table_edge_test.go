@@ -124,7 +124,6 @@ func TestTableEdgeCases(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			tb := tc.build()
 			e, ok := tb.Lookup(tc.dest)
