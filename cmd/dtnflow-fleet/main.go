@@ -1,10 +1,12 @@
-// Command dtnflow-fleet runs a sweep as independent cells: it decomposes
-// the (scenario × method × seed) — or, with -mults, (scenario × method ×
-// mult) — sweep into cells, executes them on a pool of -workers
-// goroutines, and assembles the results index-aligned with the cells, so
-// the output is byte-identical for any pool size. With -store, results
-// are cached content-addressed by run fingerprint, so repeating a sweep
-// is pure cache hits and adding cells re-runs only the new ones.
+// Command dtnflow-fleet runs a grid of independent cells on
+// experiment.RunCells, the runner behind the figure sweeps of
+// cmd/experiments: it decomposes the (scenario × method × seed) — or,
+// with -mults, (scenario × method × mult) — sweep into cells, executes
+// them on a pool of -workers goroutines, and assembles the results
+// index-aligned with the cells, so the output is byte-identical for any
+// pool size. With -store, results are cached content-addressed by run
+// fingerprint, so repeating a sweep is pure cache hits and adding cells
+// re-runs only the new ones.
 //
 // Usage:
 //
@@ -26,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
-	"repro/internal/fleet"
 	"repro/internal/sim"
 )
 
@@ -52,19 +53,20 @@ func main() {
 		fatal(err)
 	}
 
-	opt := fleet.Options{Workers: *workers}
+	opt := experiment.Options{Workers: *workers}
+	var progress io.Writer
 	if !*quiet {
-		opt.Progress = os.Stderr
+		progress = os.Stderr
 	}
 	if *storeDir != "" {
-		store, err := fleet.OpenStore(*storeDir)
+		store, err := experiment.OpenStore(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
 		opt.Store = store
 	}
 
-	results, rep, runErr := fleet.Run(cells, opt)
+	results, rep, runErr := experiment.RunCells(cells, opt, progress)
 	if *reportTo != "" {
 		if err := writeReport(*reportTo, rep); err != nil {
 			fatal(err)
@@ -133,7 +135,7 @@ func splitList(s string) []string {
 	return out
 }
 
-func writeReport(path string, rep fleet.Report) error {
+func writeReport(path string, rep experiment.CellReport) error {
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

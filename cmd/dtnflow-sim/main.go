@@ -13,8 +13,7 @@
 //	dtnflow-sim -trace dart -method DTN-FLOW -disrupt spec.json
 //
 // -telemetry records the packet-lifecycle event stream for offline
-// analysis with dtnflow-inspect (a .csv suffix selects CSV instead of
-// JSONL; CSV recordings carry no meta header and cannot be replayed).
+// analysis with dtnflow-inspect, as JSONL headed by the run's meta.
 // -json replaces the human-readable report with one machine-readable
 // JSON object, including the telemetry counters when recording.
 // -disrupt perturbs the scenario with a named preset (outage,
@@ -53,7 +52,7 @@ func main() {
 		extensions = flag.Bool("extensions", false, "enable DTN-FLOW's Section IV-E extensions")
 		jsonOut    = flag.Bool("json", false, "emit the result as one machine-readable JSON object")
 		disruptArg = flag.String("disrupt", "", "disruption preset (outage, link-sever, link-degrade, churn, drift, flash-crowd, storm) or a JSON spec file")
-		telPath    = flag.String("telemetry", "", "record telemetry events to this file (.jsonl or .csv)")
+		telPath    = flag.String("telemetry", "", "record telemetry events to this JSONL file")
 		telCap     = flag.Int("telemetry-cap", 0, "telemetry ring capacity in events (0 = default)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -190,18 +189,13 @@ type jsonReport struct {
 	TelemetryFile string              `json:"telemetry_file,omitempty"`
 }
 
-// writeRecording exports the recorder to path, choosing CSV for a .csv
-// suffix and JSONL otherwise.
+// writeRecording exports the recorder to path as JSONL.
 func writeRecording(rec *telemetry.Recorder, path string, meta telemetry.Meta) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".csv") {
-		err = rec.WriteCSV(f)
-	} else {
-		err = rec.WriteJSONL(f, meta)
-	}
+	err = rec.WriteJSONL(f, meta)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -6,9 +6,13 @@
 //	experiments -run fig11,fig12          # specific experiments
 //	experiments -run all -scale quick     # everything, reduced scale
 //	experiments -run fig13 -seeds 3 -out results/
+//	experiments -run fig11,fig12 -store results/store   # cache the sweep's runs
 //
 // Each experiment prints an aligned text table mirroring the corresponding
-// paper artifact; -out additionally writes one file per experiment.
+// paper artifact; -out additionally writes one file per experiment. With
+// -store, the runs of the figure sweeps (Figs. 11–14) are cells cached in
+// a content-addressed result store keyed by run fingerprint — the store
+// dtnflow-fleet uses — so a repeated sweep executes no simulation.
 package main
 
 import (
@@ -30,6 +34,7 @@ func main() {
 		seeds   = flag.Int("seeds", 1, "independent seeds per data point")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
 		out     = flag.String("out", "", "directory to write per-experiment result files")
+		store   = flag.String("store", "", "content-addressed result store for the figure-sweep cells (empty = no cache)")
 	)
 	flag.Parse()
 
@@ -50,6 +55,12 @@ func main() {
 		os.Exit(2)
 	}
 	opt := experiment.Options{Scale: sc, Seeds: *seeds, Workers: *workers}
+	if *store != "" {
+		if opt.Store, err = experiment.OpenStore(*store); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	var ids []string
 	if *run == "all" {
 		for _, e := range experiment.All() {
@@ -82,5 +93,9 @@ func main() {
 				os.Exit(1)
 			}
 		}
+	}
+	if opt.Store != nil {
+		hits, puts := opt.Store.Counts()
+		fmt.Printf("store %s: %d cells served, %d executed\n", opt.Store.Root(), hits, puts)
 	}
 }

@@ -215,14 +215,18 @@ func (m *PER) hitting(ctx *sim.Context, node, want int) {
 
 // Score implements Method: the probability of visiting dst before the
 // remaining-TTL deadline, with the step budget derived from the node's
-// mean per-transit time (the semi-Markov sojourn model). The budget is
+// mean per-transit time (the semi-Markov sojourn model); a zero mean
+// (transits shorter than a second) grants the whole budget. The budget is
 // rounded up to a power-of-two bucket and clamped to 1..perMaxSteps, so
 // the node's per-bucket cache serves every packet until the node moves.
 func (m *PER) Score(ctx *sim.Context, node, dst int, remaining trace.Time) float64 {
 	if m.last[node] < 0 {
 		return 0
 	}
-	steps := min(int(remaining/m.meanStep(node)), perMaxSteps)
+	steps := perMaxSteps
+	if step := m.meanStep(node); step > 0 {
+		steps = min(int(remaining/step), perMaxSteps)
+	}
 	bk := 0
 	for 1<<bk < steps {
 		bk++

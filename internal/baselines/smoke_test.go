@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -29,5 +30,23 @@ func TestSmokeAllBaselines(t *testing.T) {
 				t.Fatalf("success rate %.2f suspiciously low", res.Summary.SuccessRate)
 			}
 		})
+	}
+}
+
+// TestPERZeroMeanStep runs PER on a two-node trace whose only transits
+// take no time, so a node's mean per-transit time is zero: scoring must
+// fall back to the full step budget instead of dividing by zero.
+func TestPERZeroMeanStep(t *testing.T) {
+	tr, err := trace.Read(strings.NewReader("# SMALL 2 2\nP 0 0 0\nP 1 100 0\n0 0 0 0\n0 1 0 864000\n1 0 0 864000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(tr.Duration())
+	cfg.Seed = 1
+	cfg.TTL = 2 * trace.Day
+	cfg.Unit = 12 * trace.Hour
+	res := sim.New(tr, NewBase(NewPER()), sim.NewWorkload(500, cfg.PacketSize, cfg.TTL), cfg).Run()
+	if res.Summary.Generated == 0 {
+		t.Fatal("no packets generated")
 	}
 }

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"io"
+	"sync"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -13,7 +16,8 @@ import (
 // fingerprints to a stable content-address, so its result can be stored
 // and reused by a later process. Cells deliberately carry no closures —
 // a Run with a Tweak, Setup hook, probe or checker cannot be named by
-// data alone and cannot be a cell.
+// data alone and cannot be a cell; the memory axis of Figs. 11–12 is
+// data (Memory), so every figure-sweep run is a cell.
 type Cell struct {
 	// Kind selects the execution path: CellRun (default when empty) is a
 	// paper-tier run over a materialized scenario trace; CellScale is a
@@ -31,6 +35,9 @@ type Cell struct {
 	Seed int64 `json:"seed"`
 	// Rate is packets/day network-wide; 0 means the scenario default.
 	Rate float64 `json:"rate,omitempty"`
+	// Memory is the node buffer in the paper's kB (Scenario.Memory) for
+	// run cells; 0 means the scenario default.
+	Memory float64 `json:"memory,omitempty"`
 	// Mult is the population multiplier for scale cells; ignored for run
 	// cells.
 	Mult int `json:"mult,omitempty"`
@@ -95,6 +102,9 @@ func (c Cell) Validate() error {
 	if !ValidMethod(c.Method) {
 		return fmt.Errorf("experiment: unknown method %q", c.Method)
 	}
+	if !(c.Memory >= 0) || c.Memory > 0 && c.kind() != CellRun {
+		return fmt.Errorf("experiment: memory %v kB on a %s cell (want >= 0, run cells only)", c.Memory, c.kind())
+	}
 	switch c.kind() {
 	case CellRun:
 		if _, err := ParseScale(c.Scale); err != nil {
@@ -133,7 +143,7 @@ func (c Cell) Fingerprint() (string, error) {
 
 // CellResult is a cell's deterministic outcome — exactly what the
 // content-addressed store holds. Timing and cache behaviour live in the
-// fleet's report, never here: a repeated run must produce byte-identical
+// CellReport, never here: a repeated run must produce byte-identical
 // results.
 type CellResult struct {
 	Cell        Cell            `json:"cell"`
@@ -179,8 +189,8 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 		var r Run
 		if c.kind() == CellRun {
 			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
-			r = Run{Scenario: sc, Router: routerFactory(c.Method), Rate: c.Rate,
-				Seed: c.seed(), Probe: telemetry.NewProbe(telemetry.NewRecorder(1 << 12))}
+			r = c.run(sc)
+			r.Probe = telemetry.NewProbe(telemetry.NewRecorder(1 << 12))
 		}
 		groups[g].runs = append(groups[g].runs, r)
 		members[g] = append(members[g], i)
@@ -205,6 +215,106 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 		}
 		done(i, res, nil)
 	})
+}
+
+// executeCells runs the cells the store misses; tests swap it to make
+// cells fail during execution, which no valid cell does.
+var executeCells = ExecuteCells
+
+// CellReport summarizes one RunCells for progress output and the
+// fleet-smoke gate. It carries the nondeterministic facts (timing, cache
+// behaviour) that must stay out of CellResult.
+type CellReport struct {
+	Cells     int     `json:"cells"`
+	CacheHits int     `json:"cache_hits"`
+	Executed  int     `json:"executed"`
+	WallSec   float64 `json:"wall_sec"`
+}
+
+// RunCells executes cells on a pool of opt.Workers goroutines and
+// returns their results in input order. It fingerprints every cell
+// before executing any, so a malformed cell fails before anything runs;
+// serves the cells opt.Store holds, when it is set; executes the rest
+// with ExecuteCells and stores each executed result. A non-nil progress
+// receives one line per executed cell. If cells fail, RunCells returns
+// the error of the lowest failing index, whatever the pool size.
+//
+// Every result is the one ExecuteCell gives its cell alone — the path
+// the golden corpus pins — and lands at its input index, so the results
+// are byte-identical for any pool size, completion order, seed grouping
+// or cache state.
+func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, CellReport, error) {
+	t0 := time.Now()
+	rep := CellReport{Cells: len(cells)}
+	finish := func() CellReport {
+		rep.WallSec = time.Since(t0).Seconds()
+		return rep
+	}
+	logf := func(format string, args ...any) {
+		if progress != nil {
+			fmt.Fprintf(progress, "cells: "+format+"\n", args...)
+		}
+	}
+
+	results := make([]*CellResult, len(cells))
+	var misses []int // indices of the cells in pending
+	var pending []Cell
+	for i, c := range cells {
+		fp, err := c.Fingerprint()
+		if err != nil {
+			return nil, finish(), fmt.Errorf("experiment: cell %d: %w", i, err)
+		}
+		if opt.Store != nil {
+			if res, ok := opt.Store.Get(fp); ok {
+				results[i] = res
+				rep.CacheHits++
+				continue
+			}
+		}
+		misses, pending = append(misses, i), append(pending, c)
+	}
+	if rep.CacheHits > 0 {
+		logf("%d/%d cells already in store", rep.CacheHits, len(cells))
+	}
+
+	errs := make([]error, len(cells))
+	var mu sync.Mutex
+	executeCells(pending, opt.Workers, func(k int, res *CellResult, err error) {
+		i := misses[k]
+		if err != nil {
+			errs[i] = fmt.Errorf("experiment: cell %d (%s): %w", i, cells[i], err)
+			return
+		}
+		var putErr error
+		if opt.Store != nil {
+			putErr = opt.Store.Put(res)
+		}
+		results[i] = res
+		mu.Lock()
+		defer mu.Unlock()
+		if putErr != nil {
+			logf("store put failed (continuing): %v", putErr)
+		}
+		rep.Executed++
+		s := res.Summary
+		logf("[%d/%d] %s: generated=%d delivered=%d forwarded=%d",
+			rep.CacheHits+rep.Executed, len(cells), res.Cell, s.Generated, s.Delivered, s.Forwarding)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, finish(), err
+		}
+	}
+	return results, finish(), nil
+}
+
+// run returns the engine run of run cell c on its scenario sc.
+func (c Cell) run(sc *Scenario) Run {
+	r := Run{Scenario: sc, Router: routerFactory(c.Method), Rate: c.Rate, Seed: c.seed()}
+	if kb := c.Memory; kb > 0 {
+		r.Tweak = func(cfg *sim.Config) { cfg.NodeMemory = sc.Memory(kb) }
+	}
+	return r
 }
 
 // cellCost ranks a cell for longest-first dispatch; it only has to order
@@ -306,7 +416,7 @@ func (c Cell) groupKey() Cell {
 }
 
 // MergeAverages groups index-aligned results by everything except the
-// seed (in first-appearance order) and averages each group — the fleet's
+// seed (in first-appearance order) and averages each group — the cells'
 // equivalent of Sweep's per-point Average fold.
 func MergeAverages(results []*CellResult) []CellGroup {
 	var order []Cell

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func TestSweepCellsOrder(t *testing.T) {
@@ -145,5 +148,56 @@ func TestExecuteCellScale(t *testing.T) {
 	want, _ := materializedRun(t, ScaleSpec{Scenario: "DNET", Mult: 1, Seed: 1}, "DTN-FLOW")
 	if SummaryFingerprint(res.Summary) != SummaryFingerprint(want) {
 		t.Errorf("scale cell diverged from the materialized reference:\ncell         %+v\nmaterialized %+v", res.Summary, want)
+	}
+}
+
+// TestMemoryCell pins the memory axis as data: a cell's Memory (kB) runs
+// exactly the run whose config tweak sets NodeMemory = Scenario.Memory,
+// and a cell without it encodes no memory key, so the fingerprints and
+// store entries of memory-less cells are those they always had.
+func TestMemoryCell(t *testing.T) {
+	if blob, _ := json.Marshal(Cell{Scenario: "DNET", Scale: "tiny", Method: "DTN-FLOW"}); strings.Contains(string(blob), "memory") {
+		t.Errorf("memory-less cell encodes a memory key: %s", blob)
+	}
+	if testing.Short() {
+		t.Skip("runs full Tiny simulations")
+	}
+	sc := DNETScenario(Tiny)
+	res, err := ExecuteCell(Cell{Scenario: "DNET", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Memory: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := Run{Scenario: sc, Router: routerFactory("DTN-FLOW"), Seed: 1,
+		Tweak: func(c *sim.Config) { c.NodeMemory = sc.Memory(300) }}.Execute()
+	if SummaryFingerprint(res.Summary) != SummaryFingerprint(plain) {
+		t.Errorf("memory cell diverged from the tweaked run:\ncell  %+v\nplain %+v", res.Summary, plain)
+	}
+}
+
+// TestFigureSweepStore runs a figure sweep twice against one store: the
+// second run must execute no cell and render the same report, which in
+// turn must equal the report rendered without a store.
+func TestFigureSweepStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full Tiny simulations")
+	}
+	e, err := Get("fig12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := e.Run(Options{Scale: Tiny}).String()
+	opt := Options{Scale: Tiny, Store: store}
+	for run := 1; run <= 2; run++ {
+		if got := e.Run(opt).String(); got != want {
+			t.Errorf("run %d with a store rendered a different report:\n%s\nwant:\n%s", run, got, want)
+		}
+	}
+	hits, puts := store.Counts()
+	if hits == 0 || hits != puts {
+		t.Errorf("store served %d cells and stored %d: the second run must be served every cell of the first", hits, puts)
 	}
 }

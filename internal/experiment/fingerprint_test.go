@@ -82,6 +82,7 @@ func TestCellFingerprintNormalization(t *testing.T) {
 		"scenario": {Scenario: "DNET", Scale: "tiny", Method: "DTN-FLOW", Seed: 1},
 		"scale":    {Scenario: "DART", Scale: "quick", Method: "DTN-FLOW", Seed: 1},
 		"rate":     {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Rate: 123},
+		"memory":   {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Memory: 600},
 		"kind":     {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Seed: 1, Mult: 1},
 	} {
 		ofp, err := c.Fingerprint()
@@ -101,6 +102,8 @@ func TestCellFingerprintRejectsInvalid(t *testing.T) {
 		"scenario":       {Scenario: "MARS", Scale: "tiny", Method: "DTN-FLOW"},
 		"kind":           {Kind: "weird", Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW"},
 		"scale-scenario": {Kind: CellScale, Scenario: "CAMPUS", Method: "DTN-FLOW"},
+		"memory":         {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Memory: -1},
+		"scale-memory":   {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1, Memory: 600},
 	} {
 		if _, err := c.Fingerprint(); err == nil {
 			t.Errorf("%s: invalid cell fingerprinted without error", name)

@@ -45,7 +45,7 @@ func (sc *Scenario) OraclePackets(cfg sim.Config, w *sim.Workload, tr *trace.Tra
 // scenario. rate <= 0 uses the scenario default; workers <= 0 uses
 // GOMAXPROCS.
 func (sc *Scenario) OracleFor(seed int64, rate float64, workers int) (*oracle.Result, OracleSummary) {
-	return sc.oracleRun(seed, rate, workers, "", nil)
+	return sc.oracleRun(sc.Trace, seed, rate, workers, "", nil)
 }
 
 // OracleDisrupted solves the oracle for a disrupted run: the same
@@ -58,7 +58,7 @@ func (sc *Scenario) OracleDisrupted(seed int64, rate float64, workers int, prese
 	if err != nil {
 		return nil, OracleSummary{}, err
 	}
-	res, sum := sc.oracleRunOn(tr, seed, rate, workers, preset, sp)
+	res, sum := sc.oracleRun(tr, seed, rate, workers, preset, sp)
 	return res, sum, nil
 }
 
@@ -91,19 +91,7 @@ func (sp ScaleSpec) OracleScale(workers int) (OracleSummary, error) {
 	ocfg := oracle.ConfigFrom(cfg)
 	ocfg.Workers = workers
 	ocfg.SkipCommitted = true
-	res := oracle.SolveTrace(tr, ocfg, pkts)
-	sum := OracleSummary{
-		Scenario:    sp.Scenario,
-		Seed:        cfg.Seed,
-		Rate:        w.Rate,
-		Packets:     len(res.Packets),
-		Deliverable: res.Deliverable,
-		MeanDelay:   res.MeanDelay,
-	}
-	if sum.Packets > 0 {
-		sum.UpperBound = float64(sum.Deliverable) / float64(sum.Packets)
-	}
-	return sum, nil
+	return oracleSummary(sp.Scenario, cfg.Seed, w.Rate, "", oracle.SolveTrace(tr, ocfg, pkts)), nil
 }
 
 // oraclePoint is the seed-averaged oracle answer at one sweep x-value:
@@ -114,30 +102,22 @@ type oraclePoint struct {
 }
 
 // oracleSweep computes the oracle column for a parameter sweep: one
-// relaxed-bound solve per (x, seed) cell, averaged across seeds per x.
-// The contact graph is built once and shared — sweep tweaks (memory,
-// rate) change packet gates and schedules, never the contact structure —
-// and the per-cell solves run on the same bounded pool the method
-// sweeps use. build mirrors the Sweep contract: it returns the cell's
-// rate (<= 0 for the scenario default) and config tweak.
-func (sc *Scenario) oracleSweep(opt Options, xs []float64, build func(x float64, seed int64) (float64, func(*sim.Config))) []oraclePoint {
-	seeds := opt.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
+// relaxed-bound solve per (x, seed), averaged across seeds per x. Each
+// of points is the run cell of one x with method and seed unset: its
+// Rate and Memory set the sweep's axis. The contact graph is built once
+// and shared — the axes change packet gates and schedules, never the
+// contact structure — and the per-cell solves run on the same bounded
+// pool the method sweeps use.
+func (sc *Scenario) oracleSweep(opt Options, points []Cell) []oraclePoint {
+	seeds := max(opt.Seeds, 1)
 	g := oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), opt.Workers)
-	cells := make([]oraclePoint, len(xs)*seeds)
+	cells := make([]oraclePoint, len(points)*seeds)
 	ParallelFor(len(cells), opt.Workers, func(i int) {
-		x, seed := xs[i/seeds], int64(i%seeds)+1
-		rate, tweak := build(x, seed)
-		if rate <= 0 {
-			rate = sc.RateDef
-		}
-		cfg := sc.Config(seed)
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		pkts := sc.OraclePackets(cfg, sc.Workload(rate), sc.Trace)
+		c := points[i/seeds]
+		c.Seed = int64(i%seeds) + 1
+		r := c.run(sc)
+		cfg := r.config()
+		pkts := sc.OraclePackets(cfg, r.workload(), sc.Trace)
 		ocfg := oracle.ConfigFrom(cfg)
 		ocfg.Workers = 1 // the pool already parallelises across cells
 		ocfg.SkipCommitted = true
@@ -149,8 +129,8 @@ func (sc *Scenario) oracleSweep(opt Options, xs []float64, build func(x float64,
 			}
 		}
 	})
-	out := make([]oraclePoint, len(xs))
-	for xi := range xs {
+	out := make([]oraclePoint, len(points))
+	for xi := range points {
 		for s := 0; s < seeds; s++ {
 			out[xi].Upper += cells[xi*seeds+s].Upper
 			out[xi].Delay += cells[xi*seeds+s].Delay
@@ -161,11 +141,7 @@ func (sc *Scenario) oracleSweep(opt Options, xs []float64, build func(x float64,
 	return out
 }
 
-func (sc *Scenario) oracleRun(seed int64, rate float64, workers int, label string, sp *disrupt.Spec) (*oracle.Result, OracleSummary) {
-	return sc.oracleRunOn(sc.Trace, seed, rate, workers, label, sp)
-}
-
-func (sc *Scenario) oracleRunOn(tr *trace.Trace, seed int64, rate float64, workers int, label string, sp *disrupt.Spec) (*oracle.Result, OracleSummary) {
+func (sc *Scenario) oracleRun(tr *trace.Trace, seed int64, rate float64, workers int, label string, sp *disrupt.Spec) (*oracle.Result, OracleSummary) {
 	if rate <= 0 {
 		rate = sc.RateDef
 	}
@@ -176,8 +152,14 @@ func (sc *Scenario) oracleRunOn(tr *trace.Trace, seed int64, rate float64, worke
 	ocfg := oracle.ConfigFrom(cfg)
 	ocfg.Workers = workers
 	res := oracle.SolveTrace(tr, ocfg, pkts)
+	return res, oracleSummary(sc.Name, seed, rate, label, res)
+}
+
+// oracleSummary is the OracleSummary of res, solved for the packets drawn at
+// (seed, rate) on the named scenario under the disruption label.
+func oracleSummary(scenario string, seed int64, rate float64, label string, res *oracle.Result) OracleSummary {
 	sum := OracleSummary{
-		Scenario:           sc.Name,
+		Scenario:           scenario,
 		Seed:               seed,
 		Rate:               rate,
 		Disrupt:            label,
@@ -190,5 +172,5 @@ func (sc *Scenario) oracleRunOn(tr *trace.Trace, seed int64, rate float64, worke
 		sum.UpperBound = float64(sum.Deliverable) / float64(sum.Packets)
 		sum.CommittedRate = float64(sum.CommittedDelivered) / float64(sum.Packets)
 	}
-	return res, sum
+	return sum
 }

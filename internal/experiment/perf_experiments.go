@@ -1,7 +1,5 @@
 package experiment
 
-import "repro/internal/sim"
-
 // Main comparison experiments: performance of the six methods under
 // varying node memory (Figs. 11–12) and packet rate (Figs. 13–14), each
 // reporting success rate, average delay, forwarding cost and total cost.
@@ -53,43 +51,34 @@ func packetRates(opt Options) []float64 {
 	return out
 }
 
-// sweepReport renders one sweep as the figure's four sub-plots. A
-// non-nil oracle column (aligned with points) appends the offline
+// sweepReport renders one sweep as the figure's four sub-plots: a row
+// per x-value with the seed-averaged group of every method (groups in
+// MergeAverages order: x-major, then MethodNames) and the offline
 // contact-graph oracle: the relaxed success ceiling on plot (a), its
 // mean delay on plot (b), and "-" on the cost plots (the bound does not
 // model forwarding cost).
-func sweepReport(id, title, paper, xname string, methods []string, points []SweepPoint, orc []oraclePoint) *Report {
+func sweepReport(id, title, paper, xname string, xs []float64, groups []CellGroup, orc []oraclePoint) *Report {
 	rep := &Report{ID: id, Title: title, Paper: paper}
-	type metricDef struct {
+	noOracle := func(oraclePoint) string { return "-" }
+	for _, md := range []struct {
 		heading string
 		cell    func(a Averaged) string
 		oracle  func(o oraclePoint) string
-	}
-	for _, md := range []metricDef{
+	}{
 		{"(a) success rate", func(a Averaged) string { return ci(a.Success, a.SuccessCI, f3) },
 			func(o oraclePoint) string { return f3(o.Upper) }},
 		{"(b) average delay", func(a Averaged) string { return ci(a.Delay, a.DelayCI, fd) },
 			func(o oraclePoint) string { return fd(o.Delay) }},
-		{"(c) forwarding cost", func(a Averaged) string { return fint(a.Forwarding) }, nil},
-		{"(d) total cost", func(a Averaged) string { return fint(a.TotalCost) }, nil},
+		{"(c) forwarding cost", func(a Averaged) string { return fint(a.Forwarding) }, noOracle},
+		{"(d) total cost", func(a Averaged) string { return fint(a.TotalCost) }, noOracle},
 	} {
-		sec := Section{Heading: md.heading, Columns: append([]string{xname}, methods...)}
-		if orc != nil {
-			sec.Columns = append(sec.Columns, "ORACLE")
-		}
-		for pi, p := range points {
-			row := []string{fint(p.X)}
-			for _, a := range p.Results {
-				row = append(row, md.cell(a))
+		sec := Section{Heading: md.heading, Columns: append(append([]string{xname}, MethodNames...), "ORACLE")}
+		for i, x := range xs {
+			row := []string{fint(x)}
+			for _, g := range groups[i*len(MethodNames) : (i+1)*len(MethodNames)] {
+				row = append(row, md.cell(g.Averaged))
 			}
-			if orc != nil {
-				if md.oracle != nil {
-					row = append(row, md.oracle(orc[pi]))
-				} else {
-					row = append(row, "-")
-				}
-			}
-			sec.AddRow(row...)
+			sec.AddRow(append(row, md.oracle(orc[i]))...)
 		}
 		rep.Sections = append(rep.Sections, sec)
 	}
@@ -97,25 +86,34 @@ func sweepReport(id, title, paper, xname string, methods []string, points []Swee
 }
 
 // runPerfSweep runs one of Figs. 11–14: the six methods and the oracle
-// over node memory (memory) or packet rate (otherwise).
+// over node memory (memory) or packet rate (otherwise). Every (x,
+// method, seed) run is a cell, so opt.Store serves the runs it holds.
 func runPerfSweep(opt Options, scenario func(Scale) *Scenario, id, paper string, memory bool) *Report {
 	sc := scenario(opt.Scale)
 	xs, axis, xname := packetRates(opt), "packet rates", "rate(pkt/day)"
 	note := "paper shape: success decreases and delay increases as the packet rate grows; DTN-FLOW stays best"
-	at := func(rate float64, _ int64) (float64, func(*sim.Config)) { return rate, nil }
 	if memory {
 		xs, axis, xname = memorySizes(opt), "memory sizes", "memory(kB)"
 		note = "paper shape: DTN-FLOW highest success and lowest delay; success grows with memory; PGR lowest success"
-		at = func(kb float64, _ int64) (float64, func(*sim.Config)) {
-			return 0, func(c *sim.Config) { c.NodeMemory = sc.Memory(kb) }
+	}
+	var points, cells []Cell // points: one cell per x, method and seed unset
+	for _, x := range xs {
+		p := Cell{Kind: CellRun, Scenario: sc.Name, Scale: string(opt.Scale), Rate: x}
+		if memory {
+			p.Rate, p.Memory = 0, x
+		}
+		points = append(points, p)
+		for _, c := range SweepCells([]string{sc.Name}, opt.Scale, MethodNames, opt.Seeds, p.Rate) {
+			c.Memory = p.Memory
+			cells = append(cells, c)
 		}
 	}
-	points := Sweep(MethodNames, xs, opt, func(m string, x float64, seed int64) Run {
-		rate, tweak := at(x, seed)
-		return Run{Scenario: sc, Router: routerFactory(m), Rate: rate, Seed: seed, Tweak: tweak}
-	})
-	orc := sc.oracleSweep(opt, xs, at)
-	rep := sweepReport(id, "Performance with different "+axis+" ("+sc.Name+")", paper, xname, MethodNames, points, orc)
+	results, _, err := RunCells(cells, opt, nil)
+	if err != nil {
+		panic(err)
+	}
+	rep := sweepReport(id, "Performance with different "+axis+" ("+sc.Name+")", paper, xname,
+		xs, MergeAverages(results), sc.oracleSweep(opt, points))
 	rep.Sections[0].Notes = append(rep.Sections[0].Notes, note,
 		"ORACLE: offline contact-graph relaxed bound — no method can exceed it (see DESIGN.md)")
 	return rep

@@ -37,6 +37,9 @@ type Options struct {
 	Seeds int
 	// Workers bounds parallel simulations; 0 = GOMAXPROCS.
 	Workers int
+	// Store, when non-nil, serves the cells of a cell-based experiment
+	// that it already holds and receives every executed result (RunCells).
+	Store *Store
 }
 
 // DefaultOptions returns full-scale, single-seed options.

@@ -2,19 +2,16 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"repro/internal/trace"
 )
 
 // Meta identifies the run a recording came from; it is written as the
-// first JSONL line (or a comment-free CSV is meta-less) so the inspector
-// can label its output and size its matrices.
+// first JSONL line so the inspector can label its output and size its matrices.
 type Meta struct {
 	Scenario  string     `json:"scenario"`
 	Method    string     `json:"method"`
@@ -92,37 +89,6 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// csvHeader is the column set of the CSV export.
-var csvHeader = []string{"time", "kind", "hop", "packet", "a", "b", "aux", "value"}
-
-// WriteCSV writes the held events as CSV with a header row, using the
-// human-readable kind and hop names.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	row := make([]string, len(csvHeader))
-	for _, ev := range r.Events(nil) {
-		row[0] = strconv.FormatInt(int64(ev.T), 10)
-		row[1] = ev.Kind.String()
-		row[2] = ""
-		if ev.Kind == EvForwarded {
-			row[2] = ev.Hop.String()
-		}
-		row[3] = strconv.Itoa(int(ev.Pkt))
-		row[4] = strconv.Itoa(int(ev.A))
-		row[5] = strconv.Itoa(int(ev.B))
-		row[6] = strconv.Itoa(int(ev.Aux))
-		row[7] = strconv.FormatFloat(ev.V, 'g', -1, 64)
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Log is a loaded recording: the run's meta plus its events in

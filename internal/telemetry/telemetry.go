@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's observability layer: typed
 // lifecycle events emitted by probes compiled into the engine and router
 // hot paths, recorded into a preallocated ring buffer alongside cheap
-// counters and histograms, and exported as JSONL/CSV for offline
+// counters and histograms, and exported as JSONL for offline
 // inspection (cmd/dtnflow-inspect).
 //
 // Overhead contract: the probe handle carried by the hot paths is a

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -142,23 +141,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(log.Events, rec.Events(nil)) {
 		t.Errorf("events round-trip: got %+v, want %+v", log.Events, rec.Events(nil))
-	}
-}
-
-func TestCSVExport(t *testing.T) {
-	rec := NewRecorder(8)
-	p := NewProbe(rec)
-	p.Forwarded(3, HopRelay, 4, 1, 2)
-	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv lines = %d, want header + 1 event", len(lines))
-	}
-	if lines[1] != "3,forwarded,relay,4,1,2,0,0" {
-		t.Errorf("csv row = %q", lines[1])
 	}
 }
 

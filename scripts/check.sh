@@ -1,15 +1,16 @@
 #!/bin/sh
 # Pre-merge hygiene gate: formatting, vet, the race detector over the
 # packages that share state across goroutines (the parallel experiment
-# sweep, the engine it drives with its epoch prefetcher and forks, the
-# fleet's pool-backed Run, and the routing table's pure reads after
+# sweep and the pool-backed cell runner with its store, the engine it
+# drives with its epoch prefetcher and forks, and the routing table's pure reads after
 # Snapshot and after a full resolve), the validation battery — invariant
 # checker, checker-neutrality, fork equivalence, the O1-O4 paper-fidelity
 # checks at tiny scale, and the disrupted-scenario section (outage /
 # churn / storm presets, every method checker-clean and materialized ==
 # streamed) — and the fleet smoke
 # (Tiny sweep byte-compared across pools of 1, 2 and GOMAXPROCS
-# goroutines plus the 100%-cache-hit re-run).
+# goroutines plus the 100%-cache-hit re-runs of dtnflow-fleet and
+# experiments).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,7 +22,7 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-go test -race ./internal/experiment ./internal/sim ./internal/fleet ./internal/routing
+go test -race ./internal/experiment ./internal/sim ./internal/routing
 go run ./cmd/dtnflow-validate
 ./scripts/fleet-smoke.sh
 

@@ -5,7 +5,9 @@
 # 2-goroutine run against the warmed store and requires 100% cache hits
 # with, again, byte-identical output. A -seeds 2 leg, whose seeds fork
 # from one warmup per (scenario, method) group, does the same on pools of
-# 1 and GOMAXPROCS goroutines and a warm-store rerun.
+# 1 and GOMAXPROCS goroutines and a warm-store rerun. An experiments leg
+# runs the Tiny Fig. 11 sweep twice against one store: the second run
+# must execute no cell and write a byte-identical result file.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,6 +15,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
 go build -o "$tmp/dtnflow-fleet" ./cmd/dtnflow-fleet
+go build -o "$tmp/experiments" ./cmd/experiments
 
 echo "fleet-smoke: cold run (2 goroutines, empty store)"
 "$tmp/dtnflow-fleet" -q -json -workers 2 -store "$tmp/store" \
@@ -68,4 +71,21 @@ for f in s2-w0 s2-warm-out; do
 done
 warm_check "$tmp/s2-warm.json"
 
-echo "fleet-smoke: OK ($one cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run; $cells -seeds 2 cells across 1 and GOMAXPROCS goroutines and the cached run)"
+echo "fleet-smoke: experiments fig11 cold and warm runs (same store)"
+"$tmp/experiments" -run fig11 -scale tiny -store "$tmp/s3" -out "$tmp/a" > "$tmp/a.log"
+"$tmp/experiments" -run fig11 -scale tiny -store "$tmp/s3" -out "$tmp/b" > "$tmp/b.log"
+if ! cmp -s "$tmp/a/fig11.txt" "$tmp/b/fig11.txt"; then
+    echo "fleet-smoke: FAIL: warm experiments fig11 output differs from the cold run" >&2
+    diff "$tmp/a/fig11.txt" "$tmp/b/fig11.txt" >&2 || true
+    exit 1
+fi
+# The last stdout line reads "store DIR: N cells served, M executed".
+served=$(sed -n 's/^store .*: \([0-9]*\) cells served, [0-9]* executed$/\1/p' "$tmp/b.log")
+executed=$(sed -n 's/^store .*: [0-9]* cells served, \([0-9]*\) executed$/\1/p' "$tmp/b.log")
+if [ -z "$served" ] || [ "$served" -eq 0 ] || [ "$executed" != "0" ]; then
+    echo "fleet-smoke: FAIL: warm experiments run not fully cached (served=$served executed=$executed)" >&2
+    cat "$tmp/b.log" >&2
+    exit 1
+fi
+
+echo "fleet-smoke: OK ($one cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run; $cells -seeds 2 cells across 1 and GOMAXPROCS goroutines and the cached run; $served experiments fig11 cells served from the store)"
