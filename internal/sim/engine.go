@@ -316,8 +316,9 @@ func (ctx *Context) ExpireBuffers(n *Node, st *Station) {
 
 // Engine runs one simulation. Its events come from four sources merged in
 // the total event order (heap.go): visit arrivals and departures, drawn
-// epoch by epoch from a trace.Source (stream.go), and the time-unit,
-// packet-generation and router-timer cursors.
+// epoch by epoch from a trace.Source (stream.go) or, on a fork, from the
+// snapshot's replay (fork.go), and the time-unit, packet-generation and
+// router-timer cursors.
 type Engine struct {
 	ctx         *Context
 	router      Router
@@ -339,14 +340,23 @@ type Engine struct {
 
 	// Visit side (stream.go): the reader over the source, the departures
 	// waiting for their epoch, the built epoch being applied, and the
-	// prefetcher's double-buffered batches and assembly scratch.
-	rd      visitReader
-	departs departBuckets // its epoch is the engine's merge granularity
-	batch   epochBatch
-	bufs    [2][]event
-	nextBuf int
-	arrives []event
-	due     []event
+	// prefetcher's double-buffered batches and assembly scratch. A forked
+	// engine has no reader and no departures: it gathers each epoch from
+	// the snapshot's replay (fork.go) into bufs[0]; replayed is the next
+	// replay epoch to gather.
+	rd       visitReader
+	departs  departBuckets // its epoch is the engine's merge granularity
+	replay   *replay
+	replayed int
+	batch    epochBatch
+	bufs     [2][]event
+	nextBuf  int
+	arrives  []event
+	due      []event
+
+	// contact is the one Contact every arrival rewrites and hands to
+	// Router.OnContact (see the lifetime contract on Contact).
+	contact Contact
 
 	// Cursor side: the scheduled workload (pkts[gi] is the next
 	// generation) and the router timers, the only events on the heap.
@@ -367,6 +377,7 @@ type cursors struct {
 	unitT       trace.Time // its timestamp
 	nextDisrupt int
 	epochs      int // epochs built
+	visits      int // visits taken into built epochs
 	events      int // events applied
 }
 
@@ -511,7 +522,8 @@ func (e *Engine) apply(ev event) {
 		n.VisitStart = v.Start
 		n.VisitEnd = v.End
 		e.addPresent(v.Landmark, n)
-		c := &Contact{Node: n, Landmark: v.Landmark, Start: v.Start, End: v.End, Budget: e.contactBudget(v)}
+		c := &e.contact
+		*c = Contact{Node: n, Landmark: v.Landmark, Start: v.Start, End: v.End, Budget: e.contactBudget(v)}
 		e.ctx.ExpireBuffers(n, e.ctx.Stations[v.Landmark])
 		e.router.OnContact(e.ctx, c)
 	case evDepart:

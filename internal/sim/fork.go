@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -34,12 +34,11 @@ type Cloner interface {
 }
 
 // Snapshot is a frozen engine at the end of warmup. It retains the
-// engine's router, nodes, stations, metrics and telemetry recorder, and
-// its position in the event order: the reader's place in the trace's
-// visit slice, the pending departures, the built epoch's unapplied events
-// and the cursors. Fork deep-clones the mutable parts per seeded run, so
-// one snapshot serves any number of concurrent forks. The snapshotted
-// engine must not be run further.
+// engine's router, nodes, stations, metrics and telemetry recorder, its
+// cursors, and the rest of its visit-event order as a replay: built once
+// by Snapshot and read-only afterwards. Fork deep-clones the mutable parts
+// per seeded run, so one snapshot serves any number of concurrent forks.
+// The snapshotted engine must not be run further.
 type Snapshot struct {
 	trace       *trace.Trace
 	cfg         Config
@@ -49,17 +48,40 @@ type Snapshot struct {
 	present     [][]int // presence sets by node ID (rebound to clones)
 	start, end  trace.Time
 	measureFrom trace.Time
-	rd          visitReader // over a *trace.SliceSource; copied per fork
-	departs     departBuckets
-	batch       epochBatch // unapplied events only; shared read-only
+	replay      *replay
 	cur         cursors
 	metrics     *metrics.Collector
+}
+
+// replay is a visit-event order from the warmup boundary to the end of the
+// trace, epoch by epoch, as a fresh engine applies it. It holds no events
+// and no pointers apart from the trace's visit slice, whose index is the
+// stream position (an event's seq is 2i for visit i's arrival and 2i+1 for
+// its departure):
+//   - arrivals are implicit: epoch k's are visits [epochs[k-1].arrEnd,
+//     epochs[k].arrEnd) in stream order, from arr0 for epoch 0;
+//   - departures are visit indices in the total event order: epoch k's
+//     are departs[epochs[k-1].depEnd:epochs[k].depEnd], from 0 for
+//     epoch 0.
+//
+// Epoch 0 is the unapplied rest of the epoch the warmup ended in.
+type replay struct {
+	visits   []trace.Visit
+	arr0     int32
+	departs  []int32
+	epochs   []replayEpoch
+	maxBatch int // events in the largest epoch: a fork's buffer size
+}
+
+type replayEpoch struct {
+	arrEnd, depEnd int32
+	bound          trace.Time // the batch bound a fresh engine built
 }
 
 // Snapshot captures the engine's complete state for forking. It fails
 // when the router does not implement Cloner, when warmup has not been run,
 // when the engine streams from a source other than a materialized trace
-// (only a trace.SliceSource can be resumed per fork), or when the warm
+// (only a trace.SliceSource's visits can be replayed), or when the warm
 // state is not safely clonable: pending timer events carry closures over
 // the original engine's state, and packets are mutable shared objects —
 // neither may cross a fork. Both conditions are impossible in the default
@@ -77,6 +99,9 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	src, ok := e.rd.src.(*trace.SliceSource)
 	if !ok {
 		return nil, fmt.Errorf("sim: engine over a non-slice stream (%T) cannot be forked", e.rd.src)
+	}
+	if len(src.Visits()) > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: %d visits overflow the replay's int32 positions", len(src.Visits()))
 	}
 	if e.ctx.Check != nil {
 		// A checker accumulates per-run lifecycle state on one goroutine;
@@ -109,9 +134,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		start:       e.start,
 		end:         e.end,
 		measureFrom: e.measureFrom,
-		rd:          e.rd.resumed(src),
-		departs:     e.departs.clone(),
-		batch:       epochBatch{events: slices.Clone(e.batch.events[e.batch.next:]), bound: e.batch.bound},
 		cur:         e.cursors,
 		metrics:     e.ctx.Metrics.Clone(),
 	}
@@ -125,17 +147,81 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		}
 		s.present[lm] = ids
 	}
+	s.replay = e.drainReplay(src.Visits())
 	return s, nil
 }
 
-// resumed returns a copy of the reader over its own copy of src — a
-// SliceSource value is an independent cursor at the same position — so
-// the copy continues the stream without touching r. The current chunk is
-// a view of the trace's visits, which nobody writes.
-func (r *visitReader) resumed(src *trace.SliceSource) visitReader {
-	cp, srcCopy := *r, *src
-	cp.src = &srcCopy
-	return cp
+// drainReplay builds the engine's remaining epochs synchronously, from
+// where RunWarmup stopped until the source drains, and records their order
+// as a replay over visits. The prefetch goroutine has exited, so the
+// reader and the departures are this goroutine's alone. The engine's event
+// buffers are released afterwards: a router that keeps its Context keeps
+// the engine reachable for as long as the snapshot lives.
+func (e *Engine) drainReplay(visits []trace.Visit) *replay {
+	rest := e.batch.events[e.batch.next:]
+	// Every visit not yet departed departs in the replay: the ones still
+	// unread, the ones pending in buckets and the rest of the built epoch.
+	n := len(visits) - e.rd.count
+	for _, b := range e.departs.bkt {
+		n += len(b)
+	}
+	rp := &replay{visits: visits, arr0: int32(e.rd.count)}
+	for _, ev := range rest {
+		if ev.kind == evArrive {
+			rp.arr0 = min(rp.arr0, int32(ev.seq/2))
+		} else {
+			n++
+		}
+	}
+	rp.departs = make([]int32, 0, n)
+	b := epochBatch{events: rest, bound: e.batch.bound}
+	for {
+		for _, ev := range b.events {
+			if ev.kind == evDepart {
+				rp.departs = append(rp.departs, int32(ev.seq/2))
+			}
+		}
+		rp.epochs = append(rp.epochs, replayEpoch{arrEnd: int32(e.rd.count), depEnd: int32(len(rp.departs)), bound: b.bound})
+		rp.maxBatch = max(rp.maxBatch, len(b.events))
+		if e.drained {
+			break
+		}
+		b = e.buildEpoch()
+	}
+	e.batch = epochBatch{}
+	e.bufs = [2][]event{}
+	e.arrives, e.due, e.departs.bkt = nil, nil, nil
+	return rp
+}
+
+// gather assembles the next replay epoch into the engine's one batch
+// buffer: its arrivals merged with its departures in the total event
+// order, in which a departure precedes an arrival at the same instant
+// (evDepart < evArrive). The previous batch is fully applied by then, so
+// the buffer is free.
+func (e *Engine) gather() epochBatch {
+	rp, k := e.replay, e.replayed
+	e.replayed++
+	ep := rp.epochs[k]
+	ai, di := rp.arr0, int32(0)
+	if k > 0 {
+		ai, di = rp.epochs[k-1].arrEnd, rp.epochs[k-1].depEnd
+	}
+	vs := rp.visits
+	evs := e.bufs[0][:0]
+	for ai < ep.arrEnd || di < ep.depEnd {
+		if di == ep.depEnd || (ai < ep.arrEnd && vs[ai].Start < vs[rp.departs[di]].End) {
+			evs = append(evs, event{t: vs[ai].Start, kind: evArrive, seq: 2 * int(ai), visit: vs[ai]})
+			ai++
+		} else {
+			j := rp.departs[di]
+			evs = append(evs, event{t: vs[j].End, kind: evDepart, seq: 2*int(j) + 1, visit: vs[j]})
+			di++
+		}
+	}
+	e.bufs[0] = evs[:0]
+	e.visits = int(ep.arrEnd)
+	return epochBatch{events: evs, bound: ep.bound}
 }
 
 // Fork builds a new engine whose state equals the snapshot's, draws the
@@ -143,11 +229,13 @@ func (r *visitReader) resumed(src *trace.SliceSource) visitReader {
 // ready for Run. The forked run's result is bit-identical to a fresh
 // engine built with the same trace, router, workload and seed and run end
 // to end: the warmup evolves identically (it draws no random numbers and
-// sees no packets), and the packet draw is the one construction makes.
-// Forks share nothing mutable with the snapshot or with each other, so
-// any number may run concurrently. A probed snapshot gives each fork a
-// probe over its own copy of the warm recorder (Context().Probe), which
-// ends equal to the fresh run's recorder.
+// sees no packets), the replay is the event order a fresh engine builds,
+// and the packet draw is the one construction makes. Forks share nothing
+// mutable with the snapshot or with each other, so any number may run
+// concurrently. A fork reads no source and keeps no departures: it
+// gathers each epoch from the snapshot's replay. A probed snapshot gives
+// each fork a probe over its own copy of the warm recorder
+// (Context().Probe), which ends equal to the fresh run's recorder.
 func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 	cfg := s.cfg
 	cfg.Seed = seed
@@ -161,10 +249,10 @@ func Fork(s *Snapshot, w *Workload, seed int64) *Engine {
 		started:     true,
 		cursors:     s.cur,
 		disrupt:     cfg.Disrupt,
-		rd:          s.rd.resumed(s.rd.src.(*trace.SliceSource)),
-		departs:     s.departs.clone(),
-		batch:       s.batch,
+		replay:      s.replay,
 	}
+	e.bufs[0] = make([]event, 0, s.replay.maxBatch)
+	e.batch = e.gather()
 	ctx := &Context{
 		Trace:   s.trace,
 		Cfg:     cfg,

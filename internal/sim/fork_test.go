@@ -248,6 +248,96 @@ func TestForkAcrossEpochs(t *testing.T) {
 	}
 }
 
+// callRouter is a relayRouter that logs every callback it receives, so
+// two runs can be compared callback by callback.
+type callRouter struct {
+	*relayRouter
+	calls []routerCall
+}
+
+type routerCall struct {
+	kind         byte // c contact, d depart, g generate, u time unit
+	t            trace.Time
+	a, b, budget int
+}
+
+func (r *callRouter) OnContact(ctx *Context, c *Contact) {
+	r.calls = append(r.calls, routerCall{'c', ctx.Now(), c.Node.ID, c.Landmark, c.Budget})
+	r.relayRouter.OnContact(ctx, c)
+}
+func (r *callRouter) OnDepart(ctx *Context, n *Node, lm int) {
+	r.calls = append(r.calls, routerCall{'d', ctx.Now(), n.ID, lm, 0})
+}
+func (r *callRouter) OnGenerate(ctx *Context, p *Packet) {
+	r.calls = append(r.calls, routerCall{'g', ctx.Now(), p.ID, p.Dst, 0})
+}
+func (r *callRouter) OnTimeUnit(ctx *Context, seq int) {
+	r.calls = append(r.calls, routerCall{'u', ctx.Now(), seq, 0, 0})
+}
+func (r *callRouter) CloneRouter(ctx *Context) Router {
+	return &callRouter{relayRouter: r.relayRouter.CloneRouter(ctx).(*relayRouter), calls: slices.Clone(r.calls)}
+}
+
+// TestForkReplaysWithoutBuilding pins where a fork's visit events come
+// from: the snapshot's replay. A fork never reads the source and never
+// pushes to or sorts departure buckets, so its reader and buckets stay
+// zero values through the run (a read would dereference the nil source, a
+// push would divide by the zero epoch). Three forks of one snapshot run
+// concurrently at each epoch length, and each must match a fresh run
+// callback by callback, with equal summary and Stats.
+func TestForkReplaysWithoutBuilding(t *testing.T) {
+	tr := epochTrace()
+	cfg := func(seed int64) Config {
+		return Config{Seed: seed, PacketSize: 1, NodeMemory: 100, TTL: 4 * trace.Day, Unit: trace.Day,
+			Warmup: 5*trace.Day/2 + 1234, LinkRate: 0.0002}
+	}
+	w := NewWorkload(40, 1, 4*trace.Day)
+	for _, epoch := range epochRows(tr) {
+		build := func(w *Workload, seed int64) *Engine {
+			e, err := NewSharded(func() trace.Source { return trace.NewSliceSource(tr, 3) },
+				&callRouter{relayRouter: newRelayRouter(tr.NumNodes)}, w, cfg(seed), ShardConfig{Epoch: epoch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		base := build(nil, 0)
+		base.RunWarmup()
+		snap, err := base.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for seed := int64(1); seed <= 3; seed++ {
+			fresh := build(w, seed)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				want := fresh.Run()
+				forked := Fork(snap, w, seed)
+				got := forked.Run()
+				if !reflect.ValueOf(forked.rd).IsZero() || !reflect.ValueOf(forked.departs).IsZero() {
+					t.Errorf("epoch %d seed %d: fork read the source (%d visits) or kept departure buckets (%d)", epoch, seed, forked.rd.count, len(forked.departs.bkt))
+				}
+				if !reflect.DeepEqual(got.Summary, want.Summary) {
+					t.Errorf("epoch %d seed %d: summary %+v, want %+v", epoch, seed, got.Summary, want.Summary)
+				}
+				fc, wc := forked.router.(*callRouter).calls, fresh.router.(*callRouter).calls
+				if !slices.Equal(fc, wc) {
+					t.Errorf("epoch %d seed %d: router saw %d callbacks, want the fresh run's %d", epoch, seed, len(fc), len(wc))
+				}
+				if forked.Stats() != fresh.Stats() {
+					t.Errorf("epoch %d seed %d: stats %+v, want %+v", epoch, seed, forked.Stats(), fresh.Stats())
+				}
+				if want.Summary.Delivered == 0 {
+					t.Errorf("epoch %d seed %d: vacuous run", epoch, seed)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestRunWarmupThenRun checks that Run continues a warmed-up engine
 // exactly as an uninterrupted Run would: on New's one-day epochs, where
 // the warmup boundary falls mid-epoch, and on 250 s epochs, which divide

@@ -263,6 +263,35 @@ func TestScheduleTimer(t *testing.T) {
 	}
 }
 
+// TestContactReused pins the engine's side of the Contact lifetime
+// contract: every arrival hands OnContact the same engine-owned *Contact,
+// rewritten with that visit's node, landmark, span and a fresh budget — a
+// budget the previous callee spent does not leak into the next contact.
+func TestContactReused(t *testing.T) {
+	tr := relayTrace()
+	var ptrs []*Contact
+	var got []Contact
+	r := &hookRouter{onContact: func(ctx *Context, c *Contact) {
+		ptrs = append(ptrs, c)
+		got = append(got, *c)
+		c.Budget = 0
+	}}
+	eng := New(tr, r, nil, relayConfig(1))
+	eng.Run()
+	if len(got) != len(tr.Visits) {
+		t.Fatalf("%d contacts for %d visits", len(got), len(tr.Visits))
+	}
+	for i, v := range tr.Visits {
+		want := Contact{Node: eng.ctx.Nodes[v.Node], Landmark: v.Landmark, Start: v.Start, End: v.End, Budget: eng.contactBudget(v)}
+		if got[i] != want {
+			t.Errorf("contact %d = %+v, want %+v", i, got[i], want)
+		}
+		if ptrs[i] != ptrs[0] {
+			t.Fatalf("contact %d is a new *Contact (%p), want the engine's one (%p)", i, ptrs[i], ptrs[0])
+		}
+	}
+}
+
 // hookRouter adapts closures into a Router.
 type hookRouter struct {
 	onContact func(*Context, *Contact)

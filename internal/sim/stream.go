@@ -26,6 +26,10 @@ import (
 // (the paper's landmark tables couple all landmarks). The next epoch is
 // built one ahead of the apply loop on a prefetch goroutine, which lives
 // only as long as the Run or RunWarmup call that started it.
+//
+// A forked engine builds nothing: Snapshot drains the rest of the order
+// once into a replay (fork.go), and every fork gathers its epochs from it
+// synchronously — no reader, no departure buckets, no sort.
 
 // ShardConfig tunes NewSharded. The zero value selects defaults.
 type ShardConfig struct {
@@ -68,7 +72,7 @@ func NewSharded(open func() trace.Source, r Router, w *Workload, cfg Config, sh 
 
 // Stats reports ingestion and apply counters; valid after Run returns.
 func (e *Engine) Stats() ShardStats {
-	return ShardStats{Epochs: e.epochs, Visits: e.rd.count, Events: e.events}
+	return ShardStats{Epochs: e.epochs, Visits: e.visits, Events: e.events}
 }
 
 // departBuckets holds pending departures bucketed by the epoch their
@@ -124,17 +128,6 @@ func (q *departBuckets) popDue(bound trace.Time, due []event) []event {
 		return a.seq - b.seq
 	})
 	return due
-}
-
-// clone returns a deep copy: a fork pushes into and drains its own
-// buckets.
-func (q *departBuckets) clone() departBuckets {
-	cp := *q
-	cp.bkt = make([][]event, len(q.bkt))
-	for i, b := range q.bkt {
-		cp.bkt[i] = slices.Clone(b)
-	}
-	return cp
 }
 
 // visitReader adapts a Source's chunked stream to a peek/pop cursor,
@@ -250,6 +243,7 @@ func (e *Engine) buildEpoch() epochBatch {
 	e.nextBuf ^= 1
 	e.epEnd += e.departs.epoch
 	e.epochs++
+	e.visits = e.rd.count
 	return epochBatch{events: evs, bound: bound}
 }
 
@@ -290,9 +284,10 @@ func (e *Engine) prefetch(until trace.Time, out chan<- prepped, stop, done chan 
 }
 
 // runUntil applies every event before until. It finishes the epoch a
-// previous call left part-applied, then takes further epochs from a
-// prefetch goroutine that has exited by the time runUntil returns; the
-// unapplied rest of the last epoch stays in e.batch for the next call.
+// previous call left part-applied, then takes further epochs from the
+// replay on a forked engine, or else from a prefetch goroutine that has
+// exited by the time runUntil returns; the unapplied rest of the last
+// epoch stays in e.batch for the next call.
 func (e *Engine) runUntil(until trace.Time) {
 	if !e.started {
 		e.started = true
@@ -303,6 +298,11 @@ func (e *Engine) runUntil(until trace.Time) {
 		e.applyBatch(until)
 		if e.batch.bound >= until {
 			return
+		}
+		if e.replay != nil {
+			e.batch = e.gather()
+			e.epochs++
+			continue
 		}
 		if built == nil {
 			built = make(chan prepped)

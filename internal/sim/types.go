@@ -198,6 +198,13 @@ type Station struct {
 // is the remaining number of packet transfers allowed during this contact
 // (derived from the contact duration and the link rate); every transfer
 // primitive decrements it.
+//
+// Lifetime contract: the engine holds one Contact and rewrites it for
+// every arrival, so a *Contact is valid only during the OnContact call it
+// is passed to. Callees must not retain the pointer past that call — not
+// in router state, not in a scheduled timer's closure; copy the fields
+// they need instead. To recognise a contact later, key on (Node.ID,
+// Start): a node never has two visits with the same start.
 type Contact struct {
 	Node     *Node
 	Landmark int
@@ -214,6 +221,8 @@ type Router interface {
 	Init(ctx *Context)
 	// OnContact is called when a node connects to a landmark station.
 	// The router performs its uploads, downloads and peer exchanges here.
+	// c is valid only during this call and must not be retained (see
+	// Contact).
 	OnContact(ctx *Context, c *Contact)
 	// OnDepart is called when a node's visit ends.
 	OnDepart(ctx *Context, n *Node, landmark int)

@@ -116,6 +116,11 @@ func (s *SliceSource) Next() ([]Visit, bool) {
 // Span returns the underlying trace's span without consuming the source.
 func (s *SliceSource) Span() (start, end Time) { return s.tr.Span() }
 
+// Visits returns every visit the source yields, from the first one
+// whatever the cursor's position: visit i is stream position i. Callers
+// must not write the slice.
+func (s *SliceSource) Visits() []Visit { return s.tr.Visits }
+
 // Materialize drains src into a Trace, rejecting out-of-order streams. The
 // result carries the source's header and the concatenated visits; it is
 // already sorted, so no SortVisits pass runs (and the (Start, Node,
