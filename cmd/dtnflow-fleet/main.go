@@ -1,5 +1,5 @@
 // Command dtnflow-fleet runs a grid of independent cells on
-// experiment.RunCells, the runner behind the figure sweeps of
+// experiment.RunCells, the runner behind every cell-based experiment of
 // cmd/experiments: it decomposes the (scenario × method × seed) — or,
 // with -mults, (scenario × method × mult) — sweep into cells, executes
 // them on a pool of -workers goroutines, and assembles the results

@@ -46,7 +46,7 @@ func main() {
 		traceArg   = flag.String("trace", "dart", "dart, dnet, campus, small, or a trace file path")
 		method     = flag.String("method", "DTN-FLOW", strings.Join(experiment.MethodNames, ", "))
 		rate       = flag.Float64("rate", 500, "packets per day (network-wide)")
-		memoryKB   = flag.Int64("memory", 2000, "node memory in kB")
+		memoryKB   = flag.Int64("memory", 2000, "raw node memory in kB (not the figures' regime: Fig. 11's 2000 kB is 16 packets on DART)")
 		ttl        = flag.Duration("ttl", 0, "packet TTL (0 = per-trace default)")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		extensions = flag.Bool("extensions", false, "enable DTN-FLOW's Section IV-E extensions")

@@ -6,13 +6,15 @@
 //	experiments -run fig11,fig12          # specific experiments
 //	experiments -run all -scale quick     # everything, reduced scale
 //	experiments -run fig13 -seeds 3 -out results/
-//	experiments -run fig11,fig12 -store results/store   # cache the sweep's runs
+//	experiments -run all -store results/store   # cache every cell's result
 //
 // Each experiment prints an aligned text table mirroring the corresponding
 // paper artifact; -out additionally writes one file per experiment. With
-// -store, the runs of the figure sweeps (Figs. 11–14) are cells cached in
-// a content-addressed result store keyed by run fingerprint — the store
-// dtnflow-fleet uses — so a repeated sweep executes no simulation.
+// -store, every cell-based experiment — the figure sweeps (Figs. 11–14)
+// with their ORACLE column, Tables VI–IX, the ablations and the oracle
+// experiment's method runs — caches its cells in a content-addressed
+// result store keyed by run fingerprint (the store dtnflow-fleet uses),
+// so a repeated run executes no simulation and no oracle solve of them.
 package main
 
 import (
@@ -34,7 +36,7 @@ func main() {
 		seeds   = flag.Int("seeds", 1, "independent seeds per data point")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
 		out     = flag.String("out", "", "directory to write per-experiment result files")
-		store   = flag.String("store", "", "content-addressed result store for the figure-sweep cells (empty = no cache)")
+		store   = flag.String("store", "", "content-addressed result store for every cell-based experiment's cells (empty = no cache)")
 	)
 	flag.Parse()
 

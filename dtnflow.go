@@ -103,10 +103,14 @@ type SimOptions struct {
 	Seed       int64
 	RatePerDay float64 // packets per day network-wide (default 500)
 	PacketSize int64   // bytes (default 1 kB)
-	NodeMemory int64   // bytes per node (default 2000 kB)
-	TTL        Time    // packet TTL (default 20 days)
-	Unit       Time    // bandwidth/table time unit (default 3 days)
-	Warmup     Time    // no packets before this offset (default 1/4 trace)
+	// NodeMemory is the raw node buffer in bytes (default 2000 kB). It
+	// is not the memory regime of the paper's figures, which divide the
+	// paper's kB by a per-trace factor (Fig. 11's 2000 kB is 16 packets
+	// of buffer on DART), so the default run is far less congested.
+	NodeMemory int64
+	TTL        Time // packet TTL (default 20 days)
+	Unit       Time // bandwidth/table time unit (default 3 days)
+	Warmup     Time // no packets before this offset (default 1/4 trace)
 	// DstLandmark pins every packet's destination landmark when > 0;
 	// 0 and negative values draw destinations uniformly. With
 	// PerLandmarkDaytime set the value is used as given, so the zero

@@ -15,39 +15,40 @@ package core
 // returns the values used in the paper's evaluation; the paper's fixed
 // parameters (accuracy multipliers, scheduling thresholds, loop period,
 // overload factor, frequented-landmark count) are named constants next to
-// the code that reads them.
+// the code that reads them. The JSON names are the ones a stored
+// experiment cell (experiment.Cell.Flow) is fingerprinted by.
 type Config struct {
 	// Order is the order k of the Markov transit predictor; the paper
 	// finds k=1 best on both traces (Fig. 6a).
-	Order int
+	Order int `json:"order"`
 	// Rho is the EWMA weight of the bandwidth update, Eq. (4).
-	Rho float64
+	Rho float64 `json:"rho"`
 
 	// UseAccuracy selects carriers by p_o = p_t · p_a (Section IV-D.4)
 	// instead of the raw transit probability p_t.
-	UseAccuracy bool
+	UseAccuracy bool `json:"use_accuracy"`
 
 	// DirectDelivery hands a packet straight to a node predicted to
 	// transit to the packet's destination landmark (Section IV-D.2).
-	DirectDelivery bool
+	DirectDelivery bool `json:"direct_delivery"`
 	// HoldOnWorse keeps a mis-carried packet on its node unless the
 	// reached landmark reduces the expected delay to the destination
 	// (Section IV-D.1). Disabling it uploads unconditionally.
-	HoldOnWorse bool
+	HoldOnWorse bool `json:"hold_on_worse"`
 
 	// Dead-end prevention (Section IV-E.1).
-	DeadEnd bool
-	Gamma   float64 // stay-time multiple; the paper finds 2 best
+	DeadEnd bool    `json:"dead_end"`
+	Gamma   float64 `json:"gamma"` // stay-time multiple; the paper finds 2 best
 
 	// Routing-loop detection and correction (Section IV-E.2).
-	LoopFix bool
+	LoopFix bool `json:"loop_fix"`
 
 	// Load balancing (Section IV-E.3).
-	LoadBalance bool
+	LoadBalance bool `json:"load_balance"`
 
 	// NodeRouting addresses packets to mobile nodes via their most
 	// frequented landmarks (Section IV-E.4).
-	NodeRouting bool
+	NodeRouting bool `json:"node_routing"`
 }
 
 // DefaultConfig returns the configuration used for the headline results:

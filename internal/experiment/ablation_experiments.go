@@ -32,11 +32,7 @@ func ablationToggle(id, paper, onLabel, offLabel string, disable func(*core.Conf
 	return func(opt Options) *Report {
 		rep := &Report{ID: id, Title: onLabel + " vs " + offLabel, Paper: paper}
 		for _, sc := range BothScenarios(opt.Scale) {
-			runs := []Run{
-				{Scenario: sc, Router: flowRouter(nil), Seed: 1},
-				{Scenario: sc, Router: flowRouter(disable), Seed: 1},
-			}
-			sums := Parallel(runs, opt.Workers)
+			sums := cellSummaries(opt, []Cell{flowCell(opt, sc, nil), flowCell(opt, sc, disable)})
 			sec := Section{Heading: sc.String(), Columns: []string{"variant", "success", "avg delay", "fwd cost", "total cost"}}
 			for i, label := range []string{onLabel, offLabel} {
 				s := sums[i]
@@ -51,12 +47,12 @@ func ablationToggle(id, paper, onLabel, offLabel string, disable func(*core.Conf
 func runAblationOrder(opt Options) *Report {
 	rep := &Report{ID: "ablation-order", Title: "Routing with order-k transit prediction", Paper: "IV-B ablation"}
 	for _, sc := range BothScenarios(opt.Scale) {
-		var runs []Run
+		var cells []Cell
 		ks := []int{1, 2, 3}
 		for _, k := range ks {
-			runs = append(runs, Run{Scenario: sc, Router: flowRouter(func(c *core.Config) { c.Order = k }), Seed: 1})
+			cells = append(cells, flowCell(opt, sc, func(c *core.Config) { c.Order = k }))
 		}
-		sums := Parallel(runs, opt.Workers)
+		sums := cellSummaries(opt, cells)
 		sec := Section{Heading: sc.String(), Columns: []string{"order", "success", "avg delay", "fwd cost"}}
 		for i, k := range ks {
 			s := sums[i]
@@ -72,11 +68,11 @@ func runAblationEWMA(opt Options) *Report {
 	rep := &Report{ID: "ablation-ewma", Title: "Bandwidth EWMA weight rho (Eq. 4)", Paper: "IV-C.1 ablation"}
 	rhos := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	for _, sc := range BothScenarios(opt.Scale) {
-		var runs []Run
+		var cells []Cell
 		for _, rho := range rhos {
-			runs = append(runs, Run{Scenario: sc, Router: flowRouter(func(c *core.Config) { c.Rho = rho }), Seed: 1})
+			cells = append(cells, flowCell(opt, sc, func(c *core.Config) { c.Rho = rho }))
 		}
-		sums := Parallel(runs, opt.Workers)
+		sums := cellSummaries(opt, cells)
 		sec := Section{Heading: sc.String(), Columns: []string{"rho", "success", "avg delay"}}
 		for i, rho := range rhos {
 			sec.AddRow(f2(rho), f3(sums[i].SuccessRate), fd(sums[i].AvgDelay))
@@ -110,7 +106,7 @@ func runAblationLandmarks(opt Options) *Report {
 		sc := fullSettings["DART"]
 		sc.Name, sc.Trace = fmt.Sprintf("DART-%dL", n), synth.DART(cfg)
 		scens = append(scens, &sc)
-		runs = append(runs, Run{Scenario: &sc, Router: flowRouter(nil), Seed: 1})
+		runs = append(runs, Run{Scenario: &sc, Router: routerFactory("DTN-FLOW"), Seed: 1})
 	}
 	sums := Parallel(runs, opt.Workers)
 	for i, n := range counts {

@@ -16,19 +16,21 @@ import (
 // and the contact node, so the entry guards the scheduler's cycle
 // fast-forward as well as the overload decision itself.
 
-// balancedRouter is the Table VIII router: DTN-FLOW with load balancing.
-var balancedRouter = flowRouter(func(c *core.Config) { c.LoadBalance = true })
+// balanceCell is the Table VIII cell on sc: DTN-FLOW with load balancing.
+func balanceCell(sc *Scenario) Cell {
+	return flowCell(Options{Scale: Tiny}, sc, func(c *core.Config) { c.LoadBalance = true })
+}
 
-// TestBalanceGoldenRuns compares the load-balanced run on each Tiny
-// scenario against the checked-in corpus through Run.Execute, then replays
-// it through chunked streams at three epoch lengths.
+// TestBalanceGoldenRuns compares the load-balanced cell on each Tiny
+// scenario against the checked-in corpus, then replays its run through
+// chunked streams at three epoch lengths.
 func TestBalanceGoldenRuns(t *testing.T) {
 	scens := BothScenarios(Tiny)
-	runs := make([]Run, len(scens))
+	cells := make([]Cell, len(scens))
 	for i, sc := range scens {
-		runs[i] = Run{Scenario: sc, Router: balancedRouter, Seed: 1}
+		cells[i] = balanceCell(sc)
 	}
-	sums := Parallel(runs, 0)
+	sums := cellSummaries(Options{}, cells)
 	got := make(map[string]metrics.Summary, len(scens))
 	for i, sc := range scens {
 		got[sc.Name] = sums[i]
@@ -44,7 +46,7 @@ func TestBalanceGoldenRuns(t *testing.T) {
 		for _, epoch := range []trace.Time{250, 0, sc.Trace.Duration() + 1} {
 			s, err := sim.NewSharded(
 				func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
-				balancedRouter(), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Epoch: epoch},
+				balanceCell(sc).run(sc).Router(), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Epoch: epoch},
 			)
 			if err != nil {
 				t.Fatal(err)

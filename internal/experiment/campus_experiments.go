@@ -42,7 +42,7 @@ func campusRun(opt Options) (*Scenario, *core.Router, *sim.Result) {
 }
 
 func runFig16(opt Options) *Report {
-	sc, router, res := campusRun(opt)
+	sc, _, res := campusRun(opt)
 	rep := &Report{ID: "fig16", Title: "Experimental results in real deployment", Paper: "Fig. 16"}
 
 	sum := res.Summary
@@ -71,7 +71,6 @@ func runFig16(opt Options) *Report {
 	}
 	b.Notes = append(b.Notes, "paper: the links between L1 (library) and the dominant department buildings carry the highest bandwidth")
 	rep.Sections = append(rep.Sections, b)
-	_ = router
 	return rep
 }
 

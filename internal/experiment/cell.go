@@ -3,50 +3,67 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// A Cell is one independently executable unit of a sweep: a fully
-// serializable run request (scenario × method × seed × scale) that
-// fingerprints to a stable content-address, so its result can be stored
-// and reused by a later process. Cells deliberately carry no closures —
-// a Run with a Tweak, Setup hook, probe or checker cannot be named by
-// data alone and cannot be a cell; the memory axis of Figs. 11–12 is
-// data (Memory), so every figure-sweep run is a cell.
+// A Cell is one independently executable unit of an experiment: a fully
+// serializable request (scenario × method × seed × scale, plus the
+// variant it runs) that fingerprints to a stable content-address, so its
+// result can be stored and reused by a later process. Cells deliberately
+// carry no closures — a Run with a Tweak, Setup hook, probe or checker
+// cannot be named by data alone — so every variant an experiment runs is
+// data: the memory axis of Figs. 11–12 (Memory), the DTN-FLOW
+// configuration of the extension tables and ablations (Flow), Table
+// VII's injected loops (Loops), and the oracle's relaxed answer (the
+// oracle kind).
 type Cell struct {
 	// Kind selects the execution path: CellRun (default when empty) is a
 	// paper-tier run over a materialized scenario trace; CellScale is a
-	// scale-tier run over a streamed population.
+	// scale-tier run over a streamed population; CellOracle is the
+	// oracle's relaxed bound for the packets a run cell of the same
+	// scenario, scale, seed, rate and memory generates.
 	Kind string `json:"kind,omitempty"`
-	// Scenario names the trace: DART, DNET or CAMPUS (run cells); DART or
-	// DNET (scale cells).
+	// Scenario names the trace: DART, DNET or CAMPUS (run and oracle
+	// cells); DART or DNET (scale cells).
 	Scenario string `json:"scenario"`
-	// Scale is the trace size for run cells: full, quick or tiny. Scale
-	// cells ignore it (their base is always the Full generator config).
+	// Scale is the trace size for run and oracle cells: full, quick or
+	// tiny. Scale cells ignore it (their base is always the Full
+	// generator config).
 	Scale string `json:"scale,omitempty"`
-	// Method is the routing method (MethodNames).
+	// Method is the routing method (MethodNames); empty for oracle cells.
 	Method string `json:"method"`
 	// Seed seeds the workload schedule; <= 0 means 1.
 	Seed int64 `json:"seed"`
 	// Rate is packets/day network-wide; 0 means the scenario default.
 	Rate float64 `json:"rate,omitempty"`
 	// Memory is the node buffer in the paper's kB (Scenario.Memory) for
-	// run cells; 0 means the scenario default.
+	// run and oracle cells; 0 means the scenario default.
 	Memory float64 `json:"memory,omitempty"`
 	// Mult is the population multiplier for scale cells; ignored for run
 	// cells.
 	Mult int `json:"mult,omitempty"`
+	// Flow is the DTN-FLOW router configuration of a DTN-FLOW run cell;
+	// nil means core.DefaultConfig(), and a Flow equal to it fingerprints
+	// as nil, so a default-configured variant is the plain cell.
+	Flow *core.Config `json:"flow,omitempty"`
+	// Loops is the number of routing loops injected one time unit after
+	// warmup (Table VII, injectLoops) into a DTN-FLOW run cell.
+	Loops int `json:"loops,omitempty"`
 }
 
 // Cell kinds.
 const (
-	CellRun   = "run"
-	CellScale = "scale"
+	CellRun    = "run"
+	CellScale  = "scale"
+	CellOracle = "oracle"
 )
 
 func (c Cell) kind() string {
@@ -68,6 +85,8 @@ func (c Cell) String() string {
 	switch c.kind() {
 	case CellScale:
 		return fmt.Sprintf("scale:%s/%d×/%s seed=%d", c.Scenario, c.Mult, c.Method, c.seed())
+	case CellOracle:
+		return fmt.Sprintf("oracle:%s/%s seed=%d", c.Scenario, c.Scale, c.seed())
 	default:
 		return fmt.Sprintf("%s/%s/%s seed=%d", c.Scenario, c.Scale, c.Method, c.seed())
 	}
@@ -99,14 +118,39 @@ func ParseScale(name string) (Scale, error) {
 // fingerprinting path calls it first so a malformed cell fails the same
 // way everywhere.
 func (c Cell) Validate() error {
-	if !ValidMethod(c.Method) {
+	if c.kind() == CellOracle {
+		if c.Method != "" {
+			return fmt.Errorf("experiment: method %q on an oracle cell (want none)", c.Method)
+		}
+	} else if !ValidMethod(c.Method) {
 		return fmt.Errorf("experiment: unknown method %q", c.Method)
 	}
-	if !(c.Memory >= 0) || c.Memory > 0 && c.kind() != CellRun {
-		return fmt.Errorf("experiment: memory %v kB on a %s cell (want >= 0, run cells only)", c.Memory, c.kind())
+	if math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
+		return fmt.Errorf("experiment: rate %v packets/day (want a finite number)", c.Rate)
+	}
+	if !(c.Memory >= 0) || c.Memory > 0 && c.kind() == CellScale {
+		return fmt.Errorf("experiment: memory %v kB on a %s cell (want >= 0, run and oracle cells only)", c.Memory, c.kind())
+	}
+	if (c.Flow != nil || c.Loops != 0) && (c.kind() != CellRun || c.Method != "DTN-FLOW") {
+		return fmt.Errorf("experiment: flow configuration or loops on a %s %s cell (DTN-FLOW run cells only)", c.Method, c.kind())
+	}
+	if c.Loops < 0 {
+		return fmt.Errorf("experiment: %d injected loops (want >= 0)", c.Loops)
+	}
+	if f := c.Flow; f != nil {
+		switch {
+		case f.NodeRouting:
+			return fmt.Errorf("experiment: node routing on a cell (its workload addresses landmarks only)")
+		case f.Order < 1:
+			return fmt.Errorf("experiment: predictor order %d (want >= 1)", f.Order)
+		case !(f.Rho > 0 && f.Rho <= 1):
+			return fmt.Errorf("experiment: rho %v (want in (0, 1])", f.Rho)
+		case f.DeadEnd && !(f.Gamma > 0):
+			return fmt.Errorf("experiment: dead-end gamma %v (want > 0)", f.Gamma)
+		}
 	}
 	switch c.kind() {
-	case CellRun:
+	case CellRun, CellOracle:
 		if _, err := ParseScale(c.Scale); err != nil {
 			return err
 		}
@@ -123,22 +167,36 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// Fingerprint returns the cell's canonical run fingerprint: the hex
-// SHA-256 over the canonical JSON of the normalized cell plus the engine
-// version. It is the content address of the cell's result — equal specs
-// hash equal regardless of field order or process, and any engine
-// behaviour change (sim.EngineVersion bump) invalidates every prior key.
+// normalized returns c with its defaults spelled one way: the kind and
+// seed made explicit, and a Flow equal to core.DefaultConfig() dropped.
+func (c Cell) normalized() Cell {
+	c.Kind, c.Seed = c.kind(), c.seed()
+	if c.Flow != nil && *c.Flow == core.DefaultConfig() {
+		c.Flow = nil
+	}
+	return c
+}
+
+// Fingerprint returns the cell's canonical fingerprint: the hex SHA-256
+// over the canonical JSON of the normalized cell plus the engine version
+// (and, for oracle cells, the oracle version). It is the content address
+// of the cell's result — equal specs hash equal regardless of field
+// order or process, and any engine or oracle behaviour change
+// (sim.EngineVersion or oracle.Version bump) invalidates every prior key.
 func (c Cell) Fingerprint() (string, error) {
 	if err := c.Validate(); err != nil {
 		return "", err
 	}
-	n := c
-	n.Kind = c.kind()
-	n.Seed = c.seed()
+	n := c.normalized()
+	var ov string
+	if n.Kind == CellOracle {
+		ov = oracle.Version
+	}
 	return FingerprintJSON(struct {
 		Engine string `json:"engine"`
+		Oracle string `json:"oracle,omitempty"`
 		Cell   Cell   `json:"cell"`
-	}{sim.EngineVersion, n})
+	}{sim.EngineVersion, ov, n})
 }
 
 // CellResult is a cell's deterministic outcome — exactly what the
@@ -149,9 +207,15 @@ type CellResult struct {
 	Cell        Cell            `json:"cell"`
 	Fingerprint string          `json:"fingerprint"`
 	Summary     metrics.Summary `json:"summary"`
-	// Counters is the run's exact telemetry aggregate (run cells only;
-	// scale cells keep the probe path dark).
+	// Counters is the run's exact telemetry aggregate (run cells without
+	// a Flow only: scale cells keep the probe path dark, and so do
+	// configured DTN-FLOW cells, because a probe turns off DTN-FLOW's
+	// cycle fast-forward and variants such as load balancing or
+	// always-upload then replay every round trip of a long contact).
 	Counters *telemetry.Counters `json:"counters,omitempty"`
+	// Oracle is an oracle cell's relaxed bound and mean delay (the
+	// committed pass is skipped); oracle cells leave Summary zero.
+	Oracle *OracleSummary `json:"oracle,omitempty"`
 }
 
 // ExecuteCell runs one cell to completion in this process and returns
@@ -164,33 +228,46 @@ func ExecuteCell(c Cell) (res *CellResult, err error) {
 // ExecuteCells runs cells on a pool of workers goroutines (<= 0 means
 // GOMAXPROCS) and calls done(i, result, err) once per cell, on the
 // goroutine that ran it. Run cells equal up to Seed form one seed group
-// and share one warmup (see Sweep); scale cells run alone; costlier cells
-// start first (cellCost). Run cells attach a small telemetry recorder —
-// the probe path is verified result-neutral — so each result carries its
-// exact counters. A result never depends on the pool size or grouping.
+// and share one warmup (see Sweep); scale and oracle cells run alone;
+// costlier cells start first (cellCost). Run cells attach a small
+// telemetry recorder — the probe path is verified result-neutral — so
+// each result carries its exact counters (see CellResult.Counters for
+// the exception). A result never depends on the pool size or grouping.
 func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, err error)) {
 	var groups []seedGroup
 	var members [][]int // cell indices of each group, in run order
-	byKey := make(map[Cell]int)
+	byKey := make(map[string]int)
+	// The oracle cells of one scenario share its contact graph, built
+	// before the pool starts: the sweep axes change packet gates and
+	// schedules, never the contact structure.
+	graphs := make(map[*Scenario]*oracle.Graph)
 	for i, c := range cells {
 		if err := c.Validate(); err != nil {
 			done(i, nil, err)
 			continue
 		}
-		g, ok := byKey[c.groupKey()]
-		if !ok || c.kind() == CellScale {
+		key := c.groupKey()
+		g, ok := byKey[key]
+		if !ok || c.kind() != CellRun {
 			g = len(groups)
-			byKey[c.groupKey()] = g
+			byKey[key] = g
 			groups = append(groups, seedGroup{cost: cellCost(c)})
 			members = append(members, nil)
 		}
-		// A scale cell's group holds a placeholder run: a group of one is
-		// never warmed, and the sharded engine runs the cell instead.
+		// Scale and oracle cells hold a placeholder run: a group of one
+		// is never warmed, and the cell's own path runs instead.
 		var r Run
-		if c.kind() == CellRun {
+		switch c.kind() {
+		case CellRun:
 			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
 			r = c.run(sc)
-			r.Probe = telemetry.NewProbe(telemetry.NewRecorder(1 << 12))
+			if c.Flow == nil {
+				r.Probe = telemetry.NewProbe(telemetry.NewRecorder(1 << 12))
+			}
+		case CellOracle:
+			if sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale)); graphs[sc] == nil {
+				graphs[sc] = oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), workers)
+			}
 		}
 		groups[g].runs = append(groups[g].runs, r)
 		members[g] = append(members[g], i)
@@ -200,11 +277,14 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 		c := cells[i]
 		fp, _ := c.Fingerprint()
 		res := &CellResult{Cell: c, Fingerprint: fp}
-		if p := groups[g].runs[k].Probe; p != nil {
+		switch c.kind() {
+		case CellRun:
 			res.Summary = groups[g].execute(k)
-			counters := p.Recorder().Counters()
-			res.Counters = &counters
-		} else {
+			if p := groups[g].runs[k].Probe; p != nil {
+				counters := p.Recorder().Counters()
+				res.Counters = &counters
+			}
+		case CellScale:
 			sp := ScaleSpec{Scenario: c.Scenario, Mult: c.Mult, Rate: c.Rate, Seed: c.seed()}
 			sr, err := sp.RunSharded(c.Method, sim.ShardConfig{})
 			if err != nil {
@@ -212,9 +292,26 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 				return
 			}
 			res.Summary = sr.Summary
+		case CellOracle:
+			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
+			sum := c.solveOracle(sc, graphs[sc])
+			res.Oracle = &sum
 		}
 		done(i, res, nil)
 	})
+}
+
+// solveOracle solves oracle cell c's relaxed bound over g, the contact
+// graph of its scenario sc: the packets are those the run cell of the
+// same scenario, scale, seed, rate and memory generates (Scenario.
+// OraclePackets), and the committed pass is skipped.
+func (c Cell) solveOracle(sc *Scenario, g *oracle.Graph) OracleSummary {
+	r := c.run(sc)
+	cfg, w := r.config(), r.workload()
+	ocfg := oracle.ConfigFrom(cfg)
+	ocfg.Workers = 1 // the pool already parallelises across cells
+	ocfg.SkipCommitted = true
+	return oracleSummary(sc.Name, c.seed(), w.Rate, "", oracle.Solve(g, ocfg, sc.OraclePackets(cfg, w, sc.Trace)))
 }
 
 // executeCells runs the cells the store misses; tests swap it to make
@@ -296,6 +393,11 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, Cel
 			logf("store put failed (continuing): %v", putErr)
 		}
 		rep.Executed++
+		if o := res.Oracle; o != nil {
+			logf("[%d/%d] %s: packets=%d deliverable=%d",
+				rep.CacheHits+rep.Executed, len(cells), res.Cell, o.Packets, o.Deliverable)
+			return
+		}
 		s := res.Summary
 		logf("[%d/%d] %s: generated=%d delivered=%d forwarded=%d",
 			rep.CacheHits+rep.Executed, len(cells), res.Cell, s.Generated, s.Delivered, s.Forwarding)
@@ -308,11 +410,32 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, Cel
 	return results, finish(), nil
 }
 
-// run returns the engine run of run cell c on its scenario sc.
+// cellSummaries runs cells through RunCells (opt.Store serves the
+// cells it holds) and returns their summaries in cell order.
+func cellSummaries(opt Options, cells []Cell) []metrics.Summary {
+	results, _, err := RunCells(cells, opt, nil)
+	if err != nil {
+		panic(err)
+	}
+	sums := make([]metrics.Summary, len(results))
+	for i, r := range results {
+		sums[i] = r.Summary
+	}
+	return sums
+}
+
+// run returns the engine run of run cell c on its scenario sc; an oracle
+// cell's packets and physics are those of the same run.
 func (c Cell) run(sc *Scenario) Run {
 	r := Run{Scenario: sc, Router: routerFactory(c.Method), Rate: c.Rate, Seed: c.seed()}
+	if f := c.Flow; f != nil {
+		r.Router = func() sim.Router { return core.New(*f) }
+	}
 	if kb := c.Memory; kb > 0 {
 		r.Tweak = func(cfg *sim.Config) { cfg.NodeMemory = sc.Memory(kb) }
+	}
+	if c.Loops > 0 {
+		r.Setup = injectLoops(c.Loops)
 	}
 	return r
 }
@@ -321,7 +444,8 @@ func (c Cell) run(sc *Scenario) Run {
 // cells, not predict wall time. Scale cells grow with the multiplier and
 // outweigh every paper-tier run (a 1× scale run already covers the Full
 // trace); then come full, quick and tiny runs, each by the scenario's
-// RunCost.
+// RunCost. An oracle solve costs a fraction of its run, so oracle cells
+// start after the runs of their tier.
 func cellCost(c Cell) float64 {
 	tier := 1.0
 	switch {
@@ -331,6 +455,9 @@ func cellCost(c Cell) float64 {
 		tier = 50
 	case c.Scale == string(Quick):
 		tier = 10
+	}
+	if c.kind() == CellOracle {
+		tier /= 10
 	}
 	return tier * RunCost(c.Scenario)
 }
@@ -408,33 +535,42 @@ type CellGroup struct {
 	Averaged Averaged
 }
 
-// groupKey is the cell with its seed erased: cells with equal keys are
-// seeds of one configuration.
-func (c Cell) groupKey() Cell {
-	c.Kind, c.Seed = c.kind(), 0
-	return c
+// groupKey is the canonical JSON of the normalized cell with its seed
+// erased: cells with equal keys are seeds of one configuration. It
+// compares Flow by value, which a Cell map key would compare by address.
+func (c Cell) groupKey() string {
+	n := c.normalized()
+	n.Seed = 0
+	blob, err := CanonicalJSON(n)
+	if err != nil {
+		panic(err) // Validate refuses the non-finite numbers JSON cannot encode
+	}
+	return string(blob)
 }
 
 // MergeAverages groups index-aligned results by everything except the
 // seed (in first-appearance order) and averages each group — the cells'
 // equivalent of Sweep's per-point Average fold.
 func MergeAverages(results []*CellResult) []CellGroup {
-	var order []Cell
-	groups := make(map[Cell][]metrics.Summary)
+	var out []CellGroup
+	var sums [][]metrics.Summary
+	index := make(map[string]int)
 	for _, r := range results {
 		if r == nil {
 			continue
 		}
 		k := r.Cell.groupKey()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		i, ok := index[k]
+		if !ok {
+			i = len(out)
+			index[k] = i
+			out = append(out, CellGroup{Scenario: r.Cell.Scenario, Method: r.Cell.Method})
+			sums = append(sums, nil)
 		}
-		groups[k] = append(groups[k], r.Summary)
+		sums[i] = append(sums[i], r.Summary)
 	}
-	out := make([]CellGroup, 0, len(order))
-	for _, k := range order {
-		sums := groups[k]
-		out = append(out, CellGroup{Scenario: k.Scenario, Method: k.Method, Seeds: len(sums), Averaged: Average(sums)})
+	for i := range out {
+		out[i].Seeds, out[i].Averaged = len(sums[i]), Average(sums[i])
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 )
 
@@ -174,30 +175,75 @@ func TestMemoryCell(t *testing.T) {
 	}
 }
 
-// TestFigureSweepStore runs a figure sweep twice against one store: the
-// second run must execute no cell and render the same report, which in
-// turn must equal the report rendered without a store.
+// TestFigureSweepStore runs experiments against one store: a figure
+// sweep twice, and Table VIII then Table IX, which read the same runs.
+// The second run of each pair must execute no cell and render the report
+// it renders without a store.
 func TestFigureSweepStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full Tiny simulations")
 	}
-	e, err := Get("fig12")
-	if err != nil {
-		t.Fatal(err)
+	for _, ids := range [][2]string{{"fig12", "fig12"}, {"table8", "table9"}} {
+		store, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Scale: Tiny, Store: store}
+		for run, id := range ids {
+			e, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e.Run(Options{Scale: Tiny}).String()
+			_, before := store.Counts()
+			if got := e.Run(opt).String(); got != want {
+				t.Errorf("%s run %d with a store rendered a different report:\n%s\nwant:\n%s", id, run+1, got, want)
+			}
+			if _, after := store.Counts(); run == 1 && after != before {
+				t.Errorf("%s after %s executed %d cells, want 0", id, ids[0], after-before)
+			}
+		}
+		if hits, puts := store.Counts(); hits == 0 || hits != puts {
+			t.Errorf("%s then %s: store served %d cells and stored %d, want the second run served every cell of the first",
+				ids[0], ids[1], hits, puts)
+		}
 	}
+}
+
+// TestOracleCell pins the oracle kind to a direct solve: the answer an
+// oracle cell stores equals oracle.Solve over the packets the matching
+// run draws (memory applied as Scenario.Memory), and a second run is
+// served from the store.
+func TestOracleCell(t *testing.T) {
+	sc := DNETScenario(Tiny)
+	cfg := sc.Config(2)
+	cfg.NodeMemory = sc.Memory(300)
+	w := sc.Workload(sc.RateDef)
+	ocfg := oracle.ConfigFrom(cfg)
+	ocfg.SkipCommitted = true
+	want := oracle.SolveTrace(sc.Trace, ocfg, sc.OraclePackets(cfg, w, sc.Trace))
+
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.Run(Options{Scale: Tiny}).String()
-	opt := Options{Scale: Tiny, Store: store}
+	cells := []Cell{{Kind: CellOracle, Scenario: "DNET", Scale: "tiny", Seed: 2, Memory: 300}}
 	for run := 1; run <= 2; run++ {
-		if got := e.Run(opt).String(); got != want {
-			t.Errorf("run %d with a store rendered a different report:\n%s\nwant:\n%s", run, got, want)
+		results, rep, err := RunCells(cells, Options{Store: store}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	hits, puts := store.Counts()
-	if hits == 0 || hits != puts {
-		t.Errorf("store served %d cells and stored %d: the second run must be served every cell of the first", hits, puts)
+		if run == 2 && rep.Executed != 0 {
+			t.Errorf("second run executed %d cells, want 0", rep.Executed)
+		}
+		o := results[0].Oracle
+		if o == nil || results[0].Counters != nil {
+			t.Fatalf("run %d: oracle cell result %+v, want an oracle answer and no counters", run, results[0])
+		}
+		if o.Packets != len(want.Packets) || o.Deliverable != want.Deliverable || o.MeanDelay != want.MeanDelay ||
+			o.UpperBound != float64(want.Deliverable)/float64(len(want.Packets)) || o.CommittedDelivered != 0 {
+			t.Errorf("run %d: oracle cell %+v diverged from the direct solve (packets %d, deliverable %d, mean delay %v)",
+				run, *o, len(want.Packets), want.Deliverable, want.MeanDelay)
+		}
 	}
 }

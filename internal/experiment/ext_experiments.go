@@ -19,35 +19,36 @@ func init() {
 		Run: func(opt Options) *Report { return runLoadBalance(opt, "table9", "Table IX", false) }})
 }
 
-// flowRouter builds a DTN-FLOW router with a tweaked configuration.
-func flowRouter(mod func(*core.Config)) func() sim.Router {
-	return func() sim.Router {
-		cfg := core.DefaultConfig()
-		if mod != nil {
-			mod(&cfg)
-		}
-		return core.New(cfg)
+// flowCell returns the seed-1 DTN-FLOW run cell on scenario sc at
+// opt.Scale whose router configuration mod (nil: none) makes from the
+// default; a configuration left at the default gives the plain DTN-FLOW
+// cell.
+func flowCell(opt Options, sc *Scenario, mod func(*core.Config)) Cell {
+	c := Cell{Kind: CellRun, Scenario: sc.Name, Scale: string(opt.Scale), Method: "DTN-FLOW", Seed: 1}
+	cfg := core.DefaultConfig()
+	if mod != nil {
+		mod(&cfg)
 	}
+	if cfg != core.DefaultConfig() {
+		c.Flow = &cfg
+	}
+	return c
 }
 
 func runTable6(opt Options) *Report {
 	rep := &Report{ID: "table6", Title: "Experimental results on dead-end prevention", Paper: "Table VI"}
 	gammas := []float64{0, 2, 3, 4, 5} // 0 = ORG (prevention off)
 	for _, sc := range BothScenarios(opt.Scale) {
-		var runs []Run
+		var cells []Cell
 		for _, g := range gammas {
-			runs = append(runs, Run{
-				Scenario: sc,
-				Router: flowRouter(func(c *core.Config) {
-					if g > 0 {
-						c.DeadEnd = true
-						c.Gamma = g
-					}
-				}),
-				Seed: 1,
-			})
+			cells = append(cells, flowCell(opt, sc, func(c *core.Config) {
+				if g > 0 {
+					c.DeadEnd = true
+					c.Gamma = g
+				}
+			}))
 		}
-		sums := Parallel(runs, opt.Workers)
+		sums := cellSummaries(opt, cells)
 		sec := Section{Heading: sc.String(), Columns: []string{"", "ORG", "γ=2", "γ=3", "γ=4", "γ=5"}}
 		hit := []string{"Hit rate"}
 		del := []string{"Delay"}
@@ -95,16 +96,13 @@ func runTable7(opt Options) *Report {
 		{"ORG-3", 3, false}, {"W-3", 3, true},
 	}
 	for _, sc := range BothScenarios(opt.Scale) {
-		var runs []Run
+		var cells []Cell
 		for _, c := range cfgs {
-			runs = append(runs, Run{
-				Scenario: sc,
-				Router:   flowRouter(func(fc *core.Config) { fc.LoopFix = c.fix }),
-				Seed:     1,
-				Setup:    injectLoops(c.loops),
-			})
+			cell := flowCell(opt, sc, func(fc *core.Config) { fc.LoopFix = c.fix })
+			cell.Loops = c.loops
+			cells = append(cells, cell)
 		}
-		sums := Parallel(runs, opt.Workers)
+		sums := cellSummaries(opt, cells)
 		sec := Section{Heading: sc.String(), Columns: []string{"", "ORG-2", "W-2", "ORG-3", "W-3"}}
 		hit := []string{"Hit rate"}
 		del := []string{"O. Delay"}
@@ -137,18 +135,15 @@ func runLoadBalance(opt Options, id, paper string, successTable bool) *Report {
 		rates = []float64{550, 650, 750}
 	}
 	for _, sc := range BothScenarios(opt.Scale) {
-		var runs []Run
+		var cells []Cell
 		for _, balance := range []bool{true, false} {
 			for _, rate := range rates {
-				runs = append(runs, Run{
-					Scenario: sc,
-					Router:   flowRouter(func(c *core.Config) { c.LoadBalance = balance }),
-					Rate:     rate,
-					Seed:     1,
-				})
+				cell := flowCell(opt, sc, func(c *core.Config) { c.LoadBalance = balance })
+				cell.Rate = rate
+				cells = append(cells, cell)
 			}
 		}
-		sums := Parallel(runs, opt.Workers)
+		sums := cellSummaries(opt, cells)
 		cols := []string{"rate"}
 		for _, r := range rates {
 			cols = append(cols, fint(r))

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -75,6 +78,25 @@ func TestCellFingerprintNormalization(t *testing.T) {
 	if nfp, _ := norm.Fingerprint(); nfp != fp {
 		t.Errorf("normalized cell fingerprint diverged: %s vs %s", nfp, fp)
 	}
+	// A DTN-FLOW configuration equal to the default is the plain cell.
+	def := core.DefaultConfig()
+	withDefault := Cell{Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Flow: &def}
+	if dfp, _ := withDefault.Fingerprint(); dfp != fp {
+		t.Errorf("default flow configuration fingerprinted apart from no flow: %s vs %s", dfp, fp)
+	}
+	// A cell without memory, flow or loops encodes none of those keys, so
+	// its fingerprint is the one it had before they existed.
+	blob, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"memory", "flow", "loops"} {
+		if strings.Contains(string(blob), `"`+key+`"`) {
+			t.Errorf("cell without %s encodes a %s key: %s", key, key, blob)
+		}
+	}
+	balanced := core.DefaultConfig()
+	balanced.LoadBalance = true
 	// Every semantic field must move the key.
 	for name, c := range map[string]Cell{
 		"seed":     {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 2},
@@ -84,6 +106,9 @@ func TestCellFingerprintNormalization(t *testing.T) {
 		"rate":     {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Rate: 123},
 		"memory":   {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Memory: 600},
 		"kind":     {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Seed: 1, Mult: 1},
+		"flow":     {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Flow: &balanced},
+		"loops":    {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Loops: 2},
+		"oracle":   {Kind: CellOracle, Scenario: "DART", Scale: "tiny", Seed: 1},
 	} {
 		ofp, err := c.Fingerprint()
 		if err != nil {
@@ -96,6 +121,13 @@ func TestCellFingerprintNormalization(t *testing.T) {
 }
 
 func TestCellFingerprintRejectsInvalid(t *testing.T) {
+	flow := func(mod func(*core.Config)) *core.Config {
+		c := core.DefaultConfig()
+		if mod != nil {
+			mod(&c)
+		}
+		return &c
+	}
 	for name, c := range map[string]Cell{
 		"method":         {Scenario: "DART", Scale: "tiny", Method: "nope"},
 		"scale":          {Scenario: "DART", Scale: "huge", Method: "DTN-FLOW"},
@@ -103,7 +135,20 @@ func TestCellFingerprintRejectsInvalid(t *testing.T) {
 		"kind":           {Kind: "weird", Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW"},
 		"scale-scenario": {Kind: CellScale, Scenario: "CAMPUS", Method: "DTN-FLOW"},
 		"memory":         {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Memory: -1},
+		"rate-nan":       {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Rate: math.NaN()},
 		"scale-memory":   {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1, Memory: 600},
+		"flow-method":    {Scenario: "DART", Scale: "tiny", Method: "PROPHET", Flow: flow(nil)},
+		"flow-scale":     {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1, Flow: flow(nil)},
+		"loops-method":   {Scenario: "DART", Scale: "tiny", Method: "PER", Loops: 2},
+		"loops-oracle":   {Kind: CellOracle, Scenario: "DART", Scale: "tiny", Loops: 2},
+		"loops-negative": {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Loops: -1},
+		"node-routing":   {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Flow: flow(func(c *core.Config) { c.NodeRouting = true })},
+		"order":          {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Flow: flow(func(c *core.Config) { c.Order = 0 })},
+		"rho-zero":       {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Flow: flow(func(c *core.Config) { c.Rho = 0 })},
+		"rho-above-one":  {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Flow: flow(func(c *core.Config) { c.Rho = 1.5 })},
+		"dead-end-gamma": {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Flow: flow(func(c *core.Config) { c.DeadEnd, c.Gamma = true, 0 })},
+		"oracle-method":  {Kind: CellOracle, Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW"},
+		"oracle-scale":   {Kind: CellOracle, Scenario: "DART", Scale: "huge"},
 	} {
 		if _, err := c.Fingerprint(); err == nil {
 			t.Errorf("%s: invalid cell fingerprinted without error", name)

@@ -17,12 +17,17 @@ import (
 // corpus entry that records packet landmark paths and runs DetectLoop
 // and the correction rounds on them.
 
-// loopFixRouter is the Table VII W-x router: DTN-FLOW with loop fixing.
-var loopFixRouter = flowRouter(func(c *core.Config) { c.LoopFix = true })
+// loopFixCell is the Table VII W-x cell on sc: DTN-FLOW with loop fixing
+// and x injected loops.
+func loopFixCell(sc *Scenario, x int) Cell {
+	c := flowCell(Options{Scale: Tiny}, sc, func(c *core.Config) { c.LoopFix = true })
+	c.Loops = x
+	return c
+}
 
-// TestLoopFixGoldenRuns compares the W-2 and W-3 runs on each Tiny
-// scenario against the checked-in corpus through Run.Execute, then
-// replays each through chunked streams at three epoch lengths.
+// TestLoopFixGoldenRuns compares the W-2 and W-3 cells on each Tiny
+// scenario against the checked-in corpus, then replays each cell's run
+// through chunked streams at three epoch lengths.
 func TestLoopFixGoldenRuns(t *testing.T) {
 	type entry struct {
 		sc    *Scenario
@@ -31,15 +36,15 @@ func TestLoopFixGoldenRuns(t *testing.T) {
 	}
 	var (
 		entries []entry
-		runs    []Run
+		cells   []Cell
 	)
 	for _, sc := range BothScenarios(Tiny) {
 		for _, x := range []int{2, 3} { // the W-2 and W-3 columns
 			entries = append(entries, entry{sc, x, fmt.Sprintf("%s/W-%d", sc.Name, x)})
-			runs = append(runs, Run{Scenario: sc, Router: loopFixRouter, Seed: 1, Setup: injectLoops(x)})
+			cells = append(cells, loopFixCell(sc, x))
 		}
 	}
-	sums := Parallel(runs, 0)
+	sums := cellSummaries(Options{}, cells)
 	got := make(map[string]metrics.Summary, len(entries))
 	for i, e := range entries {
 		got[e.key] = sums[i]
@@ -53,7 +58,8 @@ func TestLoopFixGoldenRuns(t *testing.T) {
 			t.Errorf("%s: run drifted from corpus:\ngot  %+v\nwant %+v", e.key, got[e.key], want[e.key])
 		}
 		for _, epoch := range []trace.Time{250, 0, e.sc.Trace.Duration() + 1} {
-			router := loopFixRouter()
+			r := loopFixCell(e.sc, e.loops).run(e.sc)
+			router := r.Router()
 			s, err := sim.NewSharded(
 				func() trace.Source { return trace.NewSliceSource(e.sc.Trace, 512) },
 				router, e.sc.Workload(e.sc.RateDef), e.sc.Config(1), sim.ShardConfig{Epoch: epoch},
@@ -61,7 +67,7 @@ func TestLoopFixGoldenRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			injectLoops(e.loops)(s, router)
+			r.Setup(s, router)
 			if sum := s.Run().Summary; sum != want[e.key] {
 				t.Errorf("%s: streamed run (epoch %d) drifted from corpus:\ngot  %+v\nwant %+v", e.key, epoch, sum, want[e.key])
 			}

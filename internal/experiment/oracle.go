@@ -10,9 +10,10 @@ import (
 // This file threads the offline oracle (internal/oracle) into the
 // experiment layer: OracleFor reproduces the exact packet list an
 // engine run would generate — the engine's own draw, sim.PacketSchedule —
-// and solves it over the scenario's contact graph, so sweeps and reports
-// can print the oracle's upper bound as a seventh column beside the six
-// methods.
+// and solves it over the scenario's contact graph, so reports can print
+// the oracle's upper bound beside the six methods. The figure sweeps'
+// ORACLE column solves the same packets as oracle cells (Cell.solveOracle),
+// so the store holds it.
 
 // OracleSummary is the oracle's answer for one (scenario, seed, rate)
 // cell: the relaxed upper bound (what no method can beat) and the
@@ -92,53 +93,6 @@ func (sp ScaleSpec) OracleScale(workers int) (OracleSummary, error) {
 	ocfg.Workers = workers
 	ocfg.SkipCommitted = true
 	return oracleSummary(sp.Scenario, cfg.Seed, w.Rate, "", oracle.SolveTrace(tr, ocfg, pkts)), nil
-}
-
-// oraclePoint is the seed-averaged oracle answer at one sweep x-value:
-// the relaxed success-rate ceiling and its mean delay.
-type oraclePoint struct {
-	Upper float64
-	Delay float64 // seconds
-}
-
-// oracleSweep computes the oracle column for a parameter sweep: one
-// relaxed-bound solve per (x, seed), averaged across seeds per x. Each
-// of points is the run cell of one x with method and seed unset: its
-// Rate and Memory set the sweep's axis. The contact graph is built once
-// and shared — the axes change packet gates and schedules, never the
-// contact structure — and the per-cell solves run on the same bounded
-// pool the method sweeps use.
-func (sc *Scenario) oracleSweep(opt Options, points []Cell) []oraclePoint {
-	seeds := max(opt.Seeds, 1)
-	g := oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), opt.Workers)
-	cells := make([]oraclePoint, len(points)*seeds)
-	ParallelFor(len(cells), opt.Workers, func(i int) {
-		c := points[i/seeds]
-		c.Seed = int64(i%seeds) + 1
-		r := c.run(sc)
-		cfg := r.config()
-		pkts := sc.OraclePackets(cfg, r.workload(), sc.Trace)
-		ocfg := oracle.ConfigFrom(cfg)
-		ocfg.Workers = 1 // the pool already parallelises across cells
-		ocfg.SkipCommitted = true
-		res := oracle.Solve(g, ocfg, pkts)
-		if len(pkts) > 0 {
-			cells[i] = oraclePoint{
-				Upper: float64(res.Deliverable) / float64(len(pkts)),
-				Delay: res.MeanDelay,
-			}
-		}
-	})
-	out := make([]oraclePoint, len(points))
-	for xi := range points {
-		for s := 0; s < seeds; s++ {
-			out[xi].Upper += cells[xi*seeds+s].Upper
-			out[xi].Delay += cells[xi*seeds+s].Delay
-		}
-		out[xi].Upper /= float64(seeds)
-		out[xi].Delay /= float64(seeds)
-	}
-	return out
 }
 
 func (sc *Scenario) oracleRun(tr *trace.Trace, seed int64, rate float64, workers int, label string, sp *disrupt.Spec) (*oracle.Result, OracleSummary) {

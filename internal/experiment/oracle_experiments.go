@@ -32,11 +32,7 @@ func runOracle(opt Options) *Report {
 			"committed: capacity-respecting greedy schedule in generation order — a feasible lower anchor for \"optimal\"")
 		rep.Sections = append(rep.Sections, bounds)
 
-		runs := make([]Run, len(MethodNames))
-		for i, m := range MethodNames {
-			runs[i] = Run{Scenario: sc, Router: routerFactory(m), Seed: 1}
-		}
-		sums := Parallel(runs, opt.Workers)
+		sums := cellSummaries(opt, SweepCells([]string{sc.Name}, opt.Scale, MethodNames, 1, 0))
 		gap := Section{
 			Heading: sc.Name + " — method gap to the bound",
 			Columns: []string{"method", "success", "gap-to-bound", "avg-delay", "delay-vs-oracle"},

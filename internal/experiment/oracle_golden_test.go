@@ -13,7 +13,8 @@ import (
 // both Tiny scenarios, steady-state and storm-disrupted. Any change to
 // graph construction, the label-setting search, or the commit order
 // shows up as a corpus diff to regenerate deliberately (go test
-// ./internal/experiment -run TestOracleGolden -update-golden).
+// ./internal/experiment -run TestOracleGolden -update-golden), in the
+// same commit that bumps oracle.Version so stored oracle cells miss.
 
 // oracleGoldenEntries computes the corpus: steady + storm per scenario.
 func oracleGoldenEntries(t *testing.T, workers int) map[string]OracleSummary {

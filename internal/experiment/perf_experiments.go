@@ -54,21 +54,21 @@ func packetRates(opt Options) []float64 {
 // sweepReport renders one sweep as the figure's four sub-plots: a row
 // per x-value with the seed-averaged group of every method (groups in
 // MergeAverages order: x-major, then MethodNames) and the offline
-// contact-graph oracle: the relaxed success ceiling on plot (a), its
-// mean delay on plot (b), and "-" on the cost plots (the bound does not
-// model forwarding cost).
-func sweepReport(id, title, paper, xname string, xs []float64, groups []CellGroup, orc []oraclePoint) *Report {
+// contact-graph oracle, seed-averaged per x (orc): the relaxed success
+// ceiling on plot (a), its mean delay on plot (b), and "-" on the cost
+// plots (the bound does not model forwarding cost).
+func sweepReport(id, title, paper, xname string, xs []float64, groups []CellGroup, orc []OracleSummary) *Report {
 	rep := &Report{ID: id, Title: title, Paper: paper}
-	noOracle := func(oraclePoint) string { return "-" }
+	noOracle := func(OracleSummary) string { return "-" }
 	for _, md := range []struct {
 		heading string
 		cell    func(a Averaged) string
-		oracle  func(o oraclePoint) string
+		oracle  func(o OracleSummary) string
 	}{
 		{"(a) success rate", func(a Averaged) string { return ci(a.Success, a.SuccessCI, f3) },
-			func(o oraclePoint) string { return f3(o.Upper) }},
+			func(o OracleSummary) string { return f3(o.UpperBound) }},
 		{"(b) average delay", func(a Averaged) string { return ci(a.Delay, a.DelayCI, fd) },
-			func(o oraclePoint) string { return fd(o.Delay) }},
+			func(o OracleSummary) string { return fd(o.MeanDelay) }},
 		{"(c) forwarding cost", func(a Averaged) string { return fint(a.Forwarding) }, noOracle},
 		{"(d) total cost", func(a Averaged) string { return fint(a.TotalCost) }, noOracle},
 	} {
@@ -87,7 +87,9 @@ func sweepReport(id, title, paper, xname string, xs []float64, groups []CellGrou
 
 // runPerfSweep runs one of Figs. 11–14: the six methods and the oracle
 // over node memory (memory) or packet rate (otherwise). Every (x,
-// method, seed) run is a cell, so opt.Store serves the runs it holds.
+// method, seed) run and every (x, seed) oracle solve is a cell, so
+// opt.Store serves the ones it holds; the oracle column averages each
+// x's seeds in seed order.
 func runPerfSweep(opt Options, scenario func(Scale) *Scenario, id, paper string, memory bool) *Report {
 	sc := scenario(opt.Scale)
 	xs, axis, xname := packetRates(opt), "packet rates", "rate(pkt/day)"
@@ -96,24 +98,38 @@ func runPerfSweep(opt Options, scenario func(Scale) *Scenario, id, paper string,
 		xs, axis, xname = memorySizes(opt), "memory sizes", "memory(kB)"
 		note = "paper shape: DTN-FLOW highest success and lowest delay; success grows with memory; PGR lowest success"
 	}
-	var points, cells []Cell // points: one cell per x, method and seed unset
+	seeds := max(opt.Seeds, 1)
+	var runs, solves []Cell
 	for _, x := range xs {
-		p := Cell{Kind: CellRun, Scenario: sc.Name, Scale: string(opt.Scale), Rate: x}
+		p := Cell{Kind: CellOracle, Scenario: sc.Name, Scale: string(opt.Scale), Rate: x}
 		if memory {
 			p.Rate, p.Memory = 0, x
 		}
-		points = append(points, p)
-		for _, c := range SweepCells([]string{sc.Name}, opt.Scale, MethodNames, opt.Seeds, p.Rate) {
+		for _, c := range SweepCells([]string{sc.Name}, opt.Scale, MethodNames, seeds, p.Rate) {
 			c.Memory = p.Memory
-			cells = append(cells, c)
+			runs = append(runs, c)
+		}
+		for s := 1; s <= seeds; s++ {
+			p.Seed = int64(s)
+			solves = append(solves, p)
 		}
 	}
-	results, _, err := RunCells(cells, opt, nil)
+	results, _, err := RunCells(append(runs, solves...), opt, nil)
 	if err != nil {
 		panic(err)
 	}
+	orc := make([]OracleSummary, len(xs))
+	for k, r := range results[len(runs):] {
+		o := &orc[k/seeds]
+		o.UpperBound += r.Oracle.UpperBound
+		o.MeanDelay += r.Oracle.MeanDelay
+	}
+	for i := range orc {
+		orc[i].UpperBound /= float64(seeds)
+		orc[i].MeanDelay /= float64(seeds)
+	}
 	rep := sweepReport(id, "Performance with different "+axis+" ("+sc.Name+")", paper, xname,
-		xs, MergeAverages(results), sc.oracleSweep(opt, points))
+		xs, MergeAverages(results[:len(runs)]), orc)
 	rep.Sections[0].Notes = append(rep.Sections[0].Notes, note,
 		"ORACLE: offline contact-graph relaxed bound — no method can exceed it (see DESIGN.md)")
 	return rep

@@ -167,8 +167,8 @@ func Parallel(runs []Run, workers int) []metrics.Summary {
 	return out
 }
 
-// SeededAverage runs the same configuration across opt.Seeds seeds and
-// returns the per-metric means and 95% CI half-widths.
+// Averaged holds the per-metric means and 95% CI half-widths of one
+// configuration's runs across seeds (see Average).
 type Averaged struct {
 	Method                string
 	Success, SuccessCI    float64

@@ -5,7 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // genuineEntry reports whether blob is an intact store entry for fp: the
@@ -47,6 +51,34 @@ func FuzzStoreGet(f *testing.F) {
 	f.Add([]byte("not json at all"))
 	f.Add([]byte(`{"v":1,"fingerprint":"` + res.Fingerprint + `","sum":"","payload":null}`))
 	f.Add([]byte{})
+	// Intact entries of the flow-cell and oracle-cell result shapes under
+	// the same key, so decoding those fields is fuzzed too.
+	shaped := func(mod func(r *CellResult)) []byte {
+		r := *res
+		mod(&r)
+		alt, err := OpenStore(f.TempDir())
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := alt.Put(&r); err != nil {
+			f.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(alt.Root(), r.Fingerprint[:2], r.Fingerprint+".json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	f.Add(shaped(func(r *CellResult) {
+		cfg := core.DefaultConfig()
+		cfg.LoadBalance = true
+		r.Cell.Flow, r.Cell.Loops, r.Counters = &cfg, 2, nil
+	}))
+	f.Add(shaped(func(r *CellResult) {
+		r.Cell = Cell{Kind: CellOracle, Scenario: "DART", Scale: "tiny", Seed: 1, Memory: 600}
+		r.Summary = metrics.Summary{}
+		r.Oracle = &OracleSummary{Scenario: "DART", Seed: 1, Rate: 250, Packets: 40, Deliverable: 31, UpperBound: 0.775, MeanDelay: 86400.5}
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -5,9 +5,11 @@
 # 2-goroutine run against the warmed store and requires 100% cache hits
 # with, again, byte-identical output. A -seeds 2 leg, whose seeds fork
 # from one warmup per (scenario, method) group, does the same on pools of
-# 1 and GOMAXPROCS goroutines and a warm-store rerun. An experiments leg
-# runs the Tiny Fig. 11 sweep twice against one store: the second run
-# must execute no cell and write a byte-identical result file.
+# 1 and GOMAXPROCS goroutines and a warm-store rerun. Two experiments
+# legs follow: the Tiny Fig. 11 sweep runs twice against one store, and
+# the second run must execute no cell and write a byte-identical result
+# file; Table VIII then Table IX run against another store, and Table IX,
+# which reads Table VIII's runs, must execute no cell.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -79,13 +81,26 @@ if ! cmp -s "$tmp/a/fig11.txt" "$tmp/b/fig11.txt"; then
     diff "$tmp/a/fig11.txt" "$tmp/b/fig11.txt" >&2 || true
     exit 1
 fi
-# The last stdout line reads "store DIR: N cells served, M executed".
-served=$(sed -n 's/^store .*: \([0-9]*\) cells served, [0-9]* executed$/\1/p' "$tmp/b.log")
-executed=$(sed -n 's/^store .*: [0-9]* cells served, \([0-9]*\) executed$/\1/p' "$tmp/b.log")
-if [ -z "$served" ] || [ "$served" -eq 0 ] || [ "$executed" != "0" ]; then
-    echo "fleet-smoke: FAIL: warm experiments run not fully cached (served=$served executed=$executed)" >&2
-    cat "$tmp/b.log" >&2
-    exit 1
-fi
 
-echo "fleet-smoke: OK ($one cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run; $cells -seeds 2 cells across 1 and GOMAXPROCS goroutines and the cached run; $served experiments fig11 cells served from the store)"
+# store_check LOG WHAT: the experiments run behind LOG must have been
+# served from its store and executed no cell. Its last stdout line reads
+# "store DIR: N cells served, M executed".
+store_check() {
+    last=$(tail -n 1 "$1")
+    served=$(echo "$last" | sed -n 's/^store .*: \([0-9]*\) cells served, [0-9]* executed$/\1/p')
+    executed=$(echo "$last" | sed -n 's/^store .*: [0-9]* cells served, \([0-9]*\) executed$/\1/p')
+    if [ -z "$served" ] || [ "$served" -eq 0 ] || [ "$executed" != "0" ]; then
+        echo "fleet-smoke: FAIL: warm experiments $2 run not fully cached (served=$served executed=$executed)" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
+store_check "$tmp/b.log" fig11
+fig11=$served
+
+echo "fleet-smoke: experiments table8 then table9 (same store)"
+"$tmp/experiments" -run table8 -scale tiny -store "$tmp/s4" > "$tmp/t8.log"
+"$tmp/experiments" -run table9 -scale tiny -store "$tmp/s4" > "$tmp/t9.log"
+store_check "$tmp/t9.log" table9
+
+echo "fleet-smoke: OK ($one cells byte-identical across 1, 2 and GOMAXPROCS goroutines and the cached run; $cells -seeds 2 cells across 1 and GOMAXPROCS goroutines and the cached run; $fig11 experiments fig11 cells served from the store; $served table9 cells served from table8's store)"
