@@ -120,13 +120,24 @@ func (b *Base) OnContact(ctx *sim.Context, c *sim.Contact) {
 	}
 }
 
-// exchange forwards packets held by from to to when to scores strictly
-// higher for the packet's destination.
+// exchange forwards packets held by from to to when to has room for the
+// packet and scores strictly higher for its destination. A packet that
+// does not fit is not scored: room cannot change inside the loop, since
+// packets move only after it, and every method but PGR scores purely.
+// The one exception is from's first packet, scored on both sides whether
+// it fits or not, for PGR: its cached route depends on which of a node's
+// visits contain at least one scoring (see PGR's cache field), and the
+// first packet keeps that set what it was when every packet was scored.
+// The exception goes once PGR.OnVisit invalidates the route.
 func (b *Base) exchange(ctx *sim.Context, c *sim.Contact, from, to *sim.Node) {
 	now := ctx.Now()
 	ck := ctx.Check
 	moving := b.moveScratch[:0]
-	for _, p := range from.Buffer.Packets() {
+	for i, p := range from.Buffer.Packets() {
+		fits := to.Buffer.Fits(p.Size)
+		if !fits && i > 0 {
+			continue
+		}
 		rem := p.Remaining(now)
 		sf := b.m.Score(ctx, from.ID, p.Dst, rem)
 		st := b.m.Score(ctx, to.ID, p.Dst, rem)
@@ -134,7 +145,7 @@ func (b *Base) exchange(ctx *sim.Context, c *sim.Contact, from, to *sim.Node) {
 			ck.Score(now, b.m.Name(), from.ID, p.Dst, sf)
 			ck.Score(now, b.m.Name(), to.ID, p.Dst, st)
 		}
-		if st > sf && st > 0 && to.Buffer.Fits(p.Size) {
+		if fits && st > sf && st > 0 {
 			moving = append(moving, p)
 		}
 	}

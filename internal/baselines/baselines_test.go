@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -179,5 +180,109 @@ func TestRelayMovesTowardHigherScore(t *testing.T) {
 	// node 0 and must have taken the packet during the encounter.
 	if ctx.Nodes[0].Buffer.Len() != 0 {
 		t.Error("packet stayed on the lower-scoring node")
+	}
+}
+
+// countingMethod scores every node 0 and counts its scorings per node.
+type countingMethod struct{ scored []int }
+
+func (m *countingMethod) Name() string                                  { return "COUNT" }
+func (m *countingMethod) Init(ctx *sim.Context)                         { m.scored = make([]int, len(ctx.Nodes)) }
+func (m *countingMethod) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {}
+func (m *countingMethod) Clone() Method                                 { return &countingMethod{scored: slices.Clone(m.scored)} }
+func (m *countingMethod) Score(ctx *sim.Context, node, dst int, remaining trace.Time) float64 {
+	m.scored[node]++
+	return 0
+}
+
+// fillBuffer adds k one-byte packets for landmark 1 to n's buffer.
+func fillBuffer(t *testing.T, n *sim.Node, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		if !n.Buffer.Add(&sim.Packet{ID: n.ID*100 + i, Dst: 1, DstNode: -1, Size: 1, Expiry: 100, NextHop: -1}) {
+			t.Fatalf("node %d: packet %d does not fit", n.ID, i)
+		}
+	}
+}
+
+// TestExchangeScoresOnlyMovable checks the exchange rule: a receiver with
+// room gets every packet scored on both sides; a full receiver gets only
+// the sender's first packet scored, once per side.
+func TestExchangeScoresOnlyMovable(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		held, scored int // packets the receiver holds; scorings per side
+	}{
+		{"room", 9, 4},
+		{"full", 10, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := miniCtx(t, 2, 3) // 10-byte node memory
+			from, to := ctx.Nodes[0], ctx.Nodes[1]
+			fillBuffer(t, from, 4)
+			fillBuffer(t, to, tc.held)
+			m := &countingMethod{}
+			m.Init(ctx)
+			NewBase(m).exchange(ctx, nil, from, to)
+			if want := []int{tc.scored, tc.scored}; !slices.Equal(m.scored, want) {
+				t.Errorf("scorings per node = %v, want %v", m.scored, want)
+			}
+		})
+	}
+}
+
+// TestPGRFullReceiverRefreshesRoute: a node whose only scoring during a
+// visit comes from an exchange in which it is the full receiver still
+// refreshes its cached route in that visit, so back at an earlier
+// landmark it predicts from the newer counts instead of reusing the
+// route cached there.
+func TestPGRFullReceiverRefreshesRoute(t *testing.T) {
+	ctx := miniCtx(t, 2, 4)
+	m := NewPGR()
+	m.Init(ctx)
+	a, peer := ctx.Nodes[0], ctx.Nodes[1]
+	for _, lm := range []int{0, 1, 2, 0, 1} {
+		m.OnVisit(ctx, a, lm)
+	}
+	if got, want := m.predictedRoute(a.ID), []int{2, 0, 1, 2, 0}; !slices.Equal(got, want) {
+		t.Fatalf("route at 1 = %v, want %v", got, want)
+	}
+	fillBuffer(t, a, 10)
+	fillBuffer(t, peer, 2)
+	for _, lm := range []int{3, 1, 3} {
+		m.OnVisit(ctx, a, lm)
+	}
+	NewBase(m).exchange(ctx, nil, peer, a)
+	m.OnVisit(ctx, a, 1)
+	// From 1 the node now went to 3 twice and to 2 once.
+	if got, want := m.predictedRoute(a.ID), []int{3, 1, 3, 1, 3}; !slices.Equal(got, want) {
+		t.Errorf("route back at 1 = %v, want %v (the one cached at 1 before is stale)", got, want)
+	}
+}
+
+// TestPERBucket compares perBucket with the division it replaces, over
+// remaining budgets around every threshold, negative ones included, at a
+// 1 s step, other steps, and a zero mean step.
+func TestPERBucket(t *testing.T) {
+	byDivision := func(remaining, step trace.Time) int {
+		steps := perMaxSteps
+		if step > 0 {
+			steps = min(int(remaining/step), perMaxSteps)
+		}
+		bk := 0
+		for 1<<bk < steps {
+			bk++
+		}
+		return bk
+	}
+	for _, step := range []trace.Time{0, 1, 2, 7, trace.Hour, trace.Day} {
+		for k := trace.Time(-3); k <= 2*perMaxSteps; k++ {
+			for _, off := range []trace.Time{-1, 0, 1, step / 2} {
+				rem := k*step + off
+				if got, want := perBucket(rem, step), byDivision(rem, step); got != want {
+					t.Errorf("step %d, remaining %d: bucket %d, want %d", step, rem, got, want)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -16,6 +18,7 @@ type PER struct {
 	trans    [][]transRow // node -> landmark -> next-landmark counts
 	stepSum  []trace.Time // node -> accumulated sojourn+travel time
 	stepCnt  []int
+	mean     []trace.Time // node -> stepSum/stepCnt, trace.Day before any transit
 	last     []int
 	lastTime []trace.Time
 
@@ -55,6 +58,30 @@ func (r *transRow) bump(lm int) {
 	r.total++
 }
 
+// cloneRows deep-copies a node -> landmark table of transition rows. The
+// copies share one arena, each row capped at its length, so a row that
+// grows after the copy moves out instead of writing over its neighbour.
+func cloneRows(trans [][]transRow) [][]transRow {
+	n := 0
+	for _, rows := range trans {
+		for _, row := range rows {
+			n += 2 * len(row.to)
+		}
+	}
+	arena := make([]int32, 0, n)
+	cp := make([][]transRow, len(trans))
+	for i, rows := range trans {
+		cprows := make([]transRow, len(rows))
+		for j, row := range rows {
+			k, m := len(arena), len(row.to)
+			arena = append(append(arena, row.to...), row.cnt...)
+			cprows[j] = transRow{to: arena[k : k+m : k+m], cnt: arena[k+m : k+2*m : k+2*m], total: row.total}
+		}
+		cp[i] = cprows
+	}
+	return cp
+}
+
 // perMaxSteps caps the depth of PER's hitting-probability recursion over
 // the semi-Markov model (Section V-A.2). Score rounds a packet's step
 // budget up to one of perBuckets power-of-two buckets, 1, 2, 4, 8 and 16
@@ -75,23 +102,13 @@ func (m *PER) Name() string { return "PER" }
 // buffers start fresh (hitting re-sizes them on demand).
 func (m *PER) Clone() Method {
 	cp := &PER{
-		stepSum:   append([]trace.Time(nil), m.stepSum...),
-		stepCnt:   append([]int(nil), m.stepCnt...),
-		last:      append([]int(nil), m.last...),
-		lastTime:  append([]trace.Time(nil), m.lastTime...),
-		cacheUpTo: append([]int(nil), m.cacheUpTo...),
-	}
-	cp.trans = make([][]transRow, len(m.trans))
-	for i, rows := range m.trans {
-		cprows := make([]transRow, len(rows))
-		for j, row := range rows {
-			cprows[j] = transRow{
-				to:    append([]int32(nil), row.to...),
-				cnt:   append([]int32(nil), row.cnt...),
-				total: row.total,
-			}
-		}
-		cp.trans[i] = cprows
+		trans:     cloneRows(m.trans),
+		stepSum:   slices.Clone(m.stepSum),
+		stepCnt:   slices.Clone(m.stepCnt),
+		mean:      slices.Clone(m.mean),
+		last:      slices.Clone(m.last),
+		lastTime:  slices.Clone(m.lastTime),
+		cacheUpTo: slices.Clone(m.cacheUpTo),
 	}
 	cp.cache = make([][]float64, len(m.cache))
 	for i, probs := range m.cache {
@@ -111,11 +128,13 @@ func (m *PER) Init(ctx *sim.Context) {
 	}
 	m.stepSum = make([]trace.Time, nN)
 	m.stepCnt = make([]int, nN)
+	m.mean = make([]trace.Time, nN)
 	m.last = make([]int, nN)
 	m.lastTime = make([]trace.Time, nN)
 	m.cache = make([][]float64, nN)
 	m.cacheUpTo = make([]int, nN)
 	for i := range m.last {
+		m.mean[i] = trace.Day
 		m.last[i] = -1
 	}
 }
@@ -127,18 +146,11 @@ func (m *PER) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {
 		m.trans[id][prev].bump(lm)
 		m.stepSum[id] += ctx.Now() - m.lastTime[id]
 		m.stepCnt[id]++
+		m.mean[id] = m.stepSum[id] / trace.Time(m.stepCnt[id])
 	}
 	m.last[id] = lm
 	m.lastTime[id] = ctx.Now()
 	m.cacheUpTo[id] = 0 // moving invalidates the prediction
-}
-
-// meanStep returns the node's mean per-transit time.
-func (m *PER) meanStep(node int) trace.Time {
-	if m.stepCnt[node] == 0 {
-		return trace.Day
-	}
-	return m.stepSum[node] / trace.Time(m.stepCnt[node])
 }
 
 // hitting computes, for every destination, the probability that the node's
@@ -215,24 +227,32 @@ func (m *PER) hitting(ctx *sim.Context, node, want int) {
 
 // Score implements Method: the probability of visiting dst before the
 // remaining-TTL deadline, with the step budget derived from the node's
-// mean per-transit time (the semi-Markov sojourn model); a zero mean
-// (transits shorter than a second) grants the whole budget. The budget is
-// rounded up to a power-of-two bucket and clamped to 1..perMaxSteps, so
-// the node's per-bucket cache serves every packet until the node moves.
+// mean per-transit time (the semi-Markov sojourn model). The budget is
+// rounded up to a power-of-two bucket (perBucket), so the node's
+// per-bucket cache serves every packet until the node moves.
 func (m *PER) Score(ctx *sim.Context, node, dst int, remaining trace.Time) float64 {
 	if m.last[node] < 0 {
 		return 0
 	}
-	steps := perMaxSteps
-	if step := m.meanStep(node); step > 0 {
-		steps = min(int(remaining/step), perMaxSteps)
-	}
-	bk := 0
-	for 1<<bk < steps {
-		bk++
-	}
+	bk := perBucket(remaining, m.mean[node])
 	if m.cacheUpTo[node] <= bk {
 		m.hitting(ctx, node, bk)
 	}
 	return m.cache[node][bk*ctx.NumLandmarks()+dst]
+}
+
+// perBucket returns the bucket b of a remaining-TTL budget at a mean
+// step: 2^b is min(remaining/step, perMaxSteps) rounded up to a power of
+// two, and a zero mean step (transits shorter than a second) grants the
+// whole budget. Bucket b+1 is taken while remaining >= (2^b+1)*step, so
+// no division is needed, and a negative budget stays in bucket 0.
+func perBucket(remaining, step trace.Time) int {
+	if step <= 0 {
+		return perBuckets - 1
+	}
+	bk := 0
+	for bk < perBuckets-1 && remaining >= trace.Time(1<<bk+1)*step {
+		bk++
+	}
+	return bk
 }

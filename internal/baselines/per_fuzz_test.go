@@ -18,7 +18,8 @@ type perVisit struct {
 
 // apply feeds v to m. The test context's clock stands still, so the
 // node's last arrival is moved dt into the past to give its semi-Markov
-// model a sojourn time (a zero mean step would divide by zero in Score).
+// model a sojourn time: with a zero mean step every score would take the
+// whole budget, and only the deepest bucket would be exercised.
 func (v perVisit) apply(m *PER, ctx *sim.Context) {
 	m.lastTime[v.node] = ctx.Now() - v.dt
 	m.OnVisit(ctx, ctx.Nodes[v.node], v.lm)
@@ -62,7 +63,7 @@ func FuzzPERCache(f *testing.F) {
 				in.log = append(in.log, v)
 				continue
 			}
-			mean := in.m.meanStep(node)
+			mean := in.m.mean[node]
 			steps := trace.Time(arg % 20)
 			remaining := steps*mean + mean*trace.Time(arg/20)/13
 			got := in.m.Score(ctx, node, lm, remaining)

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -13,17 +15,21 @@ import (
 // measures single-step accuracy below 80%), which is why PGR shows the
 // lowest success rate and forwarding cost (Section V-A.2).
 type PGR struct {
-	trans [][]map[int]int // node -> landmark -> next-landmark counts
-	last  []int           // node -> current landmark
+	trans [][]transRow // node -> landmark -> next-landmark counts
+	last  []int        // node -> current landmark
 
-	// cache: each node's predicted route and the landmark it was predicted
-	// at. OnVisit does not invalidate it: the route is recomputed only
-	// when Score runs while the node is at another landmark, so a node
-	// that leaves and comes back between two scorings keeps a route built
-	// from older counts, and PGR's output depends on which Score calls
-	// happen.
+	// cache: each node's predicted route, stored flat (node n's at
+	// [n*pgrHorizon, n*pgrHorizon+cacheLen[n])), and the landmark it was
+	// predicted at. OnVisit does not invalidate it: the route is
+	// recomputed only when Score runs while the node is at another
+	// landmark, so a node that leaves and comes back between two scorings
+	// keeps a route built from older counts, and PGR's output depends on
+	// which of a node's visits contain at least one scoring. Base.exchange
+	// scores the first packet of every exchange on both sides, even when
+	// the receiver is full, to keep that set unchanged.
 	cacheAt    []int
-	cacheRoute [][]int
+	cacheLen   []int
+	cacheRoute []int
 }
 
 // pgrHorizon is the length of the route PGR predicts for a node (Section
@@ -41,43 +47,26 @@ func (m *PGR) Name() string { return "PGR" }
 // field), so a clone that recomputed it could score differently from
 // the original.
 func (m *PGR) Clone() Method {
-	cp := &PGR{
-		last:    append([]int(nil), m.last...),
-		cacheAt: append([]int(nil), m.cacheAt...),
+	return &PGR{
+		trans:      cloneRows(m.trans),
+		last:       slices.Clone(m.last),
+		cacheAt:    slices.Clone(m.cacheAt),
+		cacheLen:   slices.Clone(m.cacheLen),
+		cacheRoute: slices.Clone(m.cacheRoute),
 	}
-	cp.trans = make([][]map[int]int, len(m.trans))
-	for i, rows := range m.trans {
-		cprows := make([]map[int]int, len(rows))
-		for j, nm := range rows {
-			if nm == nil {
-				continue
-			}
-			inner := make(map[int]int, len(nm))
-			for next, c := range nm {
-				inner[next] = c
-			}
-			cprows[j] = inner
-		}
-		cp.trans[i] = cprows
-	}
-	cp.cacheRoute = make([][]int, len(m.cacheRoute))
-	for i, route := range m.cacheRoute {
-		if route != nil {
-			cp.cacheRoute[i] = append([]int(nil), route...)
-		}
-	}
-	return cp
 }
 
 // Init implements Method.
 func (m *PGR) Init(ctx *sim.Context) {
-	m.trans = make([][]map[int]int, len(ctx.Nodes))
+	nN := len(ctx.Nodes)
+	m.trans = make([][]transRow, nN)
 	for i := range m.trans {
-		m.trans[i] = make([]map[int]int, ctx.NumLandmarks())
+		m.trans[i] = make([]transRow, ctx.NumLandmarks())
 	}
-	m.last = make([]int, len(ctx.Nodes))
-	m.cacheAt = make([]int, len(ctx.Nodes))
-	m.cacheRoute = make([][]int, len(ctx.Nodes))
+	m.last = make([]int, nN)
+	m.cacheAt = make([]int, nN)
+	m.cacheLen = make([]int, nN)
+	m.cacheRoute = make([]int, nN*pgrHorizon)
 	for i := range m.last {
 		m.last[i] = -1
 		m.cacheAt[i] = -1
@@ -87,33 +76,31 @@ func (m *PGR) Init(ctx *sim.Context) {
 // OnVisit implements Method.
 func (m *PGR) OnVisit(ctx *sim.Context, n *sim.Node, lm int) {
 	if prev := m.last[n.ID]; prev >= 0 && prev != lm {
-		if m.trans[n.ID][prev] == nil {
-			m.trans[n.ID][prev] = map[int]int{}
-		}
-		m.trans[n.ID][prev][lm]++
+		m.trans[n.ID][prev].bump(lm)
 	}
 	m.last[n.ID] = lm
 }
 
 // predictedRoute follows the most likely transition from the node's
-// current landmark for pgrHorizon steps. The route is reused while the
-// node is scored at the landmark it was computed at, even after the node
-// has moved away and back (the transition counts change slowly).
+// current landmark for pgrHorizon steps, ties going to the smaller
+// landmark. The route is reused while the node is scored at the landmark
+// it was computed at, even after the node has moved away and back (the
+// transition counts change slowly). The returned slice aliases the cache.
 func (m *PGR) predictedRoute(node int) []int {
 	cur := m.last[node]
 	if cur < 0 {
 		return nil
 	}
+	route := m.cacheRoute[node*pgrHorizon : node*pgrHorizon : (node+1)*pgrHorizon]
 	if m.cacheAt[node] == cur {
-		return m.cacheRoute[node]
+		return route[:m.cacheLen[node]]
 	}
-	route := make([]int, 0, pgrHorizon)
-	for step := 0; step < pgrHorizon; step++ {
-		nm := m.trans[node][cur]
-		best, bestC := -1, 0
-		for next, c := range nm {
-			if c > bestC || (c == bestC && next < best) {
-				best, bestC = next, c
+	for len(route) < pgrHorizon {
+		row := &m.trans[node][cur]
+		best, bestC := -1, int32(0)
+		for i, next := range row.to {
+			if c := row.cnt[i]; c > bestC || (c == bestC && int(next) < best) {
+				best, bestC = int(next), c
 			}
 		}
 		if best < 0 {
@@ -123,7 +110,7 @@ func (m *PGR) predictedRoute(node int) []int {
 		cur = best
 	}
 	m.cacheAt[node] = m.last[node]
-	m.cacheRoute[node] = route
+	m.cacheLen[node] = len(route)
 	return route
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -98,6 +99,36 @@ func TestWorkloadDaytimeOnly(t *testing.T) {
 		sod := p.Created % trace.Day
 		if sod < 8*trace.Hour || sod > 20*trace.Hour {
 			t.Fatalf("packet at %v outside daytime", sod)
+		}
+	}
+}
+
+// TestScheduleOneSlab checks Schedule's size bound: every packet of a
+// schedule lives in one slab, so the bound was never exceeded (an append
+// past it would move the later packets to a second array).
+func TestScheduleOneSlab(t *testing.T) {
+	surges := []Surge{
+		{Start: trace.Day / 2, End: 2 * trace.Day, Landmarks: []int{0, 1}, Rate: 40},
+		{Start: 3 * trace.Day, End: 9 * trace.Day, Landmarks: []int{2}, Rate: 13.7}, // clipped at to
+	}
+	for name, w := range map[string]*Workload{
+		"fractional":   {Rate: 7.5, PacketSize: 1, TTL: trace.Day, FixedDst: -1, FixedSrc: -1},
+		"per-landmark": {Rate: 10.2, PerLandmark: true, DaytimeOnly: true, PacketSize: 1, TTL: trace.Day, FixedDst: 2, FixedSrc: -1},
+		"surges":       {Rate: 20, PacketSize: 1, TTL: trace.Day, FixedDst: -1, FixedSrc: -1, Surges: surges},
+	} {
+		for _, span := range [][2]trace.Time{{0, 4 * trace.Day}, {trace.Day / 3, 4*trace.Day + 5*trace.Hour}} {
+			pkts := w.Schedule(rand.New(rand.NewSource(3)), span[0], span[1], 4)
+			if len(pkts) == 0 {
+				t.Fatalf("%s %v: no packets", name, span)
+			}
+			lo, hi := uintptr(unsafe.Pointer(pkts[0])), uintptr(unsafe.Pointer(pkts[0]))
+			for _, p := range pkts {
+				a := uintptr(unsafe.Pointer(p))
+				lo, hi = min(lo, a), max(hi, a)
+			}
+			if n := int((hi-lo)/unsafe.Sizeof(Packet{})) + 1; n != len(pkts) {
+				t.Errorf("%s %v: %d packets spread over %d slots", name, span, len(pkts), n)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 
@@ -73,15 +74,45 @@ func (w *Workload) Schedule(rng *rand.Rand, from, to trace.Time, numLandmarks in
 	if w.Rate <= 0 || to <= from || numLandmarks == 0 {
 		return nil
 	}
-	var pkts []*Packet
-	// Packets are slab-allocated in fixed-size blocks: a block is never
-	// appended past its capacity, so the &slab[i] handles handed out stay
-	// valid for the lifetime of the run. One allocation per 1024 packets
-	// instead of one each, and consecutive packets share cache lines in
-	// generation (≈ creation-time) order.
-	const slabBlock = 1024
-	var slab []Packet
-	id := 0
+	firstDay, lastDay := int(from/trace.Day), int(to/trace.Day)
+	// window returns day d's generation window, clipped to [from, to).
+	window := func(d int) (lo, hi trace.Time) {
+		base := trace.Time(d) * trace.Day
+		lo, hi = base, base+trace.Day
+		if w.DaytimeOnly {
+			lo, hi = base+8*trace.Hour, base+20*trace.Hour
+		}
+		return max(lo, from), min(hi, to)
+	}
+	// surge returns sg's window, clipped to [from, to), and its count.
+	surge := func(sg Surge) (lo, hi trace.Time, n int) {
+		lo, hi = max(sg.Start, from), min(sg.End, to)
+		if sg.Rate <= 0 || hi <= lo {
+			return lo, hi, 0
+		}
+		return lo, hi, int(sg.Rate * float64(hi-lo) / float64(trace.Day))
+	}
+	// Size everything once: a day draws at most ⌈Rate⌉ packets per
+	// source. One slab holds every packet in generation (≈ creation-time)
+	// order; it never grows past the bound, so its &slab[i] handles stay
+	// valid (were it to grow, append would move only later packets).
+	days := 0
+	for d := firstDay; d <= lastDay; d++ {
+		if lo, hi := window(d); lo < hi {
+			days++
+		}
+	}
+	perSource := days * int(math.Ceil(w.Rate))
+	bound := perSource
+	if w.PerLandmark {
+		bound *= numLandmarks
+	}
+	for _, sg := range w.Surges {
+		_, _, n := surge(sg)
+		bound += n
+	}
+	slab := make([]Packet, 0, bound)
+	pkts := make([]*Packet, 0, bound)
 	newPacket := func(t trace.Time, src int) {
 		dst := w.FixedDst
 		for dst < 0 || dst == src {
@@ -94,11 +125,8 @@ func (w *Workload) Schedule(rng *rand.Rand, from, to trace.Time, numLandmarks in
 		if len(w.DstNodes) > 0 {
 			dstNode = w.DstNodes[rng.Intn(len(w.DstNodes))]
 		}
-		if len(slab) == cap(slab) {
-			slab = make([]Packet, 0, slabBlock)
-		}
 		slab = append(slab, Packet{
-			ID:       id,
+			ID:       len(pkts),
 			Src:      src,
 			Dst:      dst,
 			DstNode:  dstNode,
@@ -109,27 +137,16 @@ func (w *Workload) Schedule(rng *rand.Rand, from, to trace.Time, numLandmarks in
 			ExpDelay: 1e308,
 		})
 		pkts = append(pkts, &slab[len(slab)-1])
-		id++
 	}
+	// genTimes fills ts with one source's base generation times; each
+	// call reuses it.
+	ts := make([]trace.Time, 0, perSource)
 	genTimes := func() []trace.Time {
-		firstDay := int(from / trace.Day)
-		lastDay := int(to / trace.Day)
-		perDay := w.Rate
-		var ts []trace.Time
+		ts = ts[:0]
 		for d := firstDay; d <= lastDay; d++ {
-			base := trace.Time(d) * trace.Day
-			lo, hi := base, base+trace.Day
-			if w.DaytimeOnly {
-				lo, hi = base+8*trace.Hour, base+20*trace.Hour
-			}
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			n := int(perDay)
-			if rng.Float64() < perDay-float64(n) {
+			lo, hi := window(d)
+			n := int(w.Rate)
+			if rng.Float64() < w.Rate-float64(n) {
 				n++
 			}
 			if n <= 0 || hi <= lo {
@@ -167,24 +184,14 @@ func (w *Workload) Schedule(rng *rand.Rand, from, to trace.Time, numLandmarks in
 		}
 	}
 	for _, sg := range w.Surges {
-		lo, hi := sg.Start, sg.End
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
+		lo, hi, n := surge(sg)
 		var srcs []int
 		for _, lm := range sg.Landmarks {
 			if lm >= 0 && lm < numLandmarks {
 				srcs = append(srcs, lm)
 			}
 		}
-		if sg.Rate <= 0 || hi <= lo || len(srcs) == 0 {
-			continue
-		}
-		n := int(sg.Rate * float64(hi-lo) / float64(trace.Day))
-		if n <= 0 {
+		if n <= 0 || len(srcs) == 0 {
 			continue
 		}
 		step := (hi - lo) / trace.Time(n)
