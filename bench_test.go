@@ -92,7 +92,8 @@ func BenchmarkSimulateDTNFLOW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
-		res := sim.New(sc.Trace, r, sc.Workload(sc.RateDef), sc.Config(1)).Run()
+		cfg, w := sc.Setup(1, 0, 0)
+		res := sim.New(sc.Trace, r, w, cfg).Run()
 		success = res.Summary.SuccessRate
 	}
 	b.ReportMetric(success, "success")
@@ -111,7 +112,8 @@ func BenchmarkSimulateLoadBalance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := sim.New(sc.Trace, core.New(cfg), sc.Workload(sc.RateDef), sc.Config(1)).Run()
+		simCfg, w := sc.Setup(1, 0, 0)
+		res := sim.New(sc.Trace, core.New(cfg), w, simCfg).Run()
 		success = res.Summary.SuccessRate
 	}
 	b.ReportMetric(success, "success")
@@ -128,9 +130,9 @@ func BenchmarkSimulateTelemetryOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
-		cfg := sc.Config(1)
+		cfg, w := sc.Setup(1, 0, 0)
 		cfg.Probe = nil
-		sim.New(sc.Trace, r, sc.Workload(sc.RateDef), cfg).Run()
+		sim.New(sc.Trace, r, w, cfg).Run()
 	}
 }
 
@@ -146,9 +148,9 @@ func BenchmarkSimulateTracesOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
-		cfg := sc.Config(1)
+		cfg, w := sc.Setup(1, 0, 0)
 		cfg.Probe = nil
-		sim.New(sc.Trace, r, sc.Workload(sc.RateDef), cfg).Run()
+		sim.New(sc.Trace, r, w, cfg).Run()
 	}
 }
 
@@ -161,9 +163,9 @@ func BenchmarkSimulateTelemetryOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
-		cfg := sc.Config(1)
+		cfg, w := sc.Setup(1, 0, 0)
 		cfg.Probe = telemetry.NewProbe(telemetry.NewRecorder(0))
-		sim.New(sc.Trace, r, sc.Workload(sc.RateDef), cfg).Run()
+		sim.New(sc.Trace, r, w, cfg).Run()
 	}
 }
 
@@ -179,9 +181,9 @@ func BenchmarkSimulateCheckerOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
-		cfg := sc.Config(1)
+		cfg, w := sc.Setup(1, 0, 0)
 		cfg.Check = nil
-		sim.New(sc.Trace, r, sc.Workload(sc.RateDef), cfg).Run()
+		sim.New(sc.Trace, r, w, cfg).Run()
 	}
 }
 
@@ -194,10 +196,10 @@ func BenchmarkSimulateCheckerOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiment.NewRouter("DTN-FLOW")
-		cfg := sc.Config(1)
+		cfg, w := sc.Setup(1, 0, 0)
 		ck := validate.NewChecker()
 		cfg.Check = ck
-		sim.New(sc.Trace, r, sc.Workload(sc.RateDef), cfg).Run()
+		sim.New(sc.Trace, r, w, cfg).Run()
 		if err := ck.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -212,7 +214,8 @@ func BenchmarkSimulateBaselines(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := experiment.NewRouter(m)
-				sim.New(sc.Trace, r, sc.Workload(sc.RateDef), sc.Config(1)).Run()
+				cfg, w := sc.Setup(1, 0, 0)
+				sim.New(sc.Trace, r, w, cfg).Run()
 			}
 		})
 	}

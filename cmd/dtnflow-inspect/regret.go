@@ -15,19 +15,17 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/oracle"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
-// regretTrace rebuilds the trace a recording was produced on: the named
-// generator (or trace file) from the meta header, perturbed by the same
-// -disrupt argument the run used. traceArg overrides the meta scenario
-// (for recordings whose scenario names a file moved since the run). A
-// rebuilt trace whose population differs from the recorded one is
-// refused: the recording's node and landmark IDs would not mean the same
-// nodes and landmarks.
-func regretTrace(m telemetry.Meta, traceArg string) (*trace.Trace, error) {
+// regretScenario rebuilds the scenario a recording was produced on: the
+// named generator (or trace file) from the meta header, its trace
+// perturbed by the same -disrupt argument the run used. traceArg
+// overrides the meta scenario (for recordings whose scenario names a file
+// moved since the run). A rebuilt trace whose population differs from the
+// recorded one is refused: the recording's node and landmark IDs would
+// not mean the same nodes and landmarks.
+func regretScenario(m telemetry.Meta, traceArg string) (*experiment.Scenario, error) {
 	name := traceArg
 	if name == "" {
 		name = m.Scenario
@@ -35,27 +33,28 @@ func regretTrace(m telemetry.Meta, traceArg string) (*trace.Trace, error) {
 	if name == "" {
 		return nil, fmt.Errorf("recording has no scenario in its meta header; pass -trace")
 	}
-	tr, _, _, err := experiment.LoadTrace(name, 0)
+	sc, err := experiment.LoadTrace(name, 0)
 	if err != nil {
 		return nil, err
 	}
 	if m.DisruptArg != "" {
-		if tr, _, err = disrupt.PerturbArg(tr, m.DisruptArg); err != nil {
+		if sc.Trace, _, err = disrupt.PerturbArg(sc.Trace, m.DisruptArg); err != nil {
 			return nil, fmt.Errorf("re-applying disruption %q: %w", m.DisruptArg, err)
 		}
 	}
-	if tr.NumNodes != m.Nodes || tr.NumLandmarks != m.Landmarks {
+	if tr := sc.Trace; tr.NumNodes != m.Nodes || tr.NumLandmarks != m.Landmarks {
 		return nil, fmt.Errorf("trace %s has %d nodes and %d landmarks, the recording %d and %d",
 			name, tr.NumNodes, tr.NumLandmarks, m.Nodes, m.Landmarks)
 	}
-	return tr, nil
+	return sc, nil
 }
 
 // regretConfig assembles the oracle physics from the meta header,
-// falling back to the engine defaults for fields recordings from before
-// the physics header (or with the default zero) don't carry.
-func regretConfig(m telemetry.Meta, tr *trace.Trace) oracle.Config {
-	cfg := oracle.ConfigFrom(sim.DefaultConfig(tr.Duration()))
+// falling back to the scenario's catalogue configuration for fields
+// recordings from before the physics header (or with the default zero)
+// don't carry.
+func regretConfig(m telemetry.Meta, sc *experiment.Scenario) oracle.Config {
+	cfg := oracle.ConfigFrom(sc.Config(m.Seed))
 	if m.NodeMemory != 0 {
 		cfg.NodeMemory = m.NodeMemory
 	}
@@ -72,13 +71,13 @@ func regretConfig(m telemetry.Meta, tr *trace.Trace) oracle.Config {
 }
 
 func printRegret(log *telemetry.Log, traceArg string, topK int) {
-	tr, err := regretTrace(log.Meta, traceArg)
+	sc, err := regretScenario(log.Meta, traceArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtnflow-inspect:", err)
 		os.Exit(1)
 	}
-	cfg := regretConfig(log.Meta, tr)
-	rep := oracle.Regret(log, tr, cfg)
+	tr := sc.Trace
+	rep := oracle.Regret(log, tr, regretConfig(log.Meta, sc))
 
 	m := log.Meta
 	fmt.Printf("regret report: %s / %s (seed %d)", m.Scenario, m.Method, m.Seed)

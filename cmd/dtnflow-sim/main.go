@@ -1,5 +1,9 @@
 // Command dtnflow-sim runs a single trace-driven simulation of one routing
-// method and prints the paper's four metrics.
+// method and prints the paper's four metrics. It runs the regime the
+// figures run: the trace's catalogue scenario (a trace file's from the
+// name in its header) as an experiment cell, so -rate and -memory take
+// the paper's labels (Fig. 11's "2000 kB" is 16 packets of buffer on
+// DART), and 0 takes the trace's default.
 //
 // Usage:
 //
@@ -41,35 +45,46 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		traceArg   = flag.String("trace", "dart", "dart, dnet, campus, small, or a trace file path")
-		method     = flag.String("method", "DTN-FLOW", strings.Join(experiment.MethodNames, ", "))
-		rate       = flag.Float64("rate", 500, "packets per day (network-wide)")
-		memoryKB   = flag.Int64("memory", 2000, "raw node memory in kB (not the figures' regime: Fig. 11's 2000 kB is 16 packets on DART)")
-		ttl        = flag.Duration("ttl", 0, "packet TTL (0 = per-trace default)")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		extensions = flag.Bool("extensions", false, "enable DTN-FLOW's Section IV-E extensions")
-		jsonOut    = flag.Bool("json", false, "emit the result as one machine-readable JSON object")
-		disruptArg = flag.String("disrupt", "", "disruption preset (outage, link-sever, link-degrade, churn, drift, flash-crowd, storm) or a JSON spec file")
-		telPath    = flag.String("telemetry", "", "record telemetry events to this JSONL file")
-		telCap     = flag.Int("telemetry-cap", 0, "telemetry ring capacity in events (0 = default)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
-		// -trace already names the input trace here, so the execution-trace
-		// flag is spelled -exectrace (dtnflow-scale uses plain -trace).
-		execTrace = flag.String("exectrace", "", "write an execution trace to this file")
-		blockProf = flag.String("blockprofile", "", "write a goroutine blocking profile to this file")
-		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
-	)
-	flag.Parse()
+var (
+	traceArg   = flag.String("trace", "dart", "dart, dnet, campus, small, or a trace file path")
+	method     = flag.String("method", "DTN-FLOW", strings.Join(experiment.MethodNames, ", "))
+	rate       = flag.Float64("rate", 0, "packets per day, as the figures label it (0 = the trace's default)")
+	memory     = flag.Float64("memory", 0, "node memory in the paper's kB, as the figures label it (0 = the trace's default)")
+	ttl        = flag.Duration("ttl", 0, "packet TTL (0 = per-trace default)")
+	seed       = flag.Int64("seed", 1, "simulation seed")
+	extensions = flag.Bool("extensions", false, "enable DTN-FLOW's Section IV-E extensions")
+	jsonOut    = flag.Bool("json", false, "emit the result as one machine-readable JSON object")
+	disruptArg = flag.String("disrupt", "", "disruption preset (outage, link-sever, link-degrade, churn, drift, flash-crowd, storm) or a JSON spec file")
+	telPath    = flag.String("telemetry", "", "record telemetry events to this JSONL file")
+	telCap     = flag.Int("telemetry-cap", 0, "telemetry ring capacity in events (0 = default)")
+	cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf    = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
+	// -trace already names the input trace here, so the execution-trace
+	// flag is spelled -exectrace (dtnflow-scale uses plain -trace).
+	execTrace = flag.String("exectrace", "", "write an execution trace to this file")
+	blockProf = flag.String("blockprofile", "", "write a goroutine blocking profile to this file")
+	mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
+)
 
-	if !experiment.ValidMethod(*method) {
-		fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
-		os.Exit(1)
+// load resolves the run the flags name: the trace's catalogue scenario
+// and the full-scale cell the method, seed, rate and memory make on it,
+// validated as every cell is.
+func load() (*experiment.Scenario, experiment.Cell, error) {
+	sc, err := experiment.LoadTrace(*traceArg, 0)
+	if err != nil {
+		return nil, experiment.Cell{}, err
 	}
+	c := experiment.Cell{Scenario: sc.Name, Scale: string(experiment.Full), Method: *method, Seed: *seed, Rate: *rate, Memory: *memory}
+	if *method == "DTN-FLOW" && *extensions {
+		flow := core.FullConfig()
+		c.Flow = &flow
+	}
+	return sc, c, c.Validate()
+}
 
-	tr, ttlDef, unit, err := experiment.LoadTrace(*traceArg, 0)
+func main() {
+	flag.Parse()
+	sc, c, err := load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -89,19 +104,19 @@ func main() {
 	// default measurement window must see.
 	var dsp *disrupt.Spec
 	if *disruptArg != "" {
-		if tr, dsp, err = disrupt.PerturbArg(tr, *disruptArg); err != nil {
+		perturbed := *sc
+		if perturbed.Trace, dsp, err = disrupt.PerturbArg(sc.Trace, *disruptArg); err != nil {
 			fmt.Fprintln(os.Stderr, "dtnflow-sim:", err)
 			os.Exit(1)
 		}
+		sc = &perturbed
 	}
+	tr := sc.Trace
 
-	cfg := sim.DefaultConfig(tr.Duration())
-	cfg.Seed = *seed
-	cfg.TTL = ttlDef
-	cfg.Unit = unit
-	cfg.NodeMemory = *memoryKB * 1024
+	cfg, w := c.Setup(sc)
 	if *ttl > 0 {
 		cfg.TTL = trace.Time((*ttl).Seconds())
+		w.TTL = cfg.TTL
 	}
 
 	var rec *telemetry.Recorder
@@ -110,17 +125,9 @@ func main() {
 		cfg.Probe = telemetry.NewProbe(rec)
 	}
 
-	var router sim.Router
-	if *method == "DTN-FLOW" && *extensions {
-		router = core.New(core.FullConfig())
-	} else {
-		router = experiment.NewRouter(*method)
-	}
-
-	w := sim.NewWorkload(*rate, cfg.PacketSize, cfg.TTL)
 	dsp.Apply(&cfg, w)
 	t0 := time.Now()
-	res := sim.New(tr, router, w, cfg).Run()
+	res := sim.New(tr, c.Router(), w, cfg).Run()
 	wall := time.Since(t0)
 	s := res.Summary
 
@@ -145,8 +152,8 @@ func main() {
 			WallMillis: wall.Milliseconds(),
 		}
 		if rec != nil {
-			c := rec.Counters()
-			out.Telemetry = &c
+			counters := rec.Counters()
+			out.Telemetry = &counters
 			out.TelemetryFile = *telPath
 		}
 		enc := json.NewEncoder(os.Stdout)

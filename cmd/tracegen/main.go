@@ -30,11 +30,12 @@ func main() {
 	)
 	flag.Parse()
 
-	tr, _, unit, err := experiment.LoadTrace(*kind, *seed)
+	sc, err := experiment.LoadTrace(*kind, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	tr := sc.Trace
 	if err := tr.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "generated trace invalid:", err)
 		os.Exit(1)
@@ -42,10 +43,10 @@ func main() {
 	fmt.Println(tr.Summarize())
 
 	if *stats {
-		bws := trace.Bandwidths(tr, unit)
+		bws := trace.Bandwidths(tr, sc.Unit)
 		fmt.Printf("transit links: %d, top bandwidth %.2f/unit, median %.2f/unit\n",
 			len(bws), bws[0].Bandwidth, bws[len(bws)/2].Bandwidth)
-		sym := trace.MatchingSymmetry(tr, unit)
+		sym := trace.MatchingSymmetry(tr, sc.Unit)
 		if len(sym) > 0 {
 			fmt.Printf("matching-link symmetry: median %.2f over %d pairs\n", sym[len(sym)/2], len(sym))
 		}

@@ -15,24 +15,10 @@ import (
 )
 
 func main() {
-	// The deployment trace itself, for a direct simulation through the
-	// public API: all packets target landmark 0 (L1, the library).
-	tr := dtnflow.CampusTrace()
-	fmt.Printf("deployment trace: %s\n\n", tr.Summarize())
+	fmt.Printf("deployment trace: %s\n\n", dtnflow.CampusTrace().Summarize())
 
-	s := dtnflow.Simulate(tr, dtnflow.NewDTNFLOW(), dtnflow.SimOptions{
-		RatePerDay:         75,
-		PerLandmarkDaytime: true,
-		DstLandmark:        0,
-		TTL:                3 * dtnflow.Day,
-		Unit:               12 * dtnflow.Hour,
-		NodeMemory:         50 * 1024, // 50 kB per phone, as deployed
-	})
-	fmt.Printf("success rate  %.3f   (paper: >0.82)\n", s.SuccessRate)
-	fmt.Printf("mean delay    %.0f min (paper: ~1000 min)\n", s.AvgDelay/60)
-	fmt.Printf("q3 delay      %.0f min (paper: 75%% of packets within 1400 min)\n\n", s.DelayQ[3]/60)
-
-	// The registered experiments render the full Fig. 16 and Table X.
+	// The registered experiments run the deployment as the catalogue
+	// defines it and render the full Fig. 16 and Table X.
 	for _, id := range []string{"fig16", "table10"} {
 		text, err := dtnflow.RunExperiment(id, dtnflow.ExperimentOptions{})
 		if err != nil {

@@ -19,7 +19,8 @@ func TestRhoOutOfRangeMeansDefault(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.LoadBalance = true
 		cfg.Rho = rho
-		return sim.New(sc.Trace, core.New(cfg), sc.Workload(sc.RateDef), sc.Config(1)).Run().Summary
+		simCfg, w := sc.Setup(1, 0, 0)
+		return sim.New(sc.Trace, core.New(cfg), w, simCfg).Run().Summary
 	}
 	want := run(0.5)
 	for _, rho := range []float64{0, 2} {

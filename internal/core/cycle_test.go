@@ -52,9 +52,9 @@ func runCycle(sc *experiment.Scenario, cfg core.Config, seed int64, rate float64
 	if !skip {
 		rec.ForcePlainLoop()
 	}
-	simCfg := sc.Config(seed)
+	simCfg, w := sc.Setup(seed, rate, 0)
 	simCfg.MaxContactTransfers = diffBudget
-	sum := sim.New(sc.Trace, rec, sc.Workload(rate), simCfg).Run().Summary
+	sum := sim.New(sc.Trace, rec, w, simCfg).Run().Summary
 	out := cycleRun{Summary: sum, skips: rec.CycleSkips()}
 	for _, p := range rec.pkts {
 		out.Packets = append(out.Packets, packetEnd{
@@ -134,7 +134,8 @@ func TestBalancedRunLeavesPathsNil(t *testing.T) {
 	cfg.LoadBalance = true
 	sc := experiment.DARTScenario(experiment.Tiny)
 	rec := &packetRecorder{Router: core.New(cfg)}
-	sim.New(sc.Trace, rec, sc.Workload(sc.RateDef), sc.Config(1)).Run()
+	simCfg, w := sc.Setup(1, 0, 0)
+	sim.New(sc.Trace, rec, w, simCfg).Run()
 	if rec.CycleSkips() == 0 {
 		t.Fatal("the fast-forward never fired")
 	}

@@ -103,7 +103,7 @@ func runAblationLandmarks(opt Options) *Report {
 			cfg.Communities = 8
 		}
 		cfg.Landmarks = n
-		sc := fullSettings["DART"]
+		sc := settings["DART"][Full]
 		sc.Name, sc.Trace = fmt.Sprintf("DART-%dL", n), synth.DART(cfg)
 		scens = append(scens, &sc)
 		runs = append(runs, Run{Scenario: &sc, Router: routerFactory("DTN-FLOW"), Seed: 1})

@@ -44,9 +44,10 @@ func TestBalanceGoldenRuns(t *testing.T) {
 			t.Errorf("%s: run drifted from corpus:\ngot  %+v\nwant %+v", sc.Name, got[sc.Name], want[sc.Name])
 		}
 		for _, epoch := range []trace.Time{250, 0, sc.Trace.Duration() + 1} {
+			cfg, w := sc.Setup(1, 0, 0)
 			s, err := sim.NewSharded(
 				func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
-				balanceCell(sc).run(sc).Router(), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Epoch: epoch},
+				balanceCell(sc).Router(), w, cfg, sim.ShardConfig{Epoch: epoch},
 			)
 			if err != nil {
 				t.Fatal(err)

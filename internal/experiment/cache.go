@@ -4,7 +4,7 @@ import "sync"
 
 // Scenario construction dominated the cost of the smaller experiment
 // suites: every experiment (and every benchmark iteration) called
-// DARTScenario / DNETScenario / CampusScenario, and each call regenerated
+// DARTScenario / DNETScenario / the campus scenario, and each call regenerated
 // the full synthetic trace from scratch. The generators are deterministic
 // — same kind and scale always yield byte-identical traces — so the
 // scenarios are memoized process-wide, keyed by (trace kind, scale), and
@@ -14,8 +14,8 @@ import "sync"
 // experiments and across concurrently running simulations, and must be
 // treated as immutable after construction. Code that needs a private
 // variant builds its own Scenario (as the landmark-count ablation does)
-// or copies the struct; sim.Config values returned by Scenario.Config are
-// copies and free to tweak.
+// or copies the struct; the sim.Config and workload Scenario.Setup
+// returns are copies and free to tweak.
 
 // scenarioKey identifies one cached scenario.
 type scenarioKey struct {
@@ -34,9 +34,9 @@ var scenarioCache sync.Map // scenarioKey -> *scenarioEntry
 // cachedScenario returns the memoized scenario for (kind, scale),
 // building it at most once per process. Concurrent callers for the same
 // key block on the sync.Once until the build completes.
-func cachedScenario(kind string, scale Scale, build func(Scale, int64) *Scenario) *Scenario {
+func cachedScenario(kind string, scale Scale) *Scenario {
 	v, _ := scenarioCache.LoadOrStore(scenarioKey{kind, scale}, &scenarioEntry{})
 	e := v.(*scenarioEntry)
-	e.once.Do(func() { e.sc = build(scale, 0) })
+	e.once.Do(func() { e.sc = buildScenario(kind, scale, 0) })
 	return e.sc
 }

@@ -19,26 +19,14 @@ func init() {
 	register(&Experiment{ID: "table10", Title: "Campus deployment: routing tables", Paper: "Table X", Run: runTable10})
 }
 
-// campusRun executes the deployment scenario and returns the engine's
-// router and result for inspection.
+// campusRun executes the deployment scenario (the catalogue's CAMPUS
+// run: 75 packets per landmark in the daytime to L1, 50 kB per phone)
+// and returns the engine's router and result for inspection.
 func campusRun(opt Options) (*Scenario, *core.Router, *sim.Result) {
-	sc := CampusScenario(opt.Scale)
+	sc := cachedScenario("CAMPUS", opt.Scale)
 	router := core.New(core.DefaultConfig())
-	cfg := sc.Config(1)
-	cfg.NodeMemory = 50 * 1024 // 50 kB per phone, as deployed
-	cfg.Warmup = sc.Trace.Duration() / 4
-	w := &sim.Workload{
-		Rate:        sc.RateDef, // 75 packets per landmark per day
-		PerLandmark: true,
-		DaytimeOnly: true,
-		PacketSize:  1024,
-		TTL:         sc.TTL,
-		FixedDst:    synth.CampusL1,
-		FixedSrc:    -1,
-	}
-	eng := sim.New(sc.Trace, router, w, cfg)
-	res := eng.Run()
-	return sc, router, res
+	cfg, w := sc.Setup(1, 0, 0)
+	return sc, router, sim.New(sc.Trace, router, w, cfg).Run()
 }
 
 func runFig16(opt Options) *Report {

@@ -13,17 +13,29 @@ import (
 // is resolved in this file, each to the paper's settings for it and the
 // generator behind it, so what a name means is decided in one place.
 
-// fullSettings are the paper's per-trace settings at Full scale, without
-// the trace: DART's 20-day TTL and 3-day unit and DNET's 4-day TTL and
-// half-day unit (Section V-A), and the campus deployment's 3-day TTL and
-// 12-hour unit (Section V-C). SMALL is the toy trace's 2-day TTL and
-// 12-hour unit; only the command-line tools run it. The reduced scales
-// override some of them; the scale tier reads them as they are.
-var fullSettings = map[string]Scenario{
-	"DART":   {Name: "DART", TTL: 20 * trace.Day, Unit: 3 * trace.Day, RateDef: 500, MemDiv: 120},
-	"DNET":   {Name: "DNET", TTL: 4 * trace.Day, Unit: trace.Day / 2, RateDef: 500, MemDiv: 60},
-	"CAMPUS": {Name: "CAMPUS", TTL: 3 * trace.Day, Unit: 12 * trace.Hour, RateDef: 75},
-	"SMALL":  {Name: "SMALL", TTL: 2 * trace.Day, Unit: 12 * trace.Hour},
+// settings are each scenario name's run settings per scale, as data
+// without a trace; a scale a name lists nothing for runs at its Full
+// settings, the paper's (Section V-A; the campus deployment of Section
+// V-C). SMALL is the command-line tools' toy trace.
+var settings = map[string]map[Scale]Scenario{
+	"DART": {
+		Full:  {Name: "DART", TTL: 20 * trace.Day, Unit: 3 * trace.Day, RateDef: 500, MemDef: 2000, MemDiv: 120},
+		Quick: {Name: "DART", TTL: 10 * trace.Day, Unit: 3 * trace.Day / 2, RateDef: 500, MemDef: 2000, MemDiv: 120},
+		Tiny:  {Name: "DART", TTL: 7 * trace.Day, Unit: trace.Day, RateDef: 200, MemDef: 2000, MemDiv: 120},
+	},
+	"DNET": {
+		Full: {Name: "DNET", TTL: 4 * trace.Day, Unit: trace.Day / 2, RateDef: 500, MemDef: 2000, MemDiv: 60},
+		Tiny: {Name: "DNET", TTL: 4 * trace.Day, Unit: trace.Day / 2, RateDef: 200, MemDef: 2000, MemDiv: 60},
+	},
+	"CAMPUS": {Full: {Name: "CAMPUS", TTL: 3 * trace.Day, Unit: 12 * trace.Hour, RateDef: 75, MemDef: 50, MemDiv: 1,
+		PerLandmark: true, Dst: synth.CampusL1}},
+	"SMALL": {Full: {Name: "SMALL", TTL: 2 * trace.Day, Unit: 12 * trace.Hour, RateDef: 500, MemDef: 2000, MemDiv: 1}},
+}
+
+// traces generate each scenario's trace at a scale; a nonzero seed
+// replaces the generator's.
+var traces = map[string]func(Scale, int64) *trace.Trace{
+	"DART": dartTrace, "DNET": dnetTrace, "CAMPUS": campusTrace, "SMALL": smallTrace,
 }
 
 // runCost ranks the scenarios by the cost of a run: DART traces carry
@@ -39,54 +51,62 @@ func RunCost(name string) float64 {
 	return 1
 }
 
-// builders construct each scenario at a scale; a nonzero seed replaces
-// the generator's default seed.
-var builders = map[string]func(Scale, int64) *Scenario{
-	"DART":   buildDARTScenario,
-	"DNET":   buildDNETScenario,
-	"CAMPUS": buildCampusScenario,
+// settingsAt returns the named scenario's settings at scale, without a
+// trace; it generates nothing.
+func settingsAt(name string, scale Scale) (Scenario, error) {
+	byScale, ok := settings[name]
+	if !ok {
+		return Scenario{}, fmt.Errorf("experiment: unknown scenario %q (want DART, DNET, CAMPUS or SMALL)", name)
+	}
+	if sc, ok := byScale[scale]; ok {
+		return sc, nil
+	}
+	return byScale[Full], nil
+}
+
+// buildScenario generates a fresh scenario, bypassing the process-wide
+// cache (the determinism test compares both paths); a nonzero seed
+// replaces the generator's.
+func buildScenario(name string, scale Scale, seed int64) *Scenario {
+	sc, _ := settingsAt(name, scale)
+	sc.Trace = traces[name](scale, seed)
+	return &sc
 }
 
 // ScenarioByName returns the memoized scenario for a cell's scenario name.
 func ScenarioByName(name string, scale Scale) (*Scenario, error) {
-	build, ok := builders[name]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown scenario %q (want DART, DNET or CAMPUS)", name)
+	if _, err := settingsAt(name, scale); err != nil {
+		return nil, err
 	}
-	return cachedScenario(name, scale, build), nil
+	return cachedScenario(name, scale), nil
 }
 
-// LoadTrace resolves a command-line trace name to a trace with its packet
-// TTL and time unit: dart, dnet and campus are the Full scenarios' traces,
-// small is the toy trace, and any other name is a trace file. Every trace
-// runs with the Full settings of its trace name (a file's from its
-// header), and a trace name with no settings is refused. A nonzero seed
-// replaces the generator's default seed; a trace file ignores it.
-func LoadTrace(name string, seed int64) (tr *trace.Trace, ttl, unit trace.Time, err error) {
+// LoadTrace resolves a command-line trace name to a scenario at Full
+// settings: dart, dnet, campus and small are the catalogue's generated
+// traces, and any other name is a trace file, run at the settings of
+// the trace name in its header (MemDiv and workload included); a file
+// whose trace name has no settings is refused. A nonzero seed replaces
+// the generator's seed; a trace file ignores it.
+func LoadTrace(name string, seed int64) (*Scenario, error) {
 	switch name {
-	case "dart", "dnet", "campus":
-		tr = builders[strings.ToUpper(name)](Full, seed).Trace
-	case "small":
-		cfg := synth.DefaultSmall()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		tr = synth.Small(cfg)
-	default:
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		defer f.Close()
-		if tr, err = trace.Read(f); err != nil {
-			return nil, 0, 0, fmt.Errorf("parsing %s: %w", name, err)
-		}
+	case "dart", "dnet", "campus", "small":
+		return buildScenario(strings.ToUpper(name), Full, seed), nil
 	}
-	sc, ok := fullSettings[tr.Name]
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("%s: trace name %q has no settings (want DART, DNET, CAMPUS or SMALL)", name, tr.Name)
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	return tr, sc.TTL, sc.Unit, nil
+	defer f.Close()
+	tr, err := trace.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("parsing %s: %w", name, err)
+	}
+	sc, err := settingsAt(tr.Name, Full)
+	if err != nil {
+		return nil, fmt.Errorf("%s: trace name %q has no settings (want DART, DNET, CAMPUS or SMALL)", name, tr.Name)
+	}
+	sc.Trace = tr
+	return &sc, nil
 }
 
 // scaled is a scale-tier scenario resolved from the catalogue: its Full
@@ -105,11 +125,11 @@ func (sp ScaleSpec) resolve() (scaled, error) {
 	switch sp.Scenario {
 	case "DART":
 		cfg := sp.dartConfig()
-		return scaled{fullSettings["DART"], cfg.Nodes, cfg.Landmarks, cfg.Days,
+		return scaled{settings["DART"][Full], cfg.Nodes, cfg.Landmarks, cfg.Days,
 			func() trace.Source { return synth.DARTSource(cfg) }}, nil
 	case "DNET":
 		cfg := sp.dnetConfig()
-		return scaled{fullSettings["DNET"], cfg.Buses, cfg.Landmarks, cfg.Days,
+		return scaled{settings["DNET"][Full], cfg.Buses, cfg.Landmarks, cfg.Days,
 			func() trace.Source { return synth.DNETSource(cfg) }}, nil
 	default:
 		return scaled{}, fmt.Errorf("experiment: unknown scale scenario %q (want DART or DNET)", sp.Scenario)

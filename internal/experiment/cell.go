@@ -31,8 +31,8 @@ type Cell struct {
 	// oracle's relaxed bound for the packets a run cell of the same
 	// scenario, scale, seed, rate and memory generates.
 	Kind string `json:"kind,omitempty"`
-	// Scenario names the trace: DART, DNET or CAMPUS (run and oracle
-	// cells); DART or DNET (scale cells).
+	// Scenario names the catalogue scenario: DART, DNET, CAMPUS or
+	// SMALL (run and oracle cells); DART or DNET (scale cells).
 	Scenario string `json:"scenario"`
 	// Scale is the trace size for run and oracle cells: full, quick or
 	// tiny. Scale cells ignore it (their base is always the Full
@@ -42,10 +42,12 @@ type Cell struct {
 	Method string `json:"method"`
 	// Seed seeds the workload schedule; <= 0 means 1.
 	Seed int64 `json:"seed"`
-	// Rate is packets/day network-wide; 0 means the scenario default.
+	// Rate is packets/day; 0 means the scenario default (RateDef), and so
+	// do a negative rate and the default itself (see normalized).
 	Rate float64 `json:"rate,omitempty"`
 	// Memory is the node buffer in the paper's kB (Scenario.Memory) for
-	// run and oracle cells; 0 means the scenario default.
+	// run and oracle cells; 0 means the scenario default (MemDef), and so
+	// does the default itself.
 	Memory float64 `json:"memory,omitempty"`
 	// Mult is the population multiplier for scale cells; ignored for run
 	// cells.
@@ -154,7 +156,7 @@ func (c Cell) Validate() error {
 		if _, err := ParseScale(c.Scale); err != nil {
 			return err
 		}
-		if _, err := ScenarioByName(c.Scenario, Tiny); err != nil {
+		if _, err := settingsAt(c.Scenario, Full); err != nil {
 			return err
 		}
 	case CellScale:
@@ -168,11 +170,28 @@ func (c Cell) Validate() error {
 }
 
 // normalized returns c with its defaults spelled one way: the kind and
-// seed made explicit, and a Flow equal to core.DefaultConfig() dropped.
+// seed made explicit, and a Flow equal to core.DefaultConfig(), a Rate
+// that is negative or equal to the scenario's RateDef at the cell's scale
+// (Full for scale cells) and a Memory equal to its MemDef dropped, as
+// each runs the default, so Fig. 11's default memory row and Fig. 13's
+// default rate row are one cell. It reads the catalogue's settings and
+// generates no trace.
 func (c Cell) normalized() Cell {
 	c.Kind, c.Seed = c.kind(), c.seed()
 	if c.Flow != nil && *c.Flow == core.DefaultConfig() {
 		c.Flow = nil
+	}
+	scale := Scale(c.Scale)
+	if c.Kind == CellScale {
+		scale = Full
+	}
+	if def, err := settingsAt(c.Scenario, scale); err == nil {
+		if c.Rate < 0 || c.Rate == def.RateDef {
+			c.Rate = 0
+		}
+		if c.Memory == def.MemDef {
+			c.Memory = 0
+		}
 	}
 	return c
 }
@@ -306,8 +325,7 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 // same scenario, scale, seed, rate and memory generates (Scenario.
 // OraclePackets), and the committed pass is skipped.
 func (c Cell) solveOracle(sc *Scenario, g *oracle.Graph) OracleSummary {
-	r := c.run(sc)
-	cfg, w := r.config(), r.workload()
+	cfg, w := c.Setup(sc)
 	ocfg := oracle.ConfigFrom(cfg)
 	ocfg.Workers = 1 // the pool already parallelises across cells
 	ocfg.SkipCommitted = true
@@ -363,6 +381,7 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, Cel
 		}
 		if opt.Store != nil {
 			if res, ok := opt.Store.Get(fp); ok {
+				res.Cell = c // another spelling of the cell may have stored it
 				results[i] = res
 				rep.CacheHits++
 				continue
@@ -424,16 +443,24 @@ func cellSummaries(opt Options, cells []Cell) []metrics.Summary {
 	return sums
 }
 
-// run returns the engine run of run cell c on its scenario sc; an oracle
-// cell's packets and physics are those of the same run.
+// Router builds a fresh router for run cell c: its method's, or DTN-FLOW
+// under c.Flow.
+func (c Cell) Router() sim.Router {
+	if c.Flow != nil {
+		return core.New(*c.Flow)
+	}
+	return NewRouter(c.Method)
+}
+
+// Setup returns the engine configuration and workload of cell c on sc
+// (Scenario.Setup at the cell's seed, rate and memory).
+func (c Cell) Setup(sc *Scenario) (sim.Config, *sim.Workload) { return c.run(sc).setup() }
+
+// run returns the engine run of run cell c on sc, the scenario its name
+// resolves to (or a trace file's, for dtnflow-sim); an oracle cell's
+// packets and physics are those of the same run.
 func (c Cell) run(sc *Scenario) Run {
-	r := Run{Scenario: sc, Router: routerFactory(c.Method), Rate: c.Rate, Seed: c.seed()}
-	if f := c.Flow; f != nil {
-		r.Router = func() sim.Router { return core.New(*f) }
-	}
-	if kb := c.Memory; kb > 0 {
-		r.Tweak = func(cfg *sim.Config) { cfg.NodeMemory = sc.Memory(kb) }
-	}
+	r := Run{Scenario: sc, Router: c.Router, Rate: c.Rate, Memory: c.Memory, Seed: c.seed()}
 	if c.Loops > 0 {
 		r.Setup = injectLoops(c.Loops)
 	}

@@ -216,9 +216,7 @@ func TestFigureSweepStore(t *testing.T) {
 // served from the store.
 func TestOracleCell(t *testing.T) {
 	sc := DNETScenario(Tiny)
-	cfg := sc.Config(2)
-	cfg.NodeMemory = sc.Memory(300)
-	w := sc.Workload(sc.RateDef)
+	cfg, w := sc.Setup(2, 0, 300)
 	ocfg := oracle.ConfigFrom(cfg)
 	ocfg.SkipCommitted = true
 	want := oracle.SolveTrace(sc.Trace, ocfg, sc.OraclePackets(cfg, w, sc.Trace))

@@ -57,7 +57,7 @@ func TestCachedScenarioDeterminism(t *testing.T) {
 	}
 	for _, m := range []string{"DTN-FLOW", "PROPHET"} {
 		cached := Run{Scenario: DARTScenario(Tiny), Router: routerFactory(m), Seed: 1}.Execute()
-		fresh := Run{Scenario: buildDARTScenario(Tiny, 0), Router: routerFactory(m), Seed: 1}.Execute()
+		fresh := Run{Scenario: buildScenario("DART", Tiny, 0), Router: routerFactory(m), Seed: 1}.Execute()
 		if SummaryFingerprint(cached) != SummaryFingerprint(fresh) {
 			t.Errorf("%s: cached vs uncached scenario diverged:\ncached: %+v\nfresh:  %+v", m, cached, fresh)
 		}

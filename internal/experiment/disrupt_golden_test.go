@@ -44,8 +44,7 @@ func disruptedRun(t *testing.T, sc *Scenario, method string) metrics.Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sc.Config(1)
-	w := sc.Workload(sc.RateDef)
+	cfg, w := sc.Setup(1, 0, 0)
 	sp.Apply(&cfg, w)
 	return sim.New(tr, NewRouter(method), w, cfg).Run().Summary
 }
@@ -55,8 +54,7 @@ func disruptedRun(t *testing.T, sc *Scenario, method string) metrics.Summary {
 func disruptedStreamedRun(t *testing.T, sc *Scenario, method string, sh sim.ShardConfig) metrics.Summary {
 	t.Helper()
 	sp := disruptedSpec(t, sc)
-	cfg := sc.Config(1)
-	w := sc.Workload(sc.RateDef)
+	cfg, w := sc.Setup(1, 0, 0)
 	sp.Apply(&cfg, w)
 	open := disrupt.Wrap(func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) }, sp)
 	s, err := sim.NewSharded(open, NewRouter(method), w, cfg, sh)

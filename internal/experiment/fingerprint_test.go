@@ -120,6 +120,74 @@ func TestCellFingerprintNormalization(t *testing.T) {
 	}
 }
 
+// TestCellFingerprintDefaultAxes checks a rate or memory equal to the
+// scenario's default at the cell's scale, and a negative rate, fingerprint
+// as the default cell: Fig. 11's 2000 kB cell and Fig. 13's rate-500 cell
+// at Full are one run, as are a Tiny cell at rate 200 and a scale cell at
+// 500, while any other value moves the key.
+func TestCellFingerprintDefaultAxes(t *testing.T) {
+	fp := func(c Cell) string {
+		t.Helper()
+		f, err := c.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	full := Cell{Kind: CellRun, Scenario: "DART", Scale: "full", Method: "PROPHET", Seed: 1}
+	fig11, fig13 := full, full
+	fig11.Memory, fig13.Rate = 2000, 500
+	if fp(fig11) != fp(full) || fp(fig13) != fp(full) {
+		t.Error("Full DART's default memory or rate spelled out fingerprinted apart from the default cell")
+	}
+	tiny := Cell{Scenario: "DART", Scale: "tiny", Method: "PROPHET"}
+	tinyDef, tinyFull, tinyNeg := tiny, tiny, tiny
+	tinyDef.Rate, tinyFull.Rate, tinyNeg.Rate = 200, 500, -1
+	if fp(tinyDef) != fp(tiny) || fp(tinyFull) == fp(tiny) {
+		t.Error("Tiny DART's rate normalized against another scale's default")
+	}
+	if fp(tinyNeg) != fp(tiny) {
+		t.Error("a negative rate, which runs the default, fingerprinted apart from the default cell")
+	}
+	scale := Cell{Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1}
+	scaleDef := scale
+	scaleDef.Rate = 500
+	if fp(scaleDef) != fp(scale) {
+		t.Error("a scale cell at the Full default rate fingerprinted apart from the default")
+	}
+	campus := Cell{Scenario: "CAMPUS", Scale: "full", Method: "DTN-FLOW"}
+	campusDef, campus2000 := campus, campus
+	campusDef.Memory, campus2000.Memory = 50, 2000
+	if fp(campusDef) != fp(campus) || fp(campus2000) == fp(campus) {
+		t.Error("CAMPUS memory not normalized against its 50 kB default")
+	}
+}
+
+// TestFingerprintGeneratesNoTrace checks validating and fingerprinting a
+// cell reads the catalogue's settings only: a Full DART cell leaves no
+// DART scenario, at Full or any other scale, in the cache.
+func TestFingerprintGeneratesNoTrace(t *testing.T) {
+	for _, scale := range []Scale{Full, Quick, Tiny} {
+		key := scenarioKey{"DART", scale}
+		if v, ok := scenarioCache.LoadAndDelete(key); ok {
+			defer scenarioCache.Store(key, v)
+		}
+	}
+	for _, c := range []Cell{
+		{Scenario: "DART", Scale: "full", Method: "PROPHET", Memory: 2000},
+		{Kind: CellOracle, Scenario: "DART", Scale: "full", Rate: 500},
+	} {
+		if _, err := c.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []Scale{Full, Quick, Tiny} {
+			if _, ok := scenarioCache.Load(scenarioKey{"DART", scale}); ok {
+				t.Fatalf("fingerprinting %s built the %s DART scenario", c, scale)
+			}
+		}
+	}
+}
+
 func TestCellFingerprintRejectsInvalid(t *testing.T) {
 	flow := func(mod func(*core.Config)) *core.Config {
 		c := core.DefaultConfig()

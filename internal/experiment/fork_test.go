@@ -19,13 +19,14 @@ import (
 // returns the end-of-warmup snapshot plus the workload to fork with.
 func warmSnapshot(t *testing.T, sc *Scenario, method string) (*sim.Snapshot, *sim.Workload) {
 	t.Helper()
-	eng := sim.New(sc.Trace, NewRouter(method), nil, sc.Config(1))
+	cfg, w := sc.Setup(1, 0, 0)
+	eng := sim.New(sc.Trace, NewRouter(method), nil, cfg)
 	eng.RunWarmup()
 	snap, err := eng.Snapshot()
 	if err != nil {
 		t.Fatalf("%s/%s: snapshot: %v", sc.Name, method, err)
 	}
-	return snap, sc.Workload(sc.RateDef)
+	return snap, w
 }
 
 // TestForkEquivalence checks the bit-identical contract of warm-state
@@ -60,7 +61,7 @@ func TestForkProbeIsolation(t *testing.T) {
 	const capacity = 1 << 16
 	for _, sc := range BothScenarios(Tiny) {
 		for _, m := range MethodNames {
-			cfg := sc.Config(1)
+			cfg, wl := sc.Setup(1, 0, 0)
 			cfg.Probe = telemetry.NewProbe(telemetry.NewRecorder(capacity))
 			eng := sim.New(sc.Trace, NewRouter(m), nil, cfg)
 			eng.RunWarmup()
@@ -68,7 +69,6 @@ func TestForkProbeIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: snapshot: %v", sc.Name, m, err)
 			}
-			wl := sc.Workload(sc.RateDef)
 			forks := make([]*telemetry.Recorder, 2)
 			var wg sync.WaitGroup
 			for k := range forks {

@@ -50,9 +50,10 @@ func streamedGoldenRuns(t *testing.T, sc *Scenario, method string) map[trace.Tim
 	t.Helper()
 	out := map[trace.Time]metrics.Summary{}
 	for _, epoch := range []trace.Time{250, 0, sc.Trace.Duration() + 1} {
+		cfg, w := sc.Setup(1, 0, 0)
 		s, err := sim.NewSharded(
 			func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) },
-			NewRouter(method), sc.Workload(sc.RateDef), sc.Config(1), sim.ShardConfig{Epoch: epoch},
+			NewRouter(method), w, cfg, sim.ShardConfig{Epoch: epoch},
 		)
 		if err != nil {
 			t.Fatal(err)

@@ -60,9 +60,10 @@ func TestLoopFixGoldenRuns(t *testing.T) {
 		for _, epoch := range []trace.Time{250, 0, e.sc.Trace.Duration() + 1} {
 			r := loopFixCell(e.sc, e.loops).run(e.sc)
 			router := r.Router()
+			cfg, w := e.sc.Setup(1, 0, 0)
 			s, err := sim.NewSharded(
 				func() trace.Source { return trace.NewSliceSource(e.sc.Trace, 512) },
-				router, e.sc.Workload(e.sc.RateDef), e.sc.Config(1), sim.ShardConfig{Epoch: epoch},
+				router, w, cfg, sim.ShardConfig{Epoch: epoch},
 			)
 			if err != nil {
 				t.Fatal(err)

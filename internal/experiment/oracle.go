@@ -96,17 +96,13 @@ func (sp ScaleSpec) OracleScale(workers int) (OracleSummary, error) {
 }
 
 func (sc *Scenario) oracleRun(tr *trace.Trace, seed int64, rate float64, workers int, label string, sp *disrupt.Spec) (*oracle.Result, OracleSummary) {
-	if rate <= 0 {
-		rate = sc.RateDef
-	}
-	cfg := sc.Config(seed)
-	w := sc.Workload(rate)
+	cfg, w := sc.Setup(seed, rate, 0)
 	sp.Apply(&cfg, w)
 	pkts := sc.OraclePackets(cfg, w, tr)
 	ocfg := oracle.ConfigFrom(cfg)
 	ocfg.Workers = workers
 	res := oracle.SolveTrace(tr, ocfg, pkts)
-	return res, oracleSummary(sc.Name, seed, rate, label, res)
+	return res, oracleSummary(sc.Name, seed, w.Rate, label, res)
 }
 
 // oracleSummary is the OracleSummary of res, solved for the packets drawn at

@@ -38,12 +38,14 @@ func NewRouter(name string) sim.Router {
 	}
 }
 
-// Run is one simulation request: a scenario, a router factory, a workload,
-// and optional config tweaks applied after defaults.
+// Run is one simulation request: a scenario, a router factory, the rate,
+// memory label and seed Scenario.Setup turns into its configuration and
+// workload, and optional config tweaks applied after them.
 type Run struct {
 	Scenario *Scenario
 	Router   func() sim.Router
 	Rate     float64
+	Memory   float64
 	Seed     int64
 	Tweak    func(*sim.Config)
 	// Probe, when non-nil, records telemetry for this run. Parallel
@@ -60,32 +62,24 @@ type Run struct {
 	Setup func(*sim.Engine, sim.Router)
 }
 
-// config returns the run's engine configuration: the scenario's, with
-// the probe and checker attached and the tweak applied.
-func (r Run) config() sim.Config {
-	cfg := r.Scenario.Config(r.Seed)
+// setup returns the run's engine configuration and workload
+// (Scenario.Setup), with the probe and checker attached and the tweak
+// applied.
+func (r Run) setup() (sim.Config, *sim.Workload) {
+	cfg, w := r.Scenario.Setup(r.Seed, r.Rate, r.Memory)
 	cfg.Probe = r.Probe
 	cfg.Check = r.Check
 	if r.Tweak != nil {
 		r.Tweak(&cfg)
 	}
-	return cfg
-}
-
-// workload returns the run's workload at its rate (the scenario default
-// when unset).
-func (r Run) workload() *sim.Workload {
-	rate := r.Rate
-	if rate <= 0 {
-		rate = r.Scenario.RateDef
-	}
-	return r.Scenario.Workload(rate)
+	return cfg, w
 }
 
 // Execute performs one run and returns its summary.
 func (r Run) Execute() metrics.Summary {
 	router := r.Router()
-	eng := sim.New(r.Scenario.Trace, router, r.workload(), r.config())
+	cfg, w := r.setup()
+	eng := sim.New(r.Scenario.Trace, router, w, cfg)
 	if r.Setup != nil {
 		r.Setup(eng, router)
 	}
@@ -231,7 +225,7 @@ func (g *seedGroup) warm() {
 	if len(g.runs) < 2 || r.Setup != nil {
 		return
 	}
-	cfg := r.config()
+	cfg, _ := r.setup()
 	if cfg.Check != nil {
 		return
 	}
@@ -253,9 +247,10 @@ func (g *seedGroup) execute(i int) metrics.Summary {
 	if g.snap == nil {
 		return r.Execute()
 	}
-	eng := sim.Fork(g.snap, r.workload(), r.Seed)
+	cfg, w := r.setup()
+	eng := sim.Fork(g.snap, w, r.Seed)
 	sum := eng.Run().Summary
-	if p := r.config().Probe; p != nil {
+	if p := cfg.Probe; p != nil {
 		*p.Recorder() = *eng.Context().Probe.Recorder()
 	}
 	return sum

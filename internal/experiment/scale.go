@@ -116,7 +116,7 @@ func (sp ScaleSpec) Config() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := r.base.config(trace.Time(r.days)*trace.Day, sp.seed())
+	cfg, _ := r.base.setup(trace.Time(r.days)*trace.Day, sp.seed(), sp.Rate, 0)
 	sp.Disrupt.Apply(&cfg, nil)
 	return cfg, nil
 }
@@ -129,11 +129,7 @@ func (sp ScaleSpec) Workload() (*sim.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	rate := sp.Rate
-	if rate <= 0 {
-		rate = r.base.RateDef
-	}
-	w := r.base.Workload(rate)
+	_, w := r.base.setup(0, sp.seed(), sp.Rate, 0)
 	sp.Disrupt.Apply(nil, w)
 	return w, nil
 }

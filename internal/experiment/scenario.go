@@ -45,7 +45,7 @@ type Options struct {
 // DefaultOptions returns full-scale, single-seed options.
 func DefaultOptions() Options { return Options{Scale: Full, Seeds: 1} }
 
-// Scenario bundles a trace with the paper's per-trace experiment settings.
+// Scenario bundles a trace with the catalogue's per-trace settings.
 //
 // MemDiv scales the paper's node-memory sizes down to our workload: the
 // paper generates packets per landmark per day, so its absolute buffer
@@ -59,8 +59,15 @@ type Scenario struct {
 	Trace   *trace.Trace
 	TTL     trace.Time
 	Unit    trace.Time
-	RateDef float64 // default packet rate (packets/day network-wide)
+	RateDef float64 // default packet rate (packets/day)
+	MemDef  float64 // default node memory, a label in the paper's kB (Memory)
 	MemDiv  int64   // node-memory scale divisor (>= 1)
+	// PerLandmark makes the rate per landmark, generated in the daytime
+	// and all bound for landmark Dst (the campus deployment, Section
+	// V-C); otherwise the rate is network-wide with uniform sources and
+	// destinations.
+	PerLandmark bool
+	Dst         int
 }
 
 // Memory converts one of the paper's memory sizes (kB) into this
@@ -77,32 +84,42 @@ func (sc *Scenario) Memory(kb float64) int64 {
 	return b
 }
 
-// Config returns the simulator configuration for this scenario with the
-// paper's defaults (Section V-A.1).
-func (sc *Scenario) Config(seed int64) sim.Config {
-	return sc.config(sc.Trace.Duration(), seed)
+// Setup is the one path from a scenario to a run: the engine
+// configuration and workload of a run on sc at seed, rate (packets per
+// day) and memory (a label in the paper's kB, see Memory), where 0 takes
+// the scenario's default (RateDef, MemDef). Cells, the campus
+// deployment, dtnflow-sim and dtnflow-inspect -regret all build their
+// runs here; the returned values are copies and free to tweak.
+func (sc *Scenario) Setup(seed int64, rate, memory float64) (sim.Config, *sim.Workload) {
+	return sc.setup(sc.Trace.Duration(), seed, rate, memory)
 }
 
-// config is Config for a trace of the given duration; the scale tier
+// setup is Setup for a trace of the given duration; the scale tier
 // passes its generation horizon instead of building the trace.
-func (sc *Scenario) config(duration trace.Time, seed int64) sim.Config {
+func (sc *Scenario) setup(duration trace.Time, seed int64, rate, memory float64) (sim.Config, *sim.Workload) {
+	if rate <= 0 {
+		rate = sc.RateDef
+	}
+	if memory <= 0 {
+		memory = sc.MemDef
+	}
 	cfg := sim.DefaultConfig(duration)
 	cfg.Seed = seed
 	cfg.TTL = sc.TTL
 	cfg.Unit = sc.Unit
-	cfg.NodeMemory = sc.Memory(2000) // the paper's 2000 kB default
+	cfg.NodeMemory = sc.Memory(memory)
+	w := sim.NewWorkload(rate, cfg.PacketSize, sc.TTL)
+	if sc.PerLandmark {
+		w.PerLandmark, w.DaytimeOnly, w.FixedDst = true, true, sc.Dst
+	}
+	return cfg, w
+}
+
+// Config returns the simulator configuration of a run at seed with the
+// scenario's defaults (Setup).
+func (sc *Scenario) Config(seed int64) sim.Config {
+	cfg, _ := sc.Setup(seed, 0, 0)
 	return cfg
-}
-
-// Workload returns the scenario's default workload at the given rate.
-func (sc *Scenario) Workload(rate float64) *sim.Workload {
-	return sim.NewWorkload(rate, 1024, sc.TTL)
-}
-
-// Meta describes a run on this scenario for a telemetry recording
-// header (cmd/dtnflow-inspect labels its output from it).
-func (sc *Scenario) Meta(method string, seed int64) telemetry.Meta {
-	return RunMeta(sc.Name, method, sc.Trace, sc.Config(seed))
 }
 
 // RunMeta describes a run of method on tr under cfg for a telemetry
@@ -126,101 +143,69 @@ func RunMeta(scenario, method string, tr *trace.Trace, cfg sim.Config) telemetry
 	}
 }
 
-// DARTScenario returns the DART-like scenario: TTL 20 days, time unit
-// 3 days, default rate 500 packets/day. The result is memoized per scale
-// and shared (see cache.go); treat it as immutable.
-func DARTScenario(scale Scale) *Scenario {
-	return cachedScenario("DART", scale, buildDARTScenario)
-}
-
-// buildDARTScenario constructs a fresh DART scenario, bypassing the
-// process-wide cache (the determinism test compares both paths); a
-// nonzero seed replaces the generator's.
-func buildDARTScenario(scale Scale, seed int64) *Scenario {
-	cfg := synth.DefaultDART()
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	sc := fullSettings["DART"]
-	switch scale {
-	case Quick:
-		// Smaller topology but the same number of warmup time units, so
-		// the control plane converges as it does at full scale.
-		cfg.Nodes = 120
-		cfg.Landmarks = 60
-		cfg.Days = 56
-		cfg.Communities = 12
-		sc.Unit = 3 * trace.Day / 2
-		sc.TTL = 10 * trace.Day
-	case Tiny:
-		cfg.Nodes = 48
-		cfg.Landmarks = 24
-		cfg.Days = 28
-		cfg.Communities = 6
-		sc.Unit = trace.Day
-		sc.TTL = 7 * trace.Day
-		sc.RateDef = 200
-	}
-	sc.Trace = synth.DART(cfg)
-	return &sc
-}
-
-// DNETScenario returns the DNET-like scenario: TTL 4 days, time unit half
-// a day (the unit used for the DNET trace analysis), default rate 500
-// packets/day. The result is memoized per scale and shared (see
-// cache.go); treat it as immutable.
-func DNETScenario(scale Scale) *Scenario {
-	return cachedScenario("DNET", scale, buildDNETScenario)
-}
-
-// buildDNETScenario constructs a fresh DNET scenario, bypassing the
-// process-wide cache; a nonzero seed replaces the generator's.
-func buildDNETScenario(scale Scale, seed int64) *Scenario {
-	cfg := synth.DefaultDNET()
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	sc := fullSettings["DNET"]
-	switch scale {
-	case Quick:
-		cfg.Buses = 24
-		cfg.Landmarks = 14
-		cfg.Days = 20
-		cfg.Routes = 6
-		cfg.NoiseProb = 0.1
-	case Tiny:
-		cfg.Buses = 12
-		cfg.Landmarks = 10
-		cfg.Days = 10
-		cfg.Routes = 4
-		cfg.NoiseProb = 0.1
-		sc.RateDef = 200
-	}
-	sc.Trace = synth.DNET(cfg)
-	return &sc
-}
-
-// CampusScenario returns the real-deployment scenario of Section V-C:
-// TTL 3 days, time unit 12 hours, 75 packets per landmark per day all
-// destined to L1 (the library). The result is memoized per scale and
+// DARTScenario returns the DART-like scenario, memoized per scale and
 // shared (see cache.go); treat it as immutable.
-func CampusScenario(scale Scale) *Scenario {
-	return cachedScenario("CAMPUS", scale, buildCampusScenario)
-}
+func DARTScenario(scale Scale) *Scenario { return cachedScenario("DART", scale) }
 
-// buildCampusScenario constructs a fresh campus scenario, bypassing the
-// process-wide cache; a nonzero seed replaces the generator's.
-func buildCampusScenario(scale Scale, seed int64) *Scenario {
-	cfg := synth.DefaultCampus()
+// dartTrace generates the DART trace at a scale; a nonzero seed replaces
+// the generator's.
+func dartTrace(scale Scale, seed int64) *trace.Trace {
+	cfg := synth.DefaultDART()
+	switch scale {
+	case Quick:
+		// Smaller topology; the catalogue halves the unit, so the warmup
+		// spans as many units and the control plane converges as at Full.
+		cfg.Nodes, cfg.Landmarks, cfg.Days, cfg.Communities = 120, 60, 56, 12
+	case Tiny:
+		cfg.Nodes, cfg.Landmarks, cfg.Days, cfg.Communities = 48, 24, 28, 6
+	}
 	if seed != 0 {
 		cfg.Seed = seed
 	}
+	return synth.DART(cfg)
+}
+
+// DNETScenario returns the DNET-like scenario, memoized per scale and
+// shared (see cache.go); treat it as immutable.
+func DNETScenario(scale Scale) *Scenario { return cachedScenario("DNET", scale) }
+
+// dnetTrace generates the DNET trace at a scale; a nonzero seed replaces
+// the generator's.
+func dnetTrace(scale Scale, seed int64) *trace.Trace {
+	cfg := synth.DefaultDNET()
+	switch scale {
+	case Quick:
+		cfg.Buses, cfg.Landmarks, cfg.Days, cfg.Routes, cfg.NoiseProb = 24, 14, 20, 6, 0.1
+	case Tiny:
+		cfg.Buses, cfg.Landmarks, cfg.Days, cfg.Routes, cfg.NoiseProb = 12, 10, 10, 4, 0.1
+	}
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	return synth.DNET(cfg)
+}
+
+// campusTrace generates the campus trace at a scale (a week below Full);
+// a nonzero seed replaces the generator's.
+func campusTrace(scale Scale, seed int64) *trace.Trace {
+	cfg := synth.DefaultCampus()
 	if scale != Full {
 		cfg.Days = 7
 	}
-	sc := fullSettings["CAMPUS"]
-	sc.Trace = synth.Campus(cfg)
-	return &sc
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	return synth.Campus(cfg)
+}
+
+// smallTrace generates the toy trace, the same at every scale; a nonzero
+// seed replaces the generator's.
+func smallTrace(_ Scale, seed int64) *trace.Trace {
+	cfg := synth.DefaultSmall()
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	return synth.Small(cfg)
 }
 
 // BothScenarios returns the DART and DNET scenarios.

@@ -210,3 +210,31 @@ func TestStoreKeyFieldOrderStability(t *testing.T) {
 		t.Errorf("store key depends on struct field order: %s vs %s", orig, reFP)
 	}
 }
+
+// TestStoreServesEverySpelling checks a store entry written under one
+// spelling of a cell serves another spelling of the same run, and that
+// RunCells hands back the cell as requested: Tiny DART's default rate
+// (200) and memory (2000 kB) spelled out are the default cell, so the
+// results stay byte-identical whatever spelling filled the store.
+func TestStoreServesEverySpelling(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := fakeResult(t, 1)
+	if err := store.Put(stored); err != nil {
+		t.Fatal(err)
+	}
+	spelled := stored.Cell
+	spelled.Rate, spelled.Memory = 200, 2000
+	results, rep, err := RunCells([]Cell{spelled}, Options{Store: store}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CacheHits != 1 || rep.Executed != 0 {
+		t.Fatalf("report %+v, want the one cell served from the store", rep)
+	}
+	if got := results[0]; got.Cell != spelled || got.Summary != stored.Summary || got.Fingerprint != stored.Fingerprint {
+		t.Errorf("served %+v, want the stored summary under the requested cell %+v", *got, spelled)
+	}
+}

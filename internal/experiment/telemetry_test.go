@@ -43,7 +43,7 @@ func TestTelemetryReconstructsRun(t *testing.T) {
 	sum := Run{Scenario: sc, Router: routerFactory("DTN-FLOW"), Seed: 1, Probe: telemetry.NewProbe(rec)}.Execute()
 
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, sc.Meta("DTN-FLOW", 1)); err != nil {
+	if err := rec.WriteJSONL(&buf, RunMeta(sc.Name, "DTN-FLOW", sc.Trace, sc.Config(1))); err != nil {
 		t.Fatal(err)
 	}
 	log, err := telemetry.ReadJSONL(&buf)
@@ -136,7 +136,7 @@ func TestTelemetryExportLossless(t *testing.T) {
 	rec := telemetry.NewRecorder(0)
 	Run{Scenario: sc, Router: routerFactory("DTN-FLOW"), Seed: 3, Probe: telemetry.NewProbe(rec)}.Execute()
 
-	meta := sc.Meta("DTN-FLOW", 3)
+	meta := RunMeta(sc.Name, "DTN-FLOW", sc.Trace, sc.Config(3))
 	live := telemetry.NewLog(rec, meta)
 
 	var buf bytes.Buffer

@@ -24,7 +24,7 @@ func init() {
 // analysisUnit returns the trace-analysis time unit of Section III-B.3 at
 // every scale: the Full scenario's unit, 3 days for DART and half a day
 // for DNET.
-func analysisUnit(sc *Scenario) trace.Time { return fullSettings[sc.Name].Unit }
+func analysisUnit(sc *Scenario) trace.Time { return settings[sc.Name][Full].Unit }
 
 func runTable1(opt Options) *Report {
 	rep := &Report{ID: "table1", Title: "Characteristics of mobility traces", Paper: "Table I"}
@@ -176,8 +176,8 @@ func runFig8(opt Options) *Report {
 		samples := make([]sample, 0, obs)
 
 		router := core.New(core.DefaultConfig())
-		cfg := sc.Config(1)
-		eng := sim.New(sc.Trace, router, sc.Workload(sc.RateDef), cfg)
+		cfg, w := sc.Setup(1, 0, 0)
+		eng := sim.New(sc.Trace, router, w, cfg)
 		prev := make([]*routing.Table, nL)
 		nextObs := start + interval
 		router.UnitHook = func(seq int) {

@@ -23,10 +23,10 @@ func liveRegret(t *testing.T, scName, method string) (*telemetry.Log, *experimen
 		sc = experiment.DNETScenario(experiment.Tiny)
 	}
 	rec := telemetry.NewRecorder(0)
-	cfg := sc.Config(1)
+	cfg, w := sc.Setup(1, 0, 0)
 	cfg.Probe = telemetry.NewProbe(rec)
-	sim.New(sc.Trace, experiment.NewRouter(method), sc.Workload(sc.RateDef), cfg).Run()
-	return telemetry.NewLog(rec, sc.Meta(method, 1)), sc, oracle.ConfigFrom(cfg)
+	sim.New(sc.Trace, experiment.NewRouter(method), w, cfg).Run()
+	return telemetry.NewLog(rec, experiment.RunMeta(sc.Name, method, sc.Trace, sc.Config(1))), sc, oracle.ConfigFrom(cfg)
 }
 
 // TestRegretRoundTrip: the regret report computed from a live recorder

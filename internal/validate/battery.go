@@ -203,18 +203,16 @@ func routerFor(m string) func() sim.Router {
 func disruptedRun(name string, sc *experiment.Scenario, tr *trace.Trace, sp *disrupt.Spec, method string, rate float64) Item {
 	ck := NewChecker()
 	ck.SetDisruption(sp)
-	cfg := sc.Config(1)
+	cfg, w := sc.Setup(1, rate, 0)
 	cfg.Check = ck
 	cfg.Probe = telemetry.NewProbe(telemetry.NewRecorder(1 << 12))
-	w := sc.Workload(rate)
 	sp.Apply(&cfg, w)
 	materialized := sim.New(tr, experiment.NewRouter(method), w, cfg).Run().Summary
 	if err := ck.Err(); err != nil {
 		return Item{Name: name, Detail: err.Error()}
 	}
 
-	stCfg := sc.Config(1)
-	stW := sc.Workload(rate)
+	stCfg, stW := sc.Setup(1, rate, 0)
 	sp.Apply(&stCfg, stW)
 	open := disrupt.Wrap(func() trace.Source { return trace.NewSliceSource(sc.Trace, 512) }, sp)
 	eng, err := sim.NewSharded(open, experiment.NewRouter(method), stW, stCfg, sim.ShardConfig{})
@@ -241,7 +239,8 @@ func forkEquivalence(sc *experiment.Scenario, method string, rate float64, seeds
 		return Item{Name: name, Detail: "snapshot failed: " + err.Error()}
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		forked := sim.Fork(snap, sc.Workload(rate), seed).Run().Summary
+		_, w := sc.Setup(seed, rate, 0)
+		forked := sim.Fork(snap, w, seed).Run().Summary
 		fresh := experiment.Run{Scenario: sc, Router: routerFor(method), Rate: rate, Seed: seed}.Execute()
 		if experiment.SummaryFingerprint(forked) != experiment.SummaryFingerprint(fresh) {
 			return Item{Name: name, Detail: fmt.Sprintf("seed %d: forked %+v, fresh %+v", seed, forked, fresh)}

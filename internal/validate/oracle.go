@@ -93,8 +93,7 @@ func oracleDominanceItem(sc *experiment.Scenario, tr *trace.Trace, sp *disrupt.S
 	if sp != nil {
 		name += " (disrupted)"
 	}
-	cfg := sc.Config(1)
-	w := sc.Workload(rate)
+	cfg, w := sc.Setup(1, rate, 0)
 	sp.Apply(&cfg, w)
 	pkts := sc.OraclePackets(cfg, w, tr)
 	ocfg := oracle.ConfigFrom(cfg)
@@ -104,8 +103,7 @@ func oracleDominanceItem(sc *experiment.Scenario, tr *trace.Trace, sp *disrupt.S
 	for _, m := range methods {
 		ck := NewChecker()
 		ck.SetDisruption(sp)
-		runCfg := sc.Config(1)
-		runW := sc.Workload(rate)
+		runCfg, runW := sc.Setup(1, rate, 0)
 		sp.Apply(&runCfg, runW)
 		runCfg.Check = ck
 		sim.New(tr, experiment.NewRouter(m), runW, runCfg).Run()
