@@ -316,9 +316,10 @@ func BenchmarkBandwidths(b *testing.B) {
 // benchScale runs one scaled DART population through the scale path
 // (streaming generator feeding the engine) and reports the tier's
 // headline figures — visit/event throughput and the sampled heap
-// high-water mark — as custom metrics. These run at -benchtime 1x
-// (scripts/bench.sh): one 32× run is minutes of wall clock, and the
-// figures of interest are per-run rates, not per-op latencies.
+// high-water mark — as custom metrics. Run them at -benchtime 1x
+// (go test -run xxx -bench BenchmarkScale -benchtime 1x .): one 32× run
+// is minutes of wall clock, and the figures of interest are per-run
+// rates, not per-op latencies.
 func benchScale(b *testing.B, mult int) {
 	b.Helper()
 	spec := experiment.ScaleSpec{Scenario: "DART", Mult: mult}

@@ -13,8 +13,9 @@
 // -store, every cell-based experiment — the figure sweeps (Figs. 11–14)
 // with their ORACLE column, Tables VI–IX, the ablations and the oracle
 // experiment's method runs — caches its cells in a content-addressed
-// result store keyed by run fingerprint (the store dtnflow-fleet uses),
-// so a repeated run executes no simulation and no oracle solve of them.
+// result store keyed by cell fingerprint (experiment.Store), so a
+// repeated run executes no simulation and no oracle solve of them, and
+// the last line counts the cells served and executed.
 package main
 
 import (

@@ -127,7 +127,7 @@ func TestCampusSetupIsTheDeployment(t *testing.T) {
 	}
 	cfg, w := sc.Setup(1, 0, 0)
 	want := &sim.Workload{Rate: 75, PerLandmark: true, DaytimeOnly: true, PacketSize: 1024,
-		TTL: 3 * trace.Day, FixedDst: synth.CampusL1, FixedSrc: -1}
+		TTL: 3 * trace.Day, FixedDst: synth.CampusL1}
 	if !reflect.DeepEqual(w, want) {
 		t.Errorf("workload %+v, want %+v", *w, *want)
 	}

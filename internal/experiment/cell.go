@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -26,17 +25,14 @@ import (
 // oracle kind).
 type Cell struct {
 	// Kind selects the execution path: CellRun (default when empty) is a
-	// paper-tier run over a materialized scenario trace; CellScale is a
-	// scale-tier run over a streamed population; CellOracle is the
-	// oracle's relaxed bound for the packets a run cell of the same
-	// scenario, scale, seed, rate and memory generates.
+	// paper-tier run over a materialized scenario trace; CellOracle is
+	// the oracle's relaxed bound for the packets a run cell of the same
+	// scenario, scale, seed, rate and memory generates. Scale-tier runs
+	// stream another trace family and are not cells (see dtnflow-scale).
 	Kind string `json:"kind,omitempty"`
-	// Scenario names the catalogue scenario: DART, DNET, CAMPUS or
-	// SMALL (run and oracle cells); DART or DNET (scale cells).
+	// Scenario names the catalogue scenario: DART, DNET, CAMPUS or SMALL.
 	Scenario string `json:"scenario"`
-	// Scale is the trace size for run and oracle cells: full, quick or
-	// tiny. Scale cells ignore it (their base is always the Full
-	// generator config).
+	// Scale is the trace size: full, quick or tiny.
 	Scale string `json:"scale,omitempty"`
 	// Method is the routing method (MethodNames); empty for oracle cells.
 	Method string `json:"method"`
@@ -45,13 +41,9 @@ type Cell struct {
 	// Rate is packets/day; 0 means the scenario default (RateDef), and so
 	// do a negative rate and the default itself (see normalized).
 	Rate float64 `json:"rate,omitempty"`
-	// Memory is the node buffer in the paper's kB (Scenario.Memory) for
-	// run and oracle cells; 0 means the scenario default (MemDef), and so
-	// does the default itself.
+	// Memory is the node buffer in the paper's kB (Scenario.Memory); 0
+	// means the scenario default (MemDef), and so does the default itself.
 	Memory float64 `json:"memory,omitempty"`
-	// Mult is the population multiplier for scale cells; ignored for run
-	// cells.
-	Mult int `json:"mult,omitempty"`
 	// Flow is the DTN-FLOW router configuration of a DTN-FLOW run cell;
 	// nil means core.DefaultConfig(), and a Flow equal to it fingerprints
 	// as nil, so a default-configured variant is the plain cell.
@@ -64,7 +56,6 @@ type Cell struct {
 // Cell kinds.
 const (
 	CellRun    = "run"
-	CellScale  = "scale"
 	CellOracle = "oracle"
 )
 
@@ -84,14 +75,10 @@ func (c Cell) seed() int64 {
 
 // String renders the cell for progress reports and errors.
 func (c Cell) String() string {
-	switch c.kind() {
-	case CellScale:
-		return fmt.Sprintf("scale:%s/%d×/%s seed=%d", c.Scenario, c.Mult, c.Method, c.seed())
-	case CellOracle:
+	if c.kind() == CellOracle {
 		return fmt.Sprintf("oracle:%s/%s seed=%d", c.Scenario, c.Scale, c.seed())
-	default:
-		return fmt.Sprintf("%s/%s/%s seed=%d", c.Scenario, c.Scale, c.Method, c.seed())
 	}
+	return fmt.Sprintf("%s/%s/%s seed=%d", c.Scenario, c.Scale, c.Method, c.seed())
 }
 
 // ValidMethod reports whether name is a known routing method.
@@ -120,18 +107,25 @@ func ParseScale(name string) (Scale, error) {
 // fingerprinting path calls it first so a malformed cell fails the same
 // way everywhere.
 func (c Cell) Validate() error {
-	if c.kind() == CellOracle {
+	switch c.kind() {
+	case CellRun:
+		if !ValidMethod(c.Method) {
+			return fmt.Errorf("experiment: unknown method %q", c.Method)
+		}
+	case CellOracle:
 		if c.Method != "" {
 			return fmt.Errorf("experiment: method %q on an oracle cell (want none)", c.Method)
 		}
-	} else if !ValidMethod(c.Method) {
-		return fmt.Errorf("experiment: unknown method %q", c.Method)
+	case "scale":
+		return fmt.Errorf("experiment: cell kind %q: scale-tier runs stream their own trace family and are not cells (run them with dtnflow-scale)", c.Kind)
+	default:
+		return fmt.Errorf("experiment: unknown cell kind %q", c.Kind)
 	}
 	if math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
 		return fmt.Errorf("experiment: rate %v packets/day (want a finite number)", c.Rate)
 	}
-	if !(c.Memory >= 0) || c.Memory > 0 && c.kind() == CellScale {
-		return fmt.Errorf("experiment: memory %v kB on a %s cell (want >= 0, run and oracle cells only)", c.Memory, c.kind())
+	if !(c.Memory >= 0) {
+		return fmt.Errorf("experiment: memory %v kB (want >= 0)", c.Memory)
 	}
 	if (c.Flow != nil || c.Loops != 0) && (c.kind() != CellRun || c.Method != "DTN-FLOW") {
 		return fmt.Errorf("experiment: flow configuration or loops on a %s %s cell (DTN-FLOW run cells only)", c.Method, c.kind())
@@ -151,41 +145,25 @@ func (c Cell) Validate() error {
 			return fmt.Errorf("experiment: dead-end gamma %v (want > 0)", f.Gamma)
 		}
 	}
-	switch c.kind() {
-	case CellRun, CellOracle:
-		if _, err := ParseScale(c.Scale); err != nil {
-			return err
-		}
-		if _, err := settingsAt(c.Scenario, Full); err != nil {
-			return err
-		}
-	case CellScale:
-		if _, err := (ScaleSpec{Scenario: c.Scenario}).resolve(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("experiment: unknown cell kind %q", c.Kind)
+	if _, err := ParseScale(c.Scale); err != nil {
+		return err
 	}
-	return nil
+	_, err := settingsAt(c.Scenario, Full)
+	return err
 }
 
 // normalized returns c with its defaults spelled one way: the kind and
 // seed made explicit, and a Flow equal to core.DefaultConfig(), a Rate
 // that is negative or equal to the scenario's RateDef at the cell's scale
-// (Full for scale cells) and a Memory equal to its MemDef dropped, as
-// each runs the default, so Fig. 11's default memory row and Fig. 13's
-// default rate row are one cell. It reads the catalogue's settings and
-// generates no trace.
+// and a Memory equal to its MemDef dropped, as each runs the default, so
+// Fig. 11's default memory row and Fig. 13's default rate row are one
+// cell. It reads the catalogue's settings and generates no trace.
 func (c Cell) normalized() Cell {
 	c.Kind, c.Seed = c.kind(), c.seed()
 	if c.Flow != nil && *c.Flow == core.DefaultConfig() {
 		c.Flow = nil
 	}
-	scale := Scale(c.Scale)
-	if c.Kind == CellScale {
-		scale = Full
-	}
-	if def, err := settingsAt(c.Scenario, scale); err == nil {
+	if def, err := settingsAt(c.Scenario, Scale(c.Scale)); err == nil {
 		if c.Rate < 0 || c.Rate == def.RateDef {
 			c.Rate = 0
 		}
@@ -219,18 +197,18 @@ func (c Cell) Fingerprint() (string, error) {
 }
 
 // CellResult is a cell's deterministic outcome — exactly what the
-// content-addressed store holds. Timing and cache behaviour live in the
-// CellReport, never here: a repeated run must produce byte-identical
-// results.
+// content-addressed store holds. Timing and cache behaviour never live
+// here (the store counts its own hits and puts): a repeated run must
+// produce byte-identical results.
 type CellResult struct {
 	Cell        Cell            `json:"cell"`
 	Fingerprint string          `json:"fingerprint"`
 	Summary     metrics.Summary `json:"summary"`
 	// Counters is the run's exact telemetry aggregate (run cells without
-	// a Flow only: scale cells keep the probe path dark, and so do
-	// configured DTN-FLOW cells, because a probe turns off DTN-FLOW's
-	// cycle fast-forward and variants such as load balancing or
-	// always-upload then replay every round trip of a long contact).
+	// a Flow only: configured DTN-FLOW cells keep the probe path dark,
+	// because a probe turns off DTN-FLOW's cycle fast-forward and
+	// variants such as load balancing or always-upload then replay every
+	// round trip of a long contact).
 	Counters *telemetry.Counters `json:"counters,omitempty"`
 	// Oracle is an oracle cell's relaxed bound and mean delay (the
 	// committed pass is skipped); oracle cells leave Summary zero.
@@ -247,7 +225,7 @@ func ExecuteCell(c Cell) (res *CellResult, err error) {
 // ExecuteCells runs cells on a pool of workers goroutines (<= 0 means
 // GOMAXPROCS) and calls done(i, result, err) once per cell, on the
 // goroutine that ran it. Run cells equal up to Seed form one seed group
-// and share one warmup (see Sweep); scale and oracle cells run alone;
+// and share one warmup (see Sweep); oracle cells run alone;
 // costlier cells start first (cellCost). Run cells attach a small
 // telemetry recorder — the probe path is verified result-neutral — so
 // each result carries its exact counters (see CellResult.Counters for
@@ -273,19 +251,18 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 			groups = append(groups, seedGroup{cost: cellCost(c)})
 			members = append(members, nil)
 		}
-		// Scale and oracle cells hold a placeholder run: a group of one
-		// is never warmed, and the cell's own path runs instead.
+		// An oracle cell holds a placeholder run: a group of one is
+		// never warmed, and the oracle solve runs instead.
 		var r Run
-		switch c.kind() {
-		case CellRun:
-			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
+		sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
+		if c.kind() == CellOracle {
+			if graphs[sc] == nil {
+				graphs[sc] = oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), workers)
+			}
+		} else {
 			r = c.run(sc)
 			if c.Flow == nil {
 				r.Probe = telemetry.NewProbe(telemetry.NewRecorder(1 << 12))
-			}
-		case CellOracle:
-			if sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale)); graphs[sc] == nil {
-				graphs[sc] = oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), workers)
 			}
 		}
 		groups[g].runs = append(groups[g].runs, r)
@@ -296,25 +273,16 @@ func ExecuteCells(cells []Cell, workers int, done func(i int, res *CellResult, e
 		c := cells[i]
 		fp, _ := c.Fingerprint()
 		res := &CellResult{Cell: c, Fingerprint: fp}
-		switch c.kind() {
-		case CellRun:
+		if c.kind() == CellOracle {
+			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
+			sum := c.solveOracle(sc, graphs[sc])
+			res.Oracle = &sum
+		} else {
 			res.Summary = groups[g].execute(k)
 			if p := groups[g].runs[k].Probe; p != nil {
 				counters := p.Recorder().Counters()
 				res.Counters = &counters
 			}
-		case CellScale:
-			sp := ScaleSpec{Scenario: c.Scenario, Mult: c.Mult, Rate: c.Rate, Seed: c.seed()}
-			sr, err := sp.RunSharded(c.Method, sim.ShardConfig{})
-			if err != nil {
-				done(i, nil, err)
-				return
-			}
-			res.Summary = sr.Summary
-		case CellOracle:
-			sc, _ := ScenarioByName(c.Scenario, Scale(c.Scale))
-			sum := c.solveOracle(sc, graphs[sc])
-			res.Oracle = &sum
 		}
 		done(i, res, nil)
 	})
@@ -336,35 +304,20 @@ func (c Cell) solveOracle(sc *Scenario, g *oracle.Graph) OracleSummary {
 // cells fail during execution, which no valid cell does.
 var executeCells = ExecuteCells
 
-// CellReport summarizes one RunCells for progress output and the
-// fleet-smoke gate. It carries the nondeterministic facts (timing, cache
-// behaviour) that must stay out of CellResult.
-type CellReport struct {
-	Cells     int     `json:"cells"`
-	CacheHits int     `json:"cache_hits"`
-	Executed  int     `json:"executed"`
-	WallSec   float64 `json:"wall_sec"`
-}
-
 // RunCells executes cells on a pool of opt.Workers goroutines and
 // returns their results in input order. It fingerprints every cell
 // before executing any, so a malformed cell fails before anything runs;
 // serves the cells opt.Store holds, when it is set; executes the rest
 // with ExecuteCells and stores each executed result. A non-nil progress
-// receives one line per executed cell. If cells fail, RunCells returns
-// the error of the lowest failing index, whatever the pool size.
+// receives one line per executed cell; opt.Store counts the cells it
+// served and stored. If cells fail, RunCells returns the error of the
+// lowest failing index, whatever the pool size.
 //
 // Every result is the one ExecuteCell gives its cell alone — the path
 // the golden corpus pins — and lands at its input index, so the results
 // are byte-identical for any pool size, completion order, seed grouping
 // or cache state.
-func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, CellReport, error) {
-	t0 := time.Now()
-	rep := CellReport{Cells: len(cells)}
-	finish := func() CellReport {
-		rep.WallSec = time.Since(t0).Seconds()
-		return rep
-	}
+func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, error) {
 	logf := func(format string, args ...any) {
 		if progress != nil {
 			fmt.Fprintf(progress, "cells: "+format+"\n", args...)
@@ -377,24 +330,25 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, Cel
 	for i, c := range cells {
 		fp, err := c.Fingerprint()
 		if err != nil {
-			return nil, finish(), fmt.Errorf("experiment: cell %d: %w", i, err)
+			return nil, fmt.Errorf("experiment: cell %d: %w", i, err)
 		}
 		if opt.Store != nil {
 			if res, ok := opt.Store.Get(fp); ok {
 				res.Cell = c // another spelling of the cell may have stored it
 				results[i] = res
-				rep.CacheHits++
 				continue
 			}
 		}
 		misses, pending = append(misses, i), append(pending, c)
 	}
-	if rep.CacheHits > 0 {
-		logf("%d/%d cells already in store", rep.CacheHits, len(cells))
+	served := len(cells) - len(pending)
+	if served > 0 {
+		logf("%d/%d cells already in store", served, len(cells))
 	}
 
 	errs := make([]error, len(cells))
 	var mu sync.Mutex
+	executed := 0
 	executeCells(pending, opt.Workers, func(k int, res *CellResult, err error) {
 		i := misses[k]
 		if err != nil {
@@ -411,28 +365,28 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, Cel
 		if putErr != nil {
 			logf("store put failed (continuing): %v", putErr)
 		}
-		rep.Executed++
+		executed++
 		if o := res.Oracle; o != nil {
 			logf("[%d/%d] %s: packets=%d deliverable=%d",
-				rep.CacheHits+rep.Executed, len(cells), res.Cell, o.Packets, o.Deliverable)
+				served+executed, len(cells), res.Cell, o.Packets, o.Deliverable)
 			return
 		}
 		s := res.Summary
 		logf("[%d/%d] %s: generated=%d delivered=%d forwarded=%d",
-			rep.CacheHits+rep.Executed, len(cells), res.Cell, s.Generated, s.Delivered, s.Forwarding)
+			served+executed, len(cells), res.Cell, s.Generated, s.Delivered, s.Forwarding)
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, finish(), err
+			return nil, err
 		}
 	}
-	return results, finish(), nil
+	return results, nil
 }
 
 // cellSummaries runs cells through RunCells (opt.Store serves the
 // cells it holds) and returns their summaries in cell order.
 func cellSummaries(opt Options, cells []Cell) []metrics.Summary {
-	results, _, err := RunCells(cells, opt, nil)
+	results, err := RunCells(cells, opt, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -468,19 +422,16 @@ func (c Cell) run(sc *Scenario) Run {
 }
 
 // cellCost ranks a cell for longest-first dispatch; it only has to order
-// cells, not predict wall time. Scale cells grow with the multiplier and
-// outweigh every paper-tier run (a 1× scale run already covers the Full
-// trace); then come full, quick and tiny runs, each by the scenario's
-// RunCost. An oracle solve costs a fraction of its run, so oracle cells
-// start after the runs of their tier.
+// cells, not predict wall time. Full runs come first, then quick and
+// tiny runs, each by the scenario's RunCost. An oracle solve costs a
+// fraction of its run, so oracle cells start after the runs of their
+// tier.
 func cellCost(c Cell) float64 {
 	tier := 1.0
-	switch {
-	case c.kind() == CellScale:
-		tier = 100 * float64(max(c.Mult, 1))
-	case c.Scale == string(Full):
+	switch Scale(c.Scale) {
+	case Full:
 		tier = 50
-	case c.Scale == string(Quick):
+	case Quick:
 		tier = 10
 	}
 	if c.kind() == CellOracle {
@@ -503,22 +454,6 @@ func SweepCells(scenarios []string, scale Scale, methods []string, seeds int, ra
 				cells = append(cells, Cell{
 					Kind: CellRun, Scenario: sc, Scale: string(scale),
 					Method: m, Seed: int64(s), Rate: rate,
-				})
-			}
-		}
-	}
-	return cells
-}
-
-// ScaleCells decomposes a scale-tier (scenario × method × mult) sweep
-// into scale cells in the same canonical order.
-func ScaleCells(scenarios []string, methods []string, mults []int, seed int64) []Cell {
-	cells := make([]Cell, 0, len(scenarios)*len(methods)*len(mults))
-	for _, sc := range scenarios {
-		for _, m := range methods {
-			for _, mult := range mults {
-				cells = append(cells, Cell{
-					Kind: CellScale, Scenario: sc, Method: m, Mult: mult, Seed: seed,
 				})
 			}
 		}

@@ -105,7 +105,6 @@ func TestCellFingerprintNormalization(t *testing.T) {
 		"scale":    {Scenario: "DART", Scale: "quick", Method: "DTN-FLOW", Seed: 1},
 		"rate":     {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Rate: 123},
 		"memory":   {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Memory: 600},
-		"kind":     {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Seed: 1, Mult: 1},
 		"flow":     {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Flow: &balanced},
 		"loops":    {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Loops: 2},
 		"oracle":   {Kind: CellOracle, Scenario: "DART", Scale: "tiny", Seed: 1},
@@ -123,8 +122,8 @@ func TestCellFingerprintNormalization(t *testing.T) {
 // TestCellFingerprintDefaultAxes checks a rate or memory equal to the
 // scenario's default at the cell's scale, and a negative rate, fingerprint
 // as the default cell: Fig. 11's 2000 kB cell and Fig. 13's rate-500 cell
-// at Full are one run, as are a Tiny cell at rate 200 and a scale cell at
-// 500, while any other value moves the key.
+// at Full are one run, as are a Tiny cell at rate 200 and the default
+// one, while any other value moves the key.
 func TestCellFingerprintDefaultAxes(t *testing.T) {
 	fp := func(c Cell) string {
 		t.Helper()
@@ -148,12 +147,6 @@ func TestCellFingerprintDefaultAxes(t *testing.T) {
 	}
 	if fp(tinyNeg) != fp(tiny) {
 		t.Error("a negative rate, which runs the default, fingerprinted apart from the default cell")
-	}
-	scale := Cell{Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1}
-	scaleDef := scale
-	scaleDef.Rate = 500
-	if fp(scaleDef) != fp(scale) {
-		t.Error("a scale cell at the Full default rate fingerprinted apart from the default")
 	}
 	campus := Cell{Scenario: "CAMPUS", Scale: "full", Method: "DTN-FLOW"}
 	campusDef, campus2000 := campus, campus
@@ -201,12 +194,11 @@ func TestCellFingerprintRejectsInvalid(t *testing.T) {
 		"scale":          {Scenario: "DART", Scale: "huge", Method: "DTN-FLOW"},
 		"scenario":       {Scenario: "MARS", Scale: "tiny", Method: "DTN-FLOW"},
 		"kind":           {Kind: "weird", Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW"},
-		"scale-scenario": {Kind: CellScale, Scenario: "CAMPUS", Method: "DTN-FLOW"},
+		"kind-scale":     {Kind: "scale", Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1},
 		"memory":         {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Memory: -1},
 		"rate-nan":       {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Rate: math.NaN()},
-		"scale-memory":   {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1, Memory: 600},
 		"flow-method":    {Scenario: "DART", Scale: "tiny", Method: "PROPHET", Flow: flow(nil)},
-		"flow-scale":     {Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1, Flow: flow(nil)},
+		"flow-oracle":    {Kind: CellOracle, Scenario: "DART", Scale: "tiny", Flow: flow(nil)},
 		"loops-method":   {Scenario: "DART", Scale: "tiny", Method: "PER", Loops: 2},
 		"loops-oracle":   {Kind: CellOracle, Scenario: "DART", Scale: "tiny", Loops: 2},
 		"loops-negative": {Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Loops: -1},
@@ -222,6 +214,12 @@ func TestCellFingerprintRejectsInvalid(t *testing.T) {
 			t.Errorf("%s: invalid cell fingerprinted without error", name)
 		}
 	}
+	// A scale cell, which a store or a hand-written cell list may still
+	// name, is refused with a pointer to the scale tier's own command.
+	err := Cell{Kind: "scale", Scenario: "DART", Method: "DTN-FLOW"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "dtnflow-scale") {
+		t.Errorf("scale cell: error %v, want one naming dtnflow-scale", err)
+	}
 }
 
 func TestSummaryFingerprint(t *testing.T) {
@@ -236,5 +234,53 @@ func TestSummaryFingerprint(t *testing.T) {
 	}
 	if SummaryFingerprint(a, b) == SummaryFingerprint(b, a) {
 		t.Error("fingerprint ignored result order")
+	}
+}
+
+// TestCellFingerprintPins pins literal store keys: the golden corpus
+// cells, an oracle cell, a Fig. 11 memory cell and Table VII's W-3 cell
+// (a Flow with injected loops). A key that moves orphans every stored
+// result filed under it, so a change to Cell's fields must leave these
+// equal; only a deliberate sim.EngineVersion or oracle.Version bump may
+// move them.
+func TestCellFingerprintPins(t *testing.T) {
+	loopFix := core.DefaultConfig()
+	loopFix.LoopFix = true
+	golden := []string{
+		"a6b1b4ebdc9137754a4875f54302bff8067a503ded055e43a81c297d536f0729", // DART DTN-FLOW
+		"08c0b8fa1f842e34bdadeb06e0e5cb723eaa965798c698306ff5f76d63f5ecb7", // DART PER
+		"da76e9e526d3ca10fccbf8cf15914c05b0c230175131fcc62b47b9bd5be461c7", // DART SimBet
+		"2c66ba5f3329fdfc16fb8adb8dbb7842d0d428644c67f33451f45083a83c528a", // DART PROPHET
+		"3133305a68ae56f0784504d76663dda5baab0b1477707610d425151d70d42b72", // DART GeoComm
+		"637bdddb20b4d76c855610f4c209216299078c79e55e2622a17e814aa49cf69c", // DART PGR
+		"dcbbe429669067f3c57daa0dd4b232a5757b0ac1a861522f8bd0e861a8c671c0", // DNET DTN-FLOW
+		"e80e72660719a32973d4f832c4e81de4f895b119c4fcadb9f1ac80e005755a3e", // DNET PER
+		"32599f2e669f34d4eaa90eca3ecf0ae77b3137a561a5915c21c80adbb95ec438", // DNET SimBet
+		"3bbf2c9ef20599376b4fe5ef9512cb3e41790577bb7637c660eef64076ea6ba4", // DNET PROPHET
+		"ae10409d6846fdb906759acf1bdbe57aab8ec5f3e93728eb7199a95a38c31e6c", // DNET GeoComm
+		"5c007edecaab2f7d6d38b0927f236179af510d0e8f5f6a466acda5bf6c05e641", // DNET PGR
+	}
+	cells := GoldenCells()
+	if len(cells) != len(golden) {
+		t.Fatalf("%d golden cells, %d pinned keys", len(cells), len(golden))
+	}
+	pins := make(map[string]Cell, len(cells)+3)
+	for i, c := range cells {
+		pins[golden[i]] = c
+	}
+	pins["ee30cfc545cc37eb1cb186583c104034b96e345acac1d93537afec2aac0922a5"] =
+		Cell{Kind: CellOracle, Scenario: "DART", Scale: "tiny", Seed: 1}
+	pins["15b15073e51e3b27f9b0fd56055d859d26997a96e88812b6a974ccc23182b9f4"] =
+		Cell{Kind: CellRun, Scenario: "DART", Scale: "tiny", Method: "PROPHET", Seed: 2, Memory: 600}
+	pins["1e870368ad1887bcf9b0eeca795b883f75a3ca2fba324d596dcfdd07b666b885"] =
+		Cell{Kind: CellRun, Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1, Flow: &loopFix, Loops: 3}
+	for want, c := range pins {
+		got, err := c.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		if got != want {
+			t.Errorf("%s: fingerprint %s, pinned %s", c, got, want)
+		}
 	}
 }

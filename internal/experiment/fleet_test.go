@@ -38,13 +38,18 @@ func TestFleetGoldenByteMatch(t *testing.T) {
 	}
 	for _, workers := range poolSizes {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			results, rep, err := RunCells(GoldenCells(), Options{Workers: workers}, nil)
+			store, err := OpenStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Executed != rep.Cells || rep.CacheHits != 0 {
-				t.Errorf("executed %d of %d cells with %d cache hits, want all executed and no hits",
-					rep.Executed, rep.Cells, rep.CacheHits)
+			cells := GoldenCells()
+			results, err := RunCells(cells, Options{Workers: workers, Store: store}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, puts := store.Counts(); hits != 0 || puts != int64(len(cells)) || store.Len() != len(cells) {
+				t.Errorf("%d served, %d executed, %d stored, want 0, %d and %d",
+					hits, puts, store.Len(), len(cells), len(cells))
 			}
 			for scenario, got := range MergeByScenario(results) {
 				blob, err := json.MarshalIndent(got, "", "  ")
@@ -78,33 +83,37 @@ func TestFleetCacheHits(t *testing.T) {
 	}
 	cells := smallCells()
 
-	res1, rep1, err := RunCells(cells, Options{Store: store}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.CacheHits != 0 || rep1.Executed != len(cells) {
-		t.Errorf("first run: %d hits / %d executed, want 0 / %d", rep1.CacheHits, rep1.Executed, len(cells))
+	// counts checks the store's running totals of served and executed
+	// cells after a run.
+	n := int64(len(cells))
+	counts := func(run string, hits, puts int64) {
+		t.Helper()
+		if h, p := store.Counts(); h != hits || p != puts {
+			t.Errorf("%s run: %d served / %d executed in total, want %d / %d", run, h, p, hits, puts)
+		}
 	}
 
-	res2, rep2, err := RunCells(cells, Options{Store: store}, nil)
+	res1, err := RunCells(cells, Options{Store: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.CacheHits != len(cells) || rep2.Executed != 0 {
-		t.Errorf("second run: %d hits / %d executed, want %d / 0", rep2.CacheHits, rep2.Executed, len(cells))
+	counts("first", 0, n)
+
+	res2, err := RunCells(cells, Options{Store: store}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	counts("second", n, n)
 	if resultsFingerprint(t, res1) != resultsFingerprint(t, res2) {
 		t.Error("cached results are not byte-identical to executed ones")
 	}
 
 	grown := append(cells, Cell{Scenario: "DNET", Scale: "tiny", Method: "PER", Seed: 1})
-	res3, rep3, err := RunCells(grown, Options{Store: store}, nil)
+	res3, err := RunCells(grown, Options{Store: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.CacheHits != len(cells) || rep3.Executed != 1 {
-		t.Errorf("grown run: %d hits / %d executed, want %d / 1", rep3.CacheHits, rep3.Executed, len(cells))
-	}
+	counts("grown", 2*n, n+1)
 	if resultsFingerprint(t, res3[:len(cells)]) != resultsFingerprint(t, res1) {
 		t.Error("adding a cell changed the results of the cached ones")
 	}
@@ -124,16 +133,16 @@ func TestFleetMalformedCellFailsFast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := RunCells(cells, Options{Store: store, Workers: workers}, nil)
+		_, err = RunCells(cells, Options{Store: store, Workers: workers}, nil)
 		if err == nil {
 			t.Fatalf("workers=%d: malformed cell accepted", workers)
 		}
 		if !strings.Contains(err.Error(), "cell 3:") {
 			t.Errorf("workers=%d: error %q does not name cell 3", workers, err)
 		}
-		if rep.Executed != 0 || store.Len() != 0 {
+		if _, puts := store.Counts(); puts != 0 || store.Len() != 0 {
 			t.Errorf("workers=%d: %d cells executed and %d stored before the failure, want 0 / 0",
-				workers, rep.Executed, store.Len())
+				workers, puts, store.Len())
 		}
 	}
 }
@@ -160,12 +169,12 @@ func TestFleetLowestFailingIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := RunCells(cells, Options{Store: store, Workers: workers}, nil)
+		_, err = RunCells(cells, Options{Store: store, Workers: workers}, nil)
 		if err == nil || !strings.Contains(err.Error(), "cell 1 ") {
 			t.Errorf("workers=%d: error %v, want one naming cell 1", workers, err)
 		}
-		if rep.Executed != 3 || store.Len() != 3 {
-			t.Errorf("workers=%d: %d executed / %d stored, want 3 / 3", workers, rep.Executed, store.Len())
+		if _, puts := store.Counts(); puts != 3 || store.Len() != 3 {
+			t.Errorf("workers=%d: %d executed / %d stored, want 3 / 3", workers, puts, store.Len())
 		}
 	}
 }
@@ -179,7 +188,7 @@ func TestFleetSeedGroupsMatchExecuteCell(t *testing.T) {
 		t.Skip("runs full Tiny simulations")
 	}
 	cells := SweepCells([]string{"DART", "DNET"}, Tiny, []string{"DTN-FLOW", "PROPHET"}, 3, 0)
-	results, _, err := RunCells(cells, Options{}, nil)
+	results, err := RunCells(cells, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

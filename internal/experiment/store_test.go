@@ -227,12 +227,12 @@ func TestStoreServesEverySpelling(t *testing.T) {
 	}
 	spelled := stored.Cell
 	spelled.Rate, spelled.Memory = 200, 2000
-	results, rep, err := RunCells([]Cell{spelled}, Options{Store: store}, nil)
+	results, err := RunCells([]Cell{spelled}, Options{Store: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CacheHits != 1 || rep.Executed != 0 {
-		t.Fatalf("report %+v, want the one cell served from the store", rep)
+	if hits, puts := store.Counts(); hits != 1 || puts != 1 {
+		t.Fatalf("%d served, %d stored, want the one cell served from the store after the one Put", hits, puts)
 	}
 	if got := results[0]; got.Cell != spelled || got.Summary != stored.Summary || got.Fingerprint != stored.Fingerprint {
 		t.Errorf("served %+v, want the stored summary under the requested cell %+v", *got, spelled)

@@ -63,18 +63,19 @@ func TestParallelForBound(t *testing.T) {
 }
 
 // TestGroupDispatchOrder pins the executor's dispatch order: groups by
-// cellCost descending — scale cells by multiplier, then full before
-// quick before tiny runs, DART before DNET at equal tier — input index
-// breaking exact ties, and a group's runs kept together in seed order.
+// cellCost descending — full before quick before tiny runs, DART before
+// DNET at equal tier, an oracle cell at a tenth of its run's cost —
+// input index breaking exact ties, and a group's runs kept together in
+// seed order.
 func TestGroupDispatchOrder(t *testing.T) {
 	cells := []Cell{
 		{Kind: CellRun, Scenario: "DART", Scale: "tiny", Method: "DTN-FLOW", Seed: 1}, // 0
-		{Kind: CellScale, Scenario: "DNET", Method: "DTN-FLOW", Mult: 10, Seed: 1},    // 1
+		{Kind: CellOracle, Scenario: "DART", Scale: "full", Seed: 1},                  // 1
 		{Kind: CellRun, Scenario: "DART", Scale: "full", Method: "DTN-FLOW", Seed: 1}, // 2
-		{Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 32, Seed: 1},    // 3
+		{Kind: CellOracle, Scenario: "DART", Scale: "tiny", Seed: 1},                  // 3
 		{Kind: CellRun, Scenario: "DNET", Scale: "full", Method: "DTN-FLOW", Seed: 1}, // 4
 		{Kind: CellRun, Scenario: "DART", Scale: "tiny", Method: "PROPHET", Seed: 1},  // 5 (ties 0)
-		{Kind: CellScale, Scenario: "DART", Method: "DTN-FLOW", Mult: 1, Seed: 1},     // 6
+		{Kind: CellOracle, Scenario: "DNET", Scale: "quick", Seed: 1},                 // 6
 		{Scenario: "DART", Scale: "quick", Method: "DTN-FLOW", Seed: 1},               // 7 (empty kind = run)
 	}
 	groups := make([]seedGroup, len(cells))
@@ -89,15 +90,15 @@ func TestGroupDispatchOrder(t *testing.T) {
 	var got [][2]int
 	runGroups(groups, 1, func(g, i int) { got = append(got, [2]int{g, i}) })
 	want := [][2]int{
-		{3, 0}, // 32× DART scale
-		{1, 0}, // 10× DNET scale
-		{6, 0}, // 1× DART scale
 		{2, 0}, // full DART run
 		{4, 0}, // full DNET run
 		{7, 0}, // quick DART run
+		{1, 0}, // full DART oracle
 		{0, 0}, // tiny DART runs (index tie-break with 5)
 		{0, 1},
 		{5, 0},
+		{6, 0}, // quick DNET oracle
+		{3, 0}, // tiny DART oracle
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("dispatch order = %v, want %v", got, want)

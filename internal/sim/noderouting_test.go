@@ -8,7 +8,7 @@ import (
 )
 
 func TestWorkloadDstNodes(t *testing.T) {
-	w := &Workload{Rate: 20, PacketSize: 1, TTL: trace.Day, FixedDst: -1, FixedSrc: -1, DstNodes: []int{3, 5}}
+	w := &Workload{Rate: 20, PacketSize: 1, TTL: trace.Day, FixedDst: -1, DstNodes: []int{3, 5}}
 	pkts := w.Schedule(rand.New(rand.NewSource(1)), 0, 3*trace.Day, 4)
 	if len(pkts) == 0 {
 		t.Fatal("no packets")

@@ -93,7 +93,7 @@ func TestWorkloadScheduleCount(t *testing.T) {
 }
 
 func TestWorkloadDaytimeOnly(t *testing.T) {
-	w := &Workload{Rate: 50, DaytimeOnly: true, PacketSize: 1, TTL: trace.Day, FixedDst: -1, FixedSrc: -1}
+	w := &Workload{Rate: 50, DaytimeOnly: true, PacketSize: 1, TTL: trace.Day, FixedDst: -1}
 	pkts := w.Schedule(rand.New(rand.NewSource(1)), 0, 5*trace.Day, 3)
 	for _, p := range pkts {
 		sod := p.Created % trace.Day
@@ -112,9 +112,9 @@ func TestScheduleOneSlab(t *testing.T) {
 		{Start: 3 * trace.Day, End: 9 * trace.Day, Landmarks: []int{2}, Rate: 13.7}, // clipped at to
 	}
 	for name, w := range map[string]*Workload{
-		"fractional":   {Rate: 7.5, PacketSize: 1, TTL: trace.Day, FixedDst: -1, FixedSrc: -1},
-		"per-landmark": {Rate: 10.2, PerLandmark: true, DaytimeOnly: true, PacketSize: 1, TTL: trace.Day, FixedDst: 2, FixedSrc: -1},
-		"surges":       {Rate: 20, PacketSize: 1, TTL: trace.Day, FixedDst: -1, FixedSrc: -1, Surges: surges},
+		"fractional":   {Rate: 7.5, PacketSize: 1, TTL: trace.Day, FixedDst: -1},
+		"per-landmark": {Rate: 10.2, PerLandmark: true, DaytimeOnly: true, PacketSize: 1, TTL: trace.Day, FixedDst: 2},
+		"surges":       {Rate: 20, PacketSize: 1, TTL: trace.Day, FixedDst: -1, Surges: surges},
 	} {
 		for _, span := range [][2]trace.Time{{0, 4 * trace.Day}, {trace.Day / 3, 4*trace.Day + 5*trace.Hour}} {
 			pkts := w.Schedule(rand.New(rand.NewSource(3)), span[0], span[1], 4)
@@ -134,7 +134,7 @@ func TestScheduleOneSlab(t *testing.T) {
 }
 
 func TestWorkloadPerLandmarkFixedDst(t *testing.T) {
-	w := &Workload{Rate: 10, PerLandmark: true, PacketSize: 1, TTL: trace.Day, FixedDst: 2, FixedSrc: -1}
+	w := &Workload{Rate: 10, PerLandmark: true, PacketSize: 1, TTL: trace.Day, FixedDst: 2}
 	pkts := w.Schedule(rand.New(rand.NewSource(1)), 0, 3*trace.Day, 4)
 	bySrc := map[int]int{}
 	for _, p := range pkts {
@@ -399,16 +399,24 @@ func TestEngineEmitsTelemetry(t *testing.T) {
 	}
 }
 
-func TestSrcEqualsDstDeliversInstantly(t *testing.T) {
-	tr := twoHopTrace(2)
-	cfg := Config{Seed: 1, PacketSize: 1, NodeMemory: 10, TTL: 1000, Unit: 1 << 40, LinkRate: 1}
-	w := &Workload{Rate: 100, PacketSize: 1, TTL: 1000, FixedDst: 0, FixedSrc: 0}
-	res := New(tr, &hookRouter{}, w, cfg).Run()
-	// FixedDst == FixedSrc is prevented by the dst redraw loop, so nothing
-	// special should break; with 2 landmarks dst becomes 1 and nothing is
-	// delivered by the no-op router.
-	if res.Summary.Delivered != 0 {
-		t.Errorf("delivered = %d", res.Summary.Delivered)
+// TestFixedDstSkipsItsOwnSource checks a packet whose random source is
+// the fixed destination gets another destination: no packet is addressed
+// to the landmark it starts at.
+func TestFixedDstSkipsItsOwnSource(t *testing.T) {
+	w := &Workload{Rate: 100, PacketSize: 1, TTL: 1000, FixedDst: 0}
+	pkts := w.Schedule(rand.New(rand.NewSource(1)), 0, 2*trace.Day, 2)
+	atSink := 0
+	for _, p := range pkts {
+		if p.Src == p.Dst {
+			t.Fatalf("packet %d addressed to its own landmark %d", p.ID, p.Src)
+		}
+		if p.Src == 0 {
+			atSink++
+		} else if p.Dst != 0 {
+			t.Errorf("packet %d from landmark %d to %d, want the fixed destination 0", p.ID, p.Src, p.Dst)
+		}
 	}
-	_ = reflect.DeepEqual
+	if atSink == 0 || atSink == len(pkts) {
+		t.Errorf("%d of %d packets start at the fixed destination, want some but not all", atSink, len(pkts))
+	}
 }

@@ -23,11 +23,9 @@ type Workload struct {
 	DaytimeOnly bool
 	PacketSize  int64
 	TTL         trace.Time
-	// FixedDst routes every packet to this landmark; -1 draws uniformly.
+	// FixedDst routes every packet to this landmark, except the packets
+	// that start there, which draw another; -1 draws uniformly.
 	FixedDst int
-	// FixedSrc generates every packet at this landmark; -1 draws
-	// uniformly (ignored when PerLandmark).
-	FixedSrc int
 	// DstNodes, when non-nil, addresses each packet to a random node from
 	// the slice instead of a landmark (Section IV-E.4 node-routing mode).
 	DstNodes []int
@@ -51,7 +49,7 @@ type Surge struct {
 // NewWorkload returns a network-wide workload with uniform random sources
 // and destinations.
 func NewWorkload(ratePerDay float64, pktSize int64, ttl trace.Time) *Workload {
-	return &Workload{Rate: ratePerDay, PacketSize: pktSize, TTL: ttl, FixedDst: -1, FixedSrc: -1}
+	return &Workload{Rate: ratePerDay, PacketSize: pktSize, TTL: ttl, FixedDst: -1}
 }
 
 // PacketSchedule returns the packets a run with cfg generates over the
@@ -176,11 +174,7 @@ func (w *Workload) Schedule(rng *rand.Rand, from, to trace.Time, numLandmarks in
 		}
 	} else {
 		for _, t := range genTimes() {
-			src := w.FixedSrc
-			if src < 0 {
-				src = rng.Intn(numLandmarks)
-			}
-			newPacket(t, src)
+			newPacket(t, rng.Intn(numLandmarks))
 		}
 	}
 	for _, sg := range w.Surges {

@@ -7,10 +7,9 @@
 # checker, checker-neutrality, fork equivalence, the O1-O4 paper-fidelity
 # checks at tiny scale, and the disrupted-scenario section (outage /
 # churn / storm presets, every method checker-clean and materialized ==
-# streamed) — and the fleet smoke
-# (Tiny sweep byte-compared across pools of 1, 2 and GOMAXPROCS
-# goroutines plus the 100%-cache-hit re-runs of dtnflow-fleet and
-# experiments).
+# streamed) — and the cells smoke
+# (Tiny Fig. 11 and Table VIII byte-compared across pools of 1, 2 and
+# GOMAXPROCS goroutines plus the 100%-cache-hit re-runs of experiments).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,6 +23,6 @@ fi
 go vet ./...
 go test -race ./internal/experiment ./internal/sim ./internal/routing
 go run ./cmd/dtnflow-validate
-./scripts/fleet-smoke.sh
+./scripts/cells-smoke.sh
 
 echo "check.sh: all clean"
