@@ -2,9 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -308,22 +306,16 @@ var executeCells = ExecuteCells
 // returns their results in input order. It fingerprints every cell
 // before executing any, so a malformed cell fails before anything runs;
 // serves the cells opt.Store holds, when it is set; executes the rest
-// with ExecuteCells and stores each executed result. A non-nil progress
-// receives one line per executed cell; opt.Store counts the cells it
-// served and stored. If cells fail, RunCells returns the error of the
-// lowest failing index, whatever the pool size.
+// with ExecuteCells and stores each executed result (a failed store put
+// is not fatal: the result is still returned). opt.Store counts the
+// cells it served and stored. If cells fail, RunCells returns the error
+// of the lowest failing index, whatever the pool size.
 //
 // Every result is the one ExecuteCell gives its cell alone — the path
 // the golden corpus pins — and lands at its input index, so the results
 // are byte-identical for any pool size, completion order, seed grouping
 // or cache state.
-func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, error) {
-	logf := func(format string, args ...any) {
-		if progress != nil {
-			fmt.Fprintf(progress, "cells: "+format+"\n", args...)
-		}
-	}
-
+func RunCells(cells []Cell, opt Options) ([]*CellResult, error) {
 	results := make([]*CellResult, len(cells))
 	var misses []int // indices of the cells in pending
 	var pending []Cell
@@ -341,39 +333,18 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, err
 		}
 		misses, pending = append(misses, i), append(pending, c)
 	}
-	served := len(cells) - len(pending)
-	if served > 0 {
-		logf("%d/%d cells already in store", served, len(cells))
-	}
 
 	errs := make([]error, len(cells))
-	var mu sync.Mutex
-	executed := 0
 	executeCells(pending, opt.Workers, func(k int, res *CellResult, err error) {
 		i := misses[k]
 		if err != nil {
 			errs[i] = fmt.Errorf("experiment: cell %d (%s): %w", i, cells[i], err)
 			return
 		}
-		var putErr error
 		if opt.Store != nil {
-			putErr = opt.Store.Put(res)
+			_ = opt.Store.Put(res)
 		}
 		results[i] = res
-		mu.Lock()
-		defer mu.Unlock()
-		if putErr != nil {
-			logf("store put failed (continuing): %v", putErr)
-		}
-		executed++
-		if o := res.Oracle; o != nil {
-			logf("[%d/%d] %s: packets=%d deliverable=%d",
-				served+executed, len(cells), res.Cell, o.Packets, o.Deliverable)
-			return
-		}
-		s := res.Summary
-		logf("[%d/%d] %s: generated=%d delivered=%d forwarded=%d",
-			served+executed, len(cells), res.Cell, s.Generated, s.Delivered, s.Forwarding)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -386,7 +357,7 @@ func RunCells(cells []Cell, opt Options, progress io.Writer) ([]*CellResult, err
 // cellSummaries runs cells through RunCells (opt.Store serves the
 // cells it holds) and returns their summaries in cell order.
 func cellSummaries(opt Options, cells []Cell) []metrics.Summary {
-	results, err := RunCells(cells, opt, nil)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -466,26 +437,6 @@ func SweepCells(scenarios []string, scale Scale, methods []string, seeds int, ra
 // TestGoldenRuns pins.
 func GoldenCells() []Cell {
 	return SweepCells([]string{"DART", "DNET"}, Tiny, MethodNames, 1, 0)
-}
-
-// MergeByScenario folds index-aligned cell results into per-scenario
-// method→summary maps — the golden corpus shape. The fold depends only
-// on the cell order, never on completion order, so any scheduling of the
-// same cells assembles the same value.
-func MergeByScenario(results []*CellResult) map[string]map[string]metrics.Summary {
-	out := make(map[string]map[string]metrics.Summary)
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		m := out[r.Cell.Scenario]
-		if m == nil {
-			m = make(map[string]metrics.Summary)
-			out[r.Cell.Scenario] = m
-		}
-		m[r.Cell.Method] = r.Summary
-	}
-	return out
 }
 
 // CellGroup is one (scenario, method) group of a merged sweep with its

@@ -54,6 +54,26 @@ func TestGoldenCells(t *testing.T) {
 	}
 }
 
+// mergeByScenario folds index-aligned cell results into per-scenario
+// method→summary maps — the golden corpus shape. The fold depends only
+// on the cell order, never on completion order, so any scheduling of the
+// same cells assembles the same value.
+func mergeByScenario(results []*CellResult) map[string]map[string]metrics.Summary {
+	out := make(map[string]map[string]metrics.Summary)
+	for _, r := range results {
+		if r == nil {
+			continue
+		}
+		m := out[r.Cell.Scenario]
+		if m == nil {
+			m = make(map[string]metrics.Summary)
+			out[r.Cell.Scenario] = m
+		}
+		m[r.Cell.Method] = r.Summary
+	}
+	return out
+}
+
 func TestMergeByScenario(t *testing.T) {
 	results := []*CellResult{
 		{Cell: Cell{Scenario: "DART", Method: "A"}, Summary: metrics.Summary{Generated: 1}},
@@ -61,7 +81,7 @@ func TestMergeByScenario(t *testing.T) {
 		nil, // a skipped cell must not panic the merge
 		{Cell: Cell{Scenario: "DNET", Method: "A"}, Summary: metrics.Summary{Generated: 3}},
 	}
-	m := MergeByScenario(results)
+	m := mergeByScenario(results)
 	if len(m) != 2 || len(m["DART"]) != 2 || len(m["DNET"]) != 1 {
 		t.Fatalf("bad merge shape: %+v", m)
 	}
@@ -194,7 +214,7 @@ func TestOracleCell(t *testing.T) {
 	}
 	cells := []Cell{{Kind: CellOracle, Scenario: "DNET", Scale: "tiny", Seed: 2, Memory: 300}}
 	for run := 1; run <= 2; run++ {
-		results, err := RunCells(cells, Options{Store: store}, nil)
+		results, err := RunCells(cells, Options{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}

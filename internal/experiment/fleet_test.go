@@ -43,7 +43,7 @@ func TestFleetGoldenByteMatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			cells := GoldenCells()
-			results, err := RunCells(cells, Options{Workers: workers, Store: store}, nil)
+			results, err := RunCells(cells, Options{Workers: workers, Store: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestFleetGoldenByteMatch(t *testing.T) {
 				t.Errorf("%d served, %d executed, %d stored, want 0, %d and %d",
 					hits, puts, store.Len(), len(cells), len(cells))
 			}
-			for scenario, got := range MergeByScenario(results) {
+			for scenario, got := range mergeByScenario(results) {
 				blob, err := json.MarshalIndent(got, "", "  ")
 				if err != nil {
 					t.Fatal(err)
@@ -93,13 +93,13 @@ func TestFleetCacheHits(t *testing.T) {
 		}
 	}
 
-	res1, err := RunCells(cells, Options{Store: store}, nil)
+	res1, err := RunCells(cells, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts("first", 0, n)
 
-	res2, err := RunCells(cells, Options{Store: store}, nil)
+	res2, err := RunCells(cells, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFleetCacheHits(t *testing.T) {
 	}
 
 	grown := append(cells, Cell{Scenario: "DNET", Scale: "tiny", Method: "PER", Seed: 1})
-	res3, err := RunCells(grown, Options{Store: store}, nil)
+	res3, err := RunCells(grown, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFleetMalformedCellFailsFast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RunCells(cells, Options{Store: store, Workers: workers}, nil)
+		_, err = RunCells(cells, Options{Store: store, Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: malformed cell accepted", workers)
 		}
@@ -169,7 +169,7 @@ func TestFleetLowestFailingIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RunCells(cells, Options{Store: store, Workers: workers}, nil)
+		_, err = RunCells(cells, Options{Store: store, Workers: workers})
 		if err == nil || !strings.Contains(err.Error(), "cell 1 ") {
 			t.Errorf("workers=%d: error %v, want one naming cell 1", workers, err)
 		}
@@ -188,7 +188,7 @@ func TestFleetSeedGroupsMatchExecuteCell(t *testing.T) {
 		t.Skip("runs full Tiny simulations")
 	}
 	cells := SweepCells([]string{"DART", "DNET"}, Tiny, []string{"DTN-FLOW", "PROPHET"}, 3, 0)
-	results, err := RunCells(cells, Options{}, nil)
+	results, err := RunCells(cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // The oracle corpus pins the offline yardstick the same way the method
@@ -80,6 +82,22 @@ func TestOracleGoldenWorkerDeterminism(t *testing.T) {
 			if g != want[name] {
 				t.Errorf("workers=%d %s: diverged from single-worker:\ngot  %+v\nwant %+v",
 					workers, name, g, want[name])
+			}
+		}
+	}
+}
+
+// TestTinyGraphFingerprints pins the contact graphs of both Tiny
+// scenarios, as the oracle cells build them, to the fingerprints of the
+// comparison-sorted build the bucket sort replaced, for several worker
+// counts.
+func TestTinyGraphFingerprints(t *testing.T) {
+	want := map[string]uint64{"DART": 0x6a8ab55937a33b35, "DNET": 0xb4c3a29025a6756d}
+	for _, sc := range BothScenarios(Tiny) {
+		for _, workers := range []int{1, 2, 8} {
+			g := oracle.Build(sc.Trace, oracle.ConfigFrom(sc.Config(1)), workers)
+			if got := g.Fingerprint(); got != want[sc.Name] {
+				t.Errorf("%s workers=%d: graph fingerprint %#x, want %#x", sc.Name, workers, got, want[sc.Name])
 			}
 		}
 	}

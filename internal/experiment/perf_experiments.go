@@ -114,7 +114,7 @@ func runPerfSweep(opt Options, scenario func(Scale) *Scenario, id, paper string,
 			solves = append(solves, p)
 		}
 	}
-	results, err := RunCells(append(runs, solves...), opt, nil)
+	results, err := RunCells(append(runs, solves...), opt)
 	if err != nil {
 		panic(err)
 	}

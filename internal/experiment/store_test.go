@@ -227,7 +227,7 @@ func TestStoreServesEverySpelling(t *testing.T) {
 	}
 	spelled := stored.Cell
 	spelled.Rate, spelled.Memory = 200, 2000
-	results, err := RunCells([]Cell{spelled}, Options{Store: store}, nil)
+	results, err := RunCells([]Cell{spelled}, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,16 +26,16 @@
 //     so the committed delivery count is a feasible schedule, not a
 //     bound.
 //
-// The graph build is parallel over nodes and deterministic: equal
-// traces produce bit-identical graphs for every worker count
+// The graph build is parallel over departure buckets and deterministic:
+// equal traces produce bit-identical graphs for every worker count
 // (Fingerprint pins this in tests).
 package oracle
 
 import (
-	"cmp"
 	"hash/fnv"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/trace"
@@ -85,119 +85,176 @@ type Graph struct {
 // NumEdges returns the number of contact edges (transits) in the graph.
 func (g *Graph) NumEdges() int { return len(g.depart) }
 
-// rawEdge is one transit during the build, before the columnar split.
-type rawEdge struct {
-	from, to       int32
-	depart, arrive trace.Time
-	depVis, arrVis int32
-}
-
-// Build constructs the contact graph from a trace. The build is
-// parallel over nodes (workers <= 0 = GOMAXPROCS) and deterministic:
-// every worker count yields a bit-identical graph, because each node's
-// edges land in a preassigned slot and the final ordering is a strict
-// total order (depart, arrive, from, to, departure-visit id — visit ids
-// are globally unique, so ties cannot reorder).
+// Build constructs the contact graph from a trace. Visit ids are
+// node-major and time-ascending: per-node visit counts give each node's
+// first id, and a walk over tr.Visits numbers the rest (visits with an
+// out-of-range node are skipped). Transits are counting-sorted by
+// departure bucket straight into the columns, then each bucket is
+// ordered by (depart, arrive, from, to, departure-visit id) — parallel
+// over buckets (workers <= 0 = GOMAXPROCS). Visit ids are unique, so
+// the order is a strict total order and every worker count yields a
+// bit-identical graph.
 func Build(tr *trace.Trace, cfg Config, workers int) *Graph {
-	byNode := tr.VisitsByNode()
-
-	// Global visit ids: node-major, time-ascending — independent of
-	// worker count. offsets[n] is node n's first id.
-	offsets := make([]int32, len(byNode)+1)
-	for n, vs := range byNode {
-		offsets[n+1] = offsets[n] + int32(len(vs))
-	}
 	g := &Graph{L: tr.NumLandmarks}
-	g.budget = make([]int32, offsets[len(byNode)])
+	nodes := tr.NumNodes
+	inRange := func(v *trace.Visit) bool { return v.Node >= 0 && v.Node < nodes }
 
+	// Pass 1: per-node counts (first[n+1]), and the range of visit ends,
+	// which holds every departure.
+	first := make([]int32, nodes+1)
+	lo, hi := maxTime, -maxTime
+	for i := range tr.Visits {
+		if v := &tr.Visits[i]; inRange(v) {
+			first[v.Node+1]++
+			lo, hi = min(lo, v.End), max(hi, v.End)
+		}
+	}
+	for n := range nodes {
+		first[n+1] += first[n]
+	}
+	nv := first[nodes]
+	g.budget = make([]int32, nv)
+
+	// About one departure bucket per visit: bucket(d) = (d-lo) >> shift.
+	var shift uint
+	for nv > 0 && uint64(hi-lo)>>shift >= uint64(nv) {
+		shift++
+	}
+	nb := 1
+	if nv > 0 {
+		nb = int(uint64(hi-lo)>>shift) + 1
+	}
+	bucket := func(d trace.Time) int { return int(uint64(d-lo) >> shift) }
+
+	// walk numbers every in-range visit and calls fn with its id and its
+	// node's previous visit (nil for the node's first).
+	next := make([]int32, nodes)
+	last := make([]int32, nodes)
+	walk := func(fn func(id int32, v, prev *trace.Visit)) {
+		copy(next, first)
+		for n := range last {
+			last[n] = -1
+		}
+		for i := range tr.Visits {
+			v := &tr.Visits[i]
+			if !inRange(v) {
+				continue
+			}
+			id := next[v.Node]
+			next[v.Node]++
+			var prev *trace.Visit
+			if p := last[v.Node]; p >= 0 {
+				prev = &tr.Visits[p]
+			}
+			last[v.Node] = int32(i)
+			fn(id, v, prev)
+		}
+	}
+	// Consecutive same-landmark visits produce no edge (the node never
+	// left; a packet at the landmark waits on its station either way).
+	transit := func(v, prev *trace.Visit) bool { return prev != nil && prev.Landmark != v.Landmark }
+
+	// Pass 2: budgets, and the transits per bucket (end[b+1]), prefixed
+	// into each bucket's first slot.
+	end := make([]int32, nb+1)
+	walk(func(id int32, v, prev *trace.Visit) {
+		g.budget[id] = int32(visitBudget(*v, cfg))
+		if transit(v, prev) {
+			end[bucket(prev.End)+1]++
+		}
+	})
+	for b := range nb {
+		end[b+1] += end[b]
+	}
+	m := int(end[nb])
+	g.from, g.to = make([]int32, m), make([]int32, m)
+	g.depart, g.arrive = make([]trace.Time, m), make([]trace.Time, m)
+	g.depVis, g.arrVis = make([]int32, m), make([]int32, m)
+
+	// Pass 3: scatter each transit into its bucket. Afterwards end[b] is
+	// bucket b's end, and bucket b spans [end[b-1], end[b]) (from 0 for
+	// bucket 0).
+	walk(func(id int32, v, prev *trace.Visit) {
+		if !transit(v, prev) {
+			return
+		}
+		b := bucket(prev.End)
+		k := end[b]
+		end[b]++
+		g.from[k], g.to[k] = int32(prev.Landmark), int32(v.Landmark)
+		g.depart[k], g.arrive[k] = prev.End, v.Start
+		g.depVis[k], g.arrVis[k] = id-1, id
+	})
+
+	// Order each bucket, the buckets split over workers by connection
+	// count.
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(byNode) {
-		workers = len(byNode)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Each worker fills its nodes' budget entries and writes its nodes'
-	// transits into their own slots of es: a node with k visits makes at
-	// most k-1 transits, so node n owns es[offsets[n]:offsets[n+1]] and
-	// count[n] says how many it used.
-	es := make([]rawEdge, offsets[len(byNode)])
-	count := make([]int32, len(byNode))
+	workers = max(1, min(workers, nb))
 	var wg sync.WaitGroup
-	next := make(chan int, len(byNode))
-	for n := range byNode {
-		next <- n
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
+	for w := range workers {
+		b0, _ := slices.BinarySearch(end[:nb], int32(w*m/workers))
+		b1, _ := slices.BinarySearch(end[:nb], int32((w+1)*m/workers))
+		if w == workers-1 {
+			b1 = nb
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := range next {
-				vs := byNode[n]
-				base := offsets[n]
-				for i, v := range vs {
-					g.budget[base+int32(i)] = int32(visitBudget(v, cfg))
+			r := &connRange{g: g}
+			for b := b0; b < b1; b++ {
+				r.lo, r.hi = 0, int(end[b])
+				if b > 0 {
+					r.lo = int(end[b-1])
 				}
-				out := es[base:base]
-				for i := 1; i < len(vs); i++ {
-					// Consecutive same-landmark visits produce no edge
-					// (the node never left; a packet at the landmark
-					// waits on its station either way).
-					prev, cur := vs[i-1], vs[i]
-					if prev.Landmark == cur.Landmark {
-						continue
-					}
-					out = append(out, rawEdge{
-						from:   int32(prev.Landmark),
-						to:     int32(cur.Landmark),
-						depart: prev.End,
-						arrive: cur.Start,
-						depVis: base + int32(i-1),
-						arrVis: base + int32(i),
-					})
-				}
-				count[n] = int32(len(out))
+				sort.Sort(r)
 			}
 		}()
 	}
 	wg.Wait()
-
-	// Deterministic merge: compact in node order, then sort by the
-	// connection order the scan relies on.
-	m := 0
-	for n := range byNode {
-		m += copy(es[m:], es[offsets[n]:offsets[n]+count[n]])
-	}
-	es = es[:m]
-	slices.SortFunc(es, func(a, b rawEdge) int {
-		if c := cmp.Compare(a.depart, b.depart); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.from, b.from); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.to, b.to); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.depVis, b.depVis)
-	})
-	g.from, g.to = make([]int32, m), make([]int32, m)
-	g.depart, g.arrive = make([]trace.Time, m), make([]trace.Time, m)
-	g.depVis, g.arrVis = make([]int32, m), make([]int32, m)
-	for i, e := range es {
-		g.from[i], g.to[i] = e.from, e.to
-		g.depart[i], g.arrive[i] = e.depart, e.arrive
-		g.depVis[i], g.arrVis[i] = e.depVis, e.arrVis
-	}
 	return g
 }
+
+// less reports whether connection i precedes connection j in scan
+// order.
+func (g *Graph) less(i, j int) bool {
+	if g.depart[i] != g.depart[j] {
+		return g.depart[i] < g.depart[j]
+	}
+	if g.arrive[i] != g.arrive[j] {
+		return g.arrive[i] < g.arrive[j]
+	}
+	if g.from[i] != g.from[j] {
+		return g.from[i] < g.from[j]
+	}
+	if g.to[i] != g.to[j] {
+		return g.to[i] < g.to[j]
+	}
+	return g.depVis[i] < g.depVis[j]
+}
+
+func (g *Graph) swap(i, j int) {
+	g.from[i], g.from[j] = g.from[j], g.from[i]
+	g.to[i], g.to[j] = g.to[j], g.to[i]
+	g.depart[i], g.depart[j] = g.depart[j], g.depart[i]
+	g.arrive[i], g.arrive[j] = g.arrive[j], g.arrive[i]
+	g.depVis[i], g.depVis[j] = g.depVis[j], g.depVis[i]
+	g.arrVis[i], g.arrVis[j] = g.arrVis[j], g.arrVis[i]
+}
+
+// connRange is connections [lo, hi) as a sort.Interface, ordered by
+// (depart, arrive, from, to, depVis). sort.Sort insertion-sorts the
+// small ranges most buckets are and keeps a skewed bucket from going
+// quadratic.
+type connRange struct {
+	g      *Graph
+	lo, hi int
+}
+
+func (r *connRange) Len() int           { return r.hi - r.lo }
+func (r *connRange) Less(i, j int) bool { return r.g.less(r.lo+i, r.lo+j) }
+func (r *connRange) Swap(i, j int)      { r.g.swap(r.lo+i, r.lo+j) }
 
 // visitBudget is the engine's contactBudget formula: the number of
 // transfers a visit of this duration allows.
@@ -339,7 +396,8 @@ func (s *searcher) scan(src int, t0 trace.Time, dst int, deadline trace.Time) (t
 	}
 	s.setLabel(int32(src), t0, -1, -1)
 	best, limit := maxTime, deadline
-	for k, _ := slices.BinarySearch(g.depart, t0); k < len(g.depart); {
+	k, _ := slices.BinarySearch(g.depart, t0)
+	for k < len(g.depart) {
 		d := g.depart[k]
 		if d >= limit && (d != best || g.arrive[k] != d) {
 			break

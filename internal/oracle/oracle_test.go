@@ -1,8 +1,12 @@
 package oracle
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/synth"
@@ -251,5 +255,178 @@ func TestSolveDeterminism(t *testing.T) {
 		if want.Deliverable != got.Deliverable || want.CommittedDelivered != got.CommittedDelivered {
 			t.Fatalf("workers=%d: counts diverged", workers)
 		}
+	}
+}
+
+// sortedBuild is the comparison-sorted build the bucket sort replaced,
+// kept as the reference order: transits per node from VisitsByNode,
+// one slices.SortFunc by (depart, arrive, from, to, depVis).
+func sortedBuild(tr *trace.Trace, cfg Config) *Graph {
+	type rawEdge struct {
+		from, to       int32
+		depart, arrive trace.Time
+		depVis, arrVis int32
+	}
+	g := &Graph{L: tr.NumLandmarks}
+	var es []rawEdge
+	var id int32
+	for _, vs := range tr.VisitsByNode() {
+		for i, v := range vs {
+			g.budget = append(g.budget, int32(visitBudget(v, cfg)))
+			if i > 0 && vs[i-1].Landmark != v.Landmark {
+				es = append(es, rawEdge{int32(vs[i-1].Landmark), int32(v.Landmark), vs[i-1].End, v.Start, id - 1, id})
+			}
+			id++
+		}
+	}
+	slices.SortFunc(es, func(a, b rawEdge) int {
+		return cmp.Or(cmp.Compare(a.depart, b.depart), cmp.Compare(a.arrive, b.arrive),
+			cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), cmp.Compare(a.depVis, b.depVis))
+	})
+	for _, e := range es {
+		g.from, g.to = append(g.from, e.from), append(g.to, e.to)
+		g.depart, g.arrive = append(g.depart, e.depart), append(g.arrive, e.arrive)
+		g.depVis, g.arrVis = append(g.depVis, e.depVis), append(g.arrVis, e.arrVis)
+	}
+	return g
+}
+
+// TestBuildOrderMatchesSort: the bucket-sorted build lays out exactly
+// the columns and budgets of the comparison sort, on tie-heavy traces
+// (equal departures and arrivals everywhere) and on a trace whose
+// departures all fall in one bucket, for several worker counts.
+func TestBuildOrderMatchesSort(t *testing.T) {
+	check := func(name string, tr *trace.Trace, cfg Config) {
+		t.Helper()
+		want := sortedBuild(tr, cfg)
+		for _, workers := range []int{1, 2, 3} {
+			got := Build(tr, cfg, workers)
+			if got.L != want.L || !slices.Equal(got.budget, want.budget) ||
+				!slices.Equal(got.from, want.from) || !slices.Equal(got.to, want.to) ||
+				!slices.Equal(got.depart, want.depart) || !slices.Equal(got.arrive, want.arrive) ||
+				!slices.Equal(got.depVis, want.depVis) || !slices.Equal(got.arrVis, want.arrVis) {
+				t.Fatalf("%s workers=%d: columns differ from the sorted build\nwant %+v\ngot  %+v", name, workers, want, got)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 300; round++ {
+		check(fmt.Sprintf("ties round %d", round), tieTrace(rng), Config{LinkRate: 0.3, MaxContactTransfers: rng.Intn(3)})
+	}
+
+	// One outlier visit end stretches the span so far that a bucket is
+	// wider than every other departure: they all share bucket 0, well
+	// past the 12 connections sort.Sort orders by insertion.
+	skew := &trace.Trace{Name: "skew", NumNodes: 12, NumLandmarks: 3}
+	for n := 0; n < skew.NumNodes; n++ {
+		for v := 0; v < 4; v++ {
+			t0 := trace.Time(10*v + n%3)
+			skew.Visits = append(skew.Visits, trace.Visit{Node: n, Landmark: (n + v) % 3, Start: t0, End: t0 + 5})
+		}
+	}
+	skew.Visits = append(skew.Visits, trace.Visit{Node: 0, Landmark: 1, Start: 50, End: 1 << 40})
+	skew.SortVisits()
+	if err := skew.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if m := sortedBuild(skew, Config{}).NumEdges(); m <= 12 {
+		t.Fatalf("skewed trace has %d connections; want a bucket past sort.Sort's insertion-sort size (12)", m)
+	}
+	check("skew", skew, Config{LinkRate: 1})
+}
+
+// TestCommitReplayBranches: the commit replays a packet's relaxed scan
+// while no visit has run out of budget, searches from the first one that
+// has on, never replays under a station limit or in the reference, and
+// never reaches a packet with no relaxed path — on a hand-built
+// contention case and on budget-binding tie-heavy traces.
+func TestCommitReplayBranches(t *testing.T) {
+	var replayed, searched []int
+	commitHook = func(i int, r bool) {
+		if r {
+			if len(searched) > 0 {
+				t.Errorf("packet %d replayed after a search", i)
+			}
+			replayed = append(replayed, i)
+		} else {
+			searched = append(searched, i)
+		}
+	}
+	defer func() { commitHook = nil }()
+
+	// L0 -> L1 departs at 10 with budget 1 per visit; L2 -> L1 departs
+	// at 100 with budget 5.
+	tr := mkTrace(t, 2, 3,
+		[4]int64{0, 0, 0, 10},
+		[4]int64{0, 1, 20, 30},
+		[4]int64{1, 2, 0, 100},
+		[4]int64{1, 1, 200, 300},
+	)
+	res := SolveTrace(tr, Config{LinkRate: 0.05}, []Packet{
+		{ID: 0, Src: 0, Dst: 1, Created: 0, Expiry: 1000, Size: 1},  // replays, runs L0 -> L1's visits out
+		{ID: 1, Src: 0, Dst: 1, Created: 1, Expiry: 1000, Size: 1},  // searches, fails
+		{ID: 2, Src: 2, Dst: 1, Created: 50, Expiry: 1000, Size: 1}, // searches, takes L2 -> L1
+		{ID: 3, Src: 0, Dst: 1, Created: 40, Expiry: 1000, Size: 1}, // no path
+		{ID: 4, Src: 9, Dst: 9, Created: 60, Expiry: 1000, Size: 1}, // delivered at generation, outside the trace
+	})
+	if !slices.Equal(replayed, []int{0}) || !slices.Equal(searched, []int{1, 2}) {
+		t.Fatalf("replayed %v, searched %v; want [0] and [1 2]", replayed, searched)
+	}
+	if got := []bool{res.Packets[0].Committed, res.Packets[1].Committed, res.Packets[2].Committed}; !slices.Equal(got, []bool{true, false, true}) {
+		t.Fatalf("committed %v, want [true false true]", got)
+	}
+	if pr := res.Packets[2]; pr.CommitEAT != 200 || res.Packets[3].Fate != FateNoPath {
+		t.Fatalf("packet 2 commits at %d (want 200), packet 3 is %v (want no-path)", pr.CommitEAT, res.Packets[3].Fate)
+	}
+	if pr := res.Packets[4]; !pr.Committed || pr.CommitEAT != 60 {
+		t.Fatalf("same-landmark packet: committed %v at %d, want true at 60", pr.Committed, pr.CommitEAT)
+	}
+
+	// A budget past int32 wraps negative, so the visit is out from the
+	// start: the commit searches, as the reference does.
+	wrap := Config{LinkRate: 3e8} // 10 s visits: 3e9 transfers
+	pkts := []Packet{{ID: 0, Src: 0, Dst: 1, Created: 0, Expiry: 1000, Size: 1}}
+	replayed, searched = nil, nil
+	res = SolveTrace(tr, wrap, pkts)
+	if len(replayed) != 0 {
+		t.Fatalf("wrapped budget: replayed %v, want a search", replayed)
+	}
+	var want *Result
+	withReference(func() { want = SolveTrace(tr, wrap, pkts) })
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("wrapped budget: committed %v, reference %v", res.Packets[0].Committed, want.Packets[0].Committed)
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	var nReplayed, nSearched int
+	for round := 0; round < 300; round++ {
+		replayed, searched = nil, nil
+		tr := tieTrace(rng)
+		var pkts []Packet
+		for i := 0; i < 2+rng.Intn(12); i++ {
+			created := trace.Time(rng.Intn(16))
+			pkts = append(pkts, Packet{ID: i, Src: rng.Intn(tr.NumLandmarks), Dst: rng.Intn(tr.NumLandmarks),
+				Created: created, Expiry: created + 1 + trace.Time(rng.Intn(20)), Size: 1})
+		}
+		cfg := Config{LinkRate: []float64{0, 0.3}[rng.Intn(2)], MaxContactTransfers: rng.Intn(3)}
+		res := SolveTrace(tr, cfg, pkts)
+		for _, i := range append(replayed, searched...) {
+			if res.Packets[i].Fate == FateNoPath {
+				t.Fatalf("round %d: packet %d has no relaxed path but reached the commit", round, i)
+			}
+		}
+		nReplayed += len(replayed)
+		nSearched += len(searched)
+
+		replayed, searched = nil, nil
+		withReference(func() { SolveTrace(tr, cfg, pkts) })
+		cfg.StationMemory = 1 + int64(rng.Intn(3))
+		SolveTrace(tr, cfg, pkts)
+		if len(replayed) != 0 {
+			t.Fatalf("round %d: the reference or a station limit replayed %v", round, replayed)
+		}
+	}
+	if nReplayed == 0 || nSearched == 0 {
+		t.Fatalf("tie traces: %d replayed, %d searched; want both branches", nReplayed, nSearched)
 	}
 }

@@ -185,10 +185,11 @@ func refSearch(s *searcher, src int, t0 trace.Time, dst int, deadline trace.Time
 	return 0, false
 }
 
-// withReference runs fn with the label-setting reference as the search.
+// withReference runs fn with the label-setting reference as the search,
+// which every committed packet then runs: nothing is replayed.
 func withReference(fn func()) {
-	search = refSearch
-	defer func() { search = (*searcher).scan }()
+	search, replayRelaxed = refSearch, false
+	defer func() { search, replayRelaxed = (*searcher).scan, true }()
 	fn()
 }
 
